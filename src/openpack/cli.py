@@ -8,7 +8,7 @@ import sys
 
 from . import constructions, harness, solvers, transforms
 from .constructions import PsiSpec
-from .formats import parse_edge_list_text, parse_graph6, to_graph6
+from .formats import GRAPH6_MAX_N, parse_edge_list_text, parse_graph6, to_graph6
 from .graph import (
     Graph,
     complete,
@@ -210,27 +210,20 @@ def _theorem_kind(theorems: list[str]) -> str:
 
 
 def _single_corpus(args):
-    produced = False
     if args.all_n is not None:
-        produced = True
         yield from enumerate_all_graphs(args.all_n)
     if args.all_upto is not None:
-        produced = True
         yield from harness.all_graphs_upto(args.all_upto)
     if args.g6_file:
-        produced = True
         text = _read_text(args.g6_file)
         for line in text.splitlines():
             if line.strip():
                 yield parse_graph6(line)
     if args.random_trees:
-        produced = True
         n_lo, n_hi, count, seed = args.random_trees
         for n in range(n_lo, n_hi + 1):
             for i in range(count):
                 yield random_tree(n, seed + 1000 * n + i)
-    if not produced:
-        raise SystemExit("no corpus selected (use --all-n/--all-upto/--g6-file/--random-trees)")
 
 
 def cmd_verify(args) -> int:
@@ -238,6 +231,16 @@ def cmd_verify(args) -> int:
     kind = _theorem_kind(theorems)
 
     if kind == "single":
+        # checked here, not in the lazy corpus: no row is written first, and a
+        # SystemExit raised while a --jobs pool reads the corpus would hang it
+        if (args.all_n is None and args.all_upto is None and not args.g6_file
+                and not args.random_trees):
+            raise SystemExit("no corpus selected (use --all-n/--all-upto/--g6-file/--random-trees)")
+        if args.random_trees and args.random_trees[1] > GRAPH6_MAX_N:
+            raise SystemExit(
+                f"--random-trees NMAX is {args.random_trees[1]}, but rows name "
+                f"instances by graph6, which caps at {GRAPH6_MAX_N} vertices"
+            )
         instances = _single_corpus(args)
         for name in args.filter or []:
             predicate = harness.CORPUS_FILTERS[name]

@@ -18,6 +18,7 @@ and is re-verified before emission.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,6 +48,9 @@ from .transforms import every_edge_on_triangle, has_even_cycle, two_step
 
 HARNESS_MAX_PRODUCT_N = 24
 TREE_SOLVER_CONFIRM_N = 12
+# Entries in one run's factor memo: every distinct factor of a 5x5 pair grid
+# (1,099 graphs) fits, so the cyclic inner loop of pair_grid never evicts.
+FACTOR_FACTS_MAX = 2048
 
 HOLDS = "holds"
 EQUALITY = "equality"
@@ -159,6 +163,32 @@ class GraphFacts:
     @cached_property
     def diameter_le_2(self) -> bool:
         return self.connected and diameter(self.g) <= 2
+
+
+class FactorFacts:
+    """The ``GraphFacts`` of the pair factors seen in one run, by graph.
+
+    Pair corpora repeat each factor across many pairs, so its p_o and chi2
+    are solved once per run rather than once per pair.  At most
+    ``FACTOR_FACTS_MAX`` entries are held; the least recently used goes first.
+    """
+
+    def __init__(self):
+        self._facts: OrderedDict[Graph, GraphFacts] = OrderedDict()
+        self._max = FACTOR_FACTS_MAX
+
+    def __call__(self, g: Graph) -> GraphFacts:
+        facts = self._facts.get(g)
+        if facts is not None:
+            self._facts.move_to_end(g)
+            return facts
+        facts = self._facts[g] = GraphFacts(g)
+        if len(self._facts) > self._max:
+            self._facts.popitem(last=False)
+        return facts
+
+    def __len__(self) -> int:
+        return len(self._facts)
 
 
 # ---------------------------------------------------------------------------
@@ -639,14 +669,17 @@ Instance = Graph | tuple[Graph, Graph] | int
 
 
 def evaluate_instance(theorems: tuple[str, ...], instance: Instance,
-                      options: RunOptions) -> list[TheoremCheckResult]:
+                      options: RunOptions, factors: FactorFacts,
+                      ) -> list[TheoremCheckResult]:
+    """Rows of the selected checks on one instance; pair factors come from
+    the run's ``factors`` memo, everything else is solved afresh."""
     rows: list[TheoremCheckResult] = []
     if isinstance(instance, Graph):
         facts = GraphFacts(instance)
         for tid in theorems:
             rows.extend(SINGLE_CHECKS[tid](facts, options))
     elif isinstance(instance, tuple):
-        fg, fh = GraphFacts(instance[0]), GraphFacts(instance[1])
+        fg, fh = factors(instance[0]), factors(instance[1])
         for tid in theorems:
             rows.extend(PAIR_CHECKS[tid](fg, fh, options))
     else:
@@ -655,9 +688,18 @@ def evaluate_instance(theorems: tuple[str, ...], instance: Instance,
     return rows
 
 
+# each pool worker's own factor memo, made by _start_worker and gone with it
+_worker_factors: FactorFacts | None = None
+
+
+def _start_worker() -> None:
+    global _worker_factors
+    _worker_factors = FactorFacts()
+
+
 def _pool_eval(task):
     theorems, instance, options = task
-    return evaluate_instance(theorems, instance, options)
+    return evaluate_instance(theorems, instance, options, _worker_factors)
 
 
 def run_corpus(theorems: Iterable[str], instances: Iterable[Instance], *,
@@ -667,23 +709,27 @@ def run_corpus(theorems: Iterable[str], instances: Iterable[Instance], *,
 
     Violated rows are re-verified before they are yielded.  With jobs > 1 the
     instances are evaluated by a worker pool; emission order is still the
-    corpus order, so output is deterministic either way.
+    corpus order, so output is deterministic either way.  Facts about pair
+    factors are shared within the call through one ``FactorFacts`` (one per
+    worker under a pool), and none outlive it.
     """
     theorems = tuple(theorems)
     for tid in theorems:
         if tid not in SINGLE_CHECKS and tid not in PAIR_CHECKS and tid not in PARAM_CHECKS:
             raise GraphError(f"unknown theorem id {tid!r}")
     options = options or RunOptions()
-    tasks = ((theorems, instance, options) for instance in instances)
     if jobs <= 1:
-        batches = map(_pool_eval, tasks)
+        factors = FactorFacts()
+        batches = (evaluate_instance(theorems, instance, options, factors)
+                   for instance in instances)
         for batch in batches:
             for row in batch:
                 if row.verdict == VIOLATED:
                     reverify_violation(row)
                 yield row
     else:
-        with get_context("fork").Pool(jobs) as pool:
+        tasks = ((theorems, instance, options) for instance in instances)
+        with get_context("fork").Pool(jobs, initializer=_start_worker) as pool:
             for batch in pool.imap(_pool_eval, tasks, chunksize=16):
                 for row in batch:
                     if row.verdict == VIOLATED:

@@ -12,28 +12,38 @@ from .graph import Graph, iter_bits
 
 
 def two_step(g: Graph) -> Graph:
-    """Join u and v iff they have a common neighbor in g (isolated vertices stay isolated)."""
-    adj = [0] * g.n
-    for v in range(g.n):
+    """Join u and v iff they have a common neighbor in g (isolated vertices stay isolated).
+
+    The row of v is the union of the neighborhoods of v's neighbors, less v.
+    """
+    adj = g.adj
+    rows = []
+    for v, nbrs in enumerate(adj):
         row = 0
-        for u in range(g.n):
-            if u != v and g.adj[u] & g.adj[v]:
-                row |= 1 << u
-        adj[v] = row
-    return Graph(g.n, adj)
+        while nbrs:
+            low = nbrs & -nbrs
+            row |= adj[low.bit_length() - 1]
+            nbrs ^= low
+        rows.append(row & ~(1 << v))
+    return Graph(g.n, rows)
 
 
 def closed_neighborhood_graph(g: Graph) -> Graph:
-    """Join u and v iff their closed neighborhoods meet, i.e. dist_g(u, v) <= 2."""
-    closed = [g.adj[v] | 1 << v for v in range(g.n)]
-    adj = [0] * g.n
-    for v in range(g.n):
+    """Join u and v iff their closed neighborhoods meet, i.e. dist_g(u, v) <= 2.
+
+    The row of v is the union of the closed neighborhoods of the vertices in
+    v's closed neighborhood, less v.
+    """
+    closed = [mask | 1 << v for v, mask in enumerate(g.adj)]
+    rows = []
+    for v, own in enumerate(closed):
         row = 0
-        for u in range(g.n):
-            if u != v and closed[u] & closed[v]:
-                row |= 1 << u
-        adj[v] = row
-    return Graph(g.n, adj)
+        while own:
+            low = own & -own
+            row |= closed[low.bit_length() - 1]
+            own ^= low
+        rows.append(row & ~(1 << v))
+    return Graph(g.n, rows)
 
 
 # The closed neighborhood graph coincides with the square of g.

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from openpack import kernel_backend
 from openpack.graph import Graph, pair_order
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
+
+
+def pytest_report_header(config):
+    return f"openpack kernel backend: {kernel_backend()}"
 
 
 def pytest_terminal_summary(terminalreporter):

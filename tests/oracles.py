@@ -171,6 +171,26 @@ def brute_clique_number(g: Graph) -> int:
     return 1
 
 
+def brute_two_step(g: Graph) -> list[int]:
+    """Adjacency masks of the two-step graph by scanning every vertex pair
+    for a common neighbor."""
+    nbrs = [neighbors(g, v) for v in range(g.n)]
+    return [
+        sum(1 << u for u in range(g.n) if u != v and nbrs[u] & nbrs[v])
+        for v in range(g.n)
+    ]
+
+
+def brute_square(g: Graph) -> list[int]:
+    """Adjacency masks of the square by scanning every vertex pair for
+    meeting closed neighborhoods."""
+    closed = [neighbors(g, v) | {v} for v in range(g.n)]
+    return [
+        sum(1 << u for u in range(g.n) if u != v and closed[u] & closed[v])
+        for v in range(g.n)
+    ]
+
+
 def bfs_distances(g: Graph, source: int) -> list[int]:
     dist = [-1] * g.n
     dist[source] = 0

@@ -233,12 +233,32 @@ class TestVerify:
         with pytest.raises(SystemExit):
             run_cli("verify", "--theorem", "T1")
 
+    def test_missing_corpus_rejected_under_jobs(self):
+        with pytest.raises(SystemExit):
+            run_cli("verify", "--theorem", "T1", "--jobs", "2")
+
     def test_unknown_theorem_rejected(self):
         with pytest.raises(SystemExit):
             run_cli("verify", "--theorem", "T77", "--all-n", "3")
+
+    def test_random_trees_past_graph6_cap_rejected_before_output(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            main(["verify", "--theorem", "T10", "--random-trees", "60", "70", "1", "0"])
+        assert "62" in str(exc.value.code)
+        assert out.getvalue() == ""
 
     def test_jobs_match_serial(self):
         args = ("verify", "--theorem", "T1,T3", "--all-n", "4")
         _, serial = run_cli(*args)
         _, pooled = run_cli(*args, "--jobs", "2")
         assert serial == pooled
+
+    @pytest.mark.parametrize("theorems, grid", [("T4,T5", ("3", "3")), ("T7", ("3", "2"))])
+    def test_jobs_match_serial_on_pair_grids(self, theorems, grid):
+        args = ("verify", "--theorem", theorems, "--pair-grid", *grid)
+        serial = run_cli(*args)
+        pooled = run_cli(*args, "--jobs", "2")
+        assert serial == pooled
+        if theorems == "T7":
+            assert serial[0] == 1 and '"violated"' in serial[1]

@@ -350,3 +350,57 @@ class TestRunner:
     def test_corpus_filters(self):
         trees = [g for g in harness.all_graphs_upto(4) if harness.CORPUS_FILTERS["tree"](g)]
         assert all(g.m == g.n - 1 for g in trees)
+
+
+class TestFactorFacts:
+    @staticmethod
+    def count_builds(monkeypatch) -> list[Graph]:
+        built = []
+        init = GraphFacts.__init__
+
+        def counting(self, g):
+            built.append(g)
+            init(self, g)
+
+        monkeypatch.setattr(GraphFacts, "__init__", counting)
+        return built
+
+    @staticmethod
+    def factor_builds(built, pairs) -> list[Graph]:
+        # products are fresh graphs, so identity tells a factor build apart
+        ids = {id(g) for pair in pairs for g in pair}
+        return [g for g in built if id(g) in ids]
+
+    def test_each_factor_built_once(self, monkeypatch):
+        pairs = list(harness.pair_grid(3, 3))
+        built = self.count_builds(monkeypatch)
+        list(run_corpus(["T4", "T5"], pairs))
+        factors = self.factor_builds(built, pairs)
+        assert len(factors) == len(set(factors)) == 11
+
+    def test_bound_holds_and_rows_unchanged(self, monkeypatch):
+        pairs = list(harness.pair_grid(3, 3))
+        expected = [r.to_json() for r in run_corpus(["T4", "T7"], pairs)]
+        sizes = []
+
+        class Recording(harness.FactorFacts):
+            def __call__(self, g):
+                facts = super().__call__(g)
+                sizes.append(len(self))
+                return facts
+
+        monkeypatch.setattr(harness, "FACTOR_FACTS_MAX", 4)
+        monkeypatch.setattr(harness, "FactorFacts", Recording)
+        rows = [r.to_json() for r in run_corpus(["T4", "T7"], pairs)]
+        assert rows == expected
+        assert any(json.loads(r)["verdict"] == VIOLATED for r in rows)
+        assert max(sizes) == 4
+
+    def test_each_run_starts_empty(self, monkeypatch):
+        pairs = list(harness.pair_grid(2, 2))
+        built = self.count_builds(monkeypatch)
+        for _ in range(2):
+            built.clear()
+            list(run_corpus(["T5"], pairs))
+            factors = self.factor_builds(built, pairs)
+            assert len(factors) == len(set(factors)) == 3

@@ -91,6 +91,20 @@ class TestSquare:
                 assert 1 <= dist[u] <= 2
 
 
+class TestAgainstPairScan:
+    def test_exhaustive_n_le_6(self):
+        for n in range(1, 7):
+            for g in enumerate_all_graphs(n):
+                assert list(two_step(g).adj) == oracles.brute_two_step(g)
+                assert list(square(g).adj) == oracles.brute_square(g)
+
+    @given(graphs(min_n=7, max_n=40))
+    @settings(max_examples=60)
+    def test_random(self, g):
+        assert list(two_step(g).adj) == oracles.brute_two_step(g)
+        assert list(square(g).adj) == oracles.brute_square(g)
+
+
 class TestIndependenceCorrespondence:
     def test_exhaustive_n_le_6(self):
         # independent in two_step(g) <=> open packing in g, and
