@@ -45,6 +45,7 @@ from .products import (
     strong,
 )
 from .solvers import (
+    CertificateError,
     InvariantReport,
     SolverCapError,
     UndefinedInvariantError,

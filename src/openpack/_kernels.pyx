@@ -155,26 +155,97 @@ cdef bint _color_with_k(ColorState* st, int k, int* clique, int clique_size) noe
     return _extend(st, clique_size, clique_size)
 
 
-def chromatic_number(n, adj):
-    """Exact chromatic number with a witness coloring (labels 1..k, all used)."""
-    if n > 64:
-        raise ValueError("compiled kernel supports n <= 64")
+cdef int _components(int n, uint64_t* adj, uint64_t* comps) noexcept nogil:
+    """Vertex masks of the connected components, by lowest vertex."""
+    cdef uint64_t rest = _full_mask(n), comp, frontier, fresh
+    cdef int count = 0, v
+    while rest:
+        comp = rest & (~rest + 1)
+        frontier = comp
+        while frontier:
+            v = __builtin_ctzll(frontier)
+            frontier &= frontier - 1
+            fresh = adj[v] & ~comp
+            comp |= fresh
+            frontier |= fresh
+        comps[count] = comp
+        count += 1
+        rest &= ~comp
+    return count
+
+
+cdef int _induced(uint64_t* adj, uint64_t mask, uint64_t* sub) noexcept nogil:
+    """Subgraph induced by one component, relabeled in vertex order."""
+    cdef int index[64]
+    cdef int size = 0, i = 0, v
+    cdef uint64_t m = mask, nbrs, row
+    while m:
+        v = __builtin_ctzll(m)
+        m &= m - 1
+        index[v] = size
+        size += 1
+    m = mask
+    while m:
+        v = __builtin_ctzll(m)
+        m &= m - 1
+        row = 0
+        nbrs = adj[v]
+        while nbrs:
+            row |= ONE << index[__builtin_ctzll(nbrs)]
+            nbrs &= nbrs - 1
+        sub[i] = row
+        i += 1
+    return size
+
+
+cdef int _chromatic(int n, uint64_t* adj, int* colors) noexcept nogil:
+    """Iterative deepening from the largest chromatic number of a component
+    (see chromatic_number); writes the witness into colors, returns k."""
     cdef ColorState st
     cdef int clique[64]
-    cdef int greedy_colors[64]
-    cdef int v, k, lb, ub
+    cdef uint64_t comps[64]
+    cdef uint64_t sub[64]
+    cdef int sub_colors[64]
+    cdef int v, k, i, count, clique_size, lb, ub
     st.n = n
     for v in range(n):
-        st.adj[v] = <uint64_t> adj[v]
-        st.degs[v] = __builtin_popcountll(st.adj[v])
-    lb = _greedy_clique(n, st.adj, st.degs, clique)
-    ub = _greedy_coloring(n, st.adj, st.degs, greedy_colors)
+        st.adj[v] = adj[v]
+        st.degs[v] = __builtin_popcountll(adj[v])
+    clique_size = _greedy_clique(n, st.adj, st.degs, clique)
+    ub = _greedy_coloring(n, st.adj, st.degs, colors)
+    lb = clique_size
     if lb == ub:
-        return ub, [greedy_colors[v] for v in range(n)]
+        return ub
+    count = _components(n, st.adj, comps)
+    if count > 1:
+        for i in range(count):
+            if __builtin_popcountll(comps[i]) > lb:
+                k = _chromatic(_induced(st.adj, comps[i], sub), sub, sub_colors)
+                if k > lb:
+                    lb = k
     for k in range(lb, ub):
-        if _color_with_k(&st, k, clique, lb):
-            return k, [st.colors[v] for v in range(n)]
-    return ub, [greedy_colors[v] for v in range(n)]
+        if _color_with_k(&st, k, clique, clique_size):
+            for v in range(n):
+                colors[v] = st.colors[v]
+            return k
+    return ub
+
+
+def chromatic_number(n, adj):
+    """Exact chromatic number with a witness coloring (labels 1..k, all used).
+
+    On a disconnected graph the lower bound is first raised to the largest
+    chromatic number of a component; the witness is unchanged by it.
+    """
+    if n > 64:
+        raise ValueError("compiled kernel supports n <= 64")
+    cdef uint64_t masks[64]
+    cdef int colors[64]
+    cdef int v, k
+    for v in range(n):
+        masks[v] = <uint64_t> adj[v]
+    k = _chromatic(n, masks, colors)
+    return k, [colors[v] for v in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -125,18 +125,70 @@ def _color_with_k(n, adj, degs, k, clique):
     return None
 
 
+def _components(n: int, adj: list[int]) -> list[int]:
+    """Vertex masks of the connected components, by lowest vertex."""
+    comps = []
+    rest = (1 << n) - 1
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            fresh = adj[v] & ~comp
+            comp |= fresh
+            frontier |= fresh
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
+def _induced(adj: list[int], mask: int) -> tuple[int, list[int]]:
+    """Subgraph induced by one component, relabeled 0..|mask|-1 in vertex
+    order."""
+    verts = []
+    m = mask
+    while m:
+        verts.append((m & -m).bit_length() - 1)
+        m &= m - 1
+    index = {v: i for i, v in enumerate(verts)}
+    sub = []
+    for v in verts:
+        row = 0
+        m = adj[v]
+        while m:
+            row |= 1 << index[(m & -m).bit_length() - 1]
+            m &= m - 1
+        sub.append(row)
+    return len(verts), sub
+
+
 def chromatic_number(n: int, adj: list[int]) -> tuple[int, list[int]]:
     """Exact chromatic number with a witness coloring (labels 1..k, all used).
 
     Iterative deepening between a greedy-clique lower bound and a greedy
-    upper bound.
+    upper bound.  On a disconnected graph the lower bound is first raised to
+    the largest chromatic number of a component (chi is their max), so no
+    failing depth searches across components; the deepening itself still
+    runs on the whole graph, and the witness is the one it would give alone.
     """
+    return _chromatic(n, adj)
+
+
+def _chromatic(n, adj):
     clique = _greedy_clique(n, adj)
     ub, greedy_colors = _greedy_coloring(n, adj)
-    if len(clique) == ub:
+    lb = len(clique)
+    if lb == ub:
         return ub, greedy_colors
+    comps = _components(n, adj)
+    if len(comps) > 1:
+        for comp in comps:
+            if comp.bit_count() > lb:
+                k, _ = _chromatic(*_induced(adj, comp))
+                if k > lb:
+                    lb = k
     degs = [adj[v].bit_count() for v in range(n)]
-    for k in range(len(clique), ub):
+    for k in range(lb, ub):
         found = _color_with_k(n, adj, degs, k, clique)
         if found is not None:
             return k, found

@@ -702,6 +702,21 @@ def _pool_eval(task):
     return evaluate_instance(theorems, instance, options, _worker_factors)
 
 
+def _caught(items: Iterable, failure: list[BaseException]) -> Iterator:
+    """Yield from items; if iterating them raises, end early and keep what was
+    raised in failure.
+
+    ``Pool.imap`` reads its tasks in a helper thread, which dies on a
+    BaseException that is not an Exception (SystemExit, KeyboardInterrupt)
+    and leaves the result iterator waiting forever.  The caller re-raises
+    the kept exception once the tasks read before it are done.
+    """
+    try:
+        yield from items
+    except BaseException as exc:
+        failure.append(exc)
+
+
 def run_corpus(theorems: Iterable[str], instances: Iterable[Instance], *,
                jobs: int = 1, options: RunOptions | None = None,
                ) -> Iterator[TheoremCheckResult]:
@@ -728,13 +743,16 @@ def run_corpus(theorems: Iterable[str], instances: Iterable[Instance], *,
                     reverify_violation(row)
                 yield row
     else:
-        tasks = ((theorems, instance, options) for instance in instances)
+        failure: list[BaseException] = []
+        tasks = ((theorems, instance, options) for instance in _caught(instances, failure))
         with get_context("fork").Pool(jobs, initializer=_start_worker) as pool:
             for batch in pool.imap(_pool_eval, tasks, chunksize=16):
                 for row in batch:
                     if row.verdict == VIOLATED:
                         reverify_violation(row)
                     yield row
+        if failure:
+            raise failure[0]
 
 
 def summarize(rows: Iterable[TheoremCheckResult]) -> dict[str, dict[str, int]]:

@@ -33,6 +33,11 @@ class SolverCapError(ValueError):
     """Instance exceeds the exact-solver size cap."""
 
 
+class CertificateError(RuntimeError):
+    """A kernel's certificate fails its defining predicate.  Raised by explicit
+    checks, so ``python -O`` cannot strip them."""
+
+
 class UndefinedInvariantError(ValueError):
     """The invariant does not exist for this graph (e.g. total domination
     with isolated vertices)."""
@@ -118,8 +123,12 @@ def chromatic_number(g: Graph) -> tuple[int, VertexLabeling]:
     """Exact chromatic number and a proper coloring using exactly k labels."""
     _require_within_cap(g)
     k, colors = _kernel.chromatic_number(g.n, list(g.adj))
-    labeling = VertexLabeling(tuple(colors), k)
-    assert _is_proper_coloring(g, labeling)
+    try:
+        labeling = VertexLabeling(tuple(colors), k)
+    except ValueError as exc:
+        raise CertificateError(f"kernel coloring does not use exactly 1..{k}") from exc
+    if not _is_proper_coloring(g, labeling):
+        raise CertificateError("kernel coloring is not proper")
     return k, labeling
 
 
@@ -128,7 +137,8 @@ def max_independent_set(g: Graph) -> tuple[int, VertexSet]:
     _require_within_cap(g)
     size, mask = _kernel.max_independent_set(g.n, list(g.adj))
     cert = VertexSet(mask)
-    assert cert.size == size and _is_independent(g, mask)
+    if cert.size != size or mask >> g.n or not _is_independent(g, mask):
+        raise CertificateError("kernel set is not an independent set of the claimed size")
     return size, cert
 
 

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import strategies as st
 
+import openpack
 from openpack import kernel_backend
 from openpack.graph import Graph, pair_order
 
@@ -18,6 +24,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def run_python(code: str, *flags: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this openpack; a hang
+    fails with TimeoutExpired instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(openpack.__file__).parents[1]))
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @st.composite

@@ -2,7 +2,8 @@
 
 Everything here works straight from the definitions (subset enumeration,
 exhaustive labelings, permutation search) and never calls the code paths it
-is used to check.
+is used to check.  The one exception is ``reference_chromatic``, which pins
+the exact witness bytes of the chromatic kernel's driver rather than a value.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations, permutations
 
+from openpack import _kernels_py
 from openpack.graph import Graph
 
 
@@ -36,6 +38,20 @@ def brute_chromatic(g: Graph) -> int:
         if assignable(0):
             return k
     raise AssertionError("unreachable")
+
+
+def reference_chromatic(n: int, adj: list[int]) -> tuple[int, list[int]]:
+    """The chromatic driver without its component pre-pass: iterative
+    deepening over the whole graph from the greedy clique size.  Every
+    driver change must return this (k, labels) exactly."""
+    clique = _kernels_py._greedy_clique(n, adj)
+    ub, greedy_colors = _kernels_py._greedy_coloring(n, adj)
+    degs = [adj[v].bit_count() for v in range(n)]
+    for k in range(len(clique), ub):
+        found = _kernels_py._color_with_k(n, adj, degs, k, clique)
+        if found is not None:
+            return k, found
+    return ub, greedy_colors
 
 
 def brute_max_independent_set(g: Graph) -> int:

@@ -1,7 +1,9 @@
 import json
+import textwrap
 
 import pytest
 
+from conftest import run_python
 from openpack import harness
 from openpack.constructions import PsiSpec, ng_extremal, psi_graph
 from openpack.formats import to_graph6
@@ -325,6 +327,29 @@ class TestRunner:
         serial = [r.to_json() for r in run_corpus(["T1", "T3"], instances)]
         pooled = [r.to_json() for r in run_corpus(["T1", "T3"], instances, jobs=2)]
         assert serial == pooled
+
+    def test_pool_reraises_corpus_base_exception(self):
+        # Pool.imap's task thread dies on a SystemExit from the corpus; the
+        # rows before it must still arrive and the exit reach the caller
+        script = textwrap.dedent("""
+            from openpack.graph import cycle, path
+            from openpack.harness import run_corpus
+
+            def corpus():
+                yield path(3)
+                yield cycle(4)
+                raise SystemExit(7)
+
+            rows = []
+            try:
+                for row in run_corpus(["T1"], corpus(), jobs=2):
+                    rows.append(row.to_json())
+            finally:
+                print(len(rows))
+        """)
+        proc = run_python(script)
+        assert proc.returncode == 7, proc.stderr
+        assert int(proc.stdout) == len(list(run_corpus(["T1"], [path(3), cycle(4)])))
 
     def test_json_shape(self):
         row = next(iter(run_corpus(["T3"], [cycle(4)])))

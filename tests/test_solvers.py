@@ -1,10 +1,11 @@
 import random
+import textwrap
 
 import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import graphs
+from conftest import graphs, run_python
 from openpack.graph import (
     Graph,
     complete,
@@ -17,6 +18,7 @@ from openpack.graph import (
     star,
 )
 from openpack.solvers import (
+    CertificateError,
     SolverCapError,
     UndefinedInvariantError,
     VertexLabeling,
@@ -366,3 +368,61 @@ class TestCaps:
         monkeypatch.setenv("OPENPACK_MAX_N", "many")
         with pytest.raises(SolverCapError):
             chromatic_number(cycle(5))
+
+
+class TestCertificateChecks:
+    # kernels that return a wrong certificate for any graph with an edge
+    BAD_KERNEL = textwrap.dedent("""
+        import sys
+        from openpack import solvers
+        from openpack.graph import path
+
+        class BadKernel:
+            BACKEND = "bad"
+
+            @staticmethod
+            def chromatic_number(n, adj):
+                return 1, [1] * n
+
+            @staticmethod
+            def max_independent_set(n, adj):
+                return n, (1 << n) - 1
+
+        solvers._kernel = BadKernel
+        for solve in (solvers.chromatic_number, solvers.max_independent_set):
+            try:
+                solve(path(3))
+            except solvers.CertificateError:
+                print(solve.__name__, "rejected")
+        print("optimize", sys.flags.optimize)
+    """)
+
+    def test_bad_kernel_rejected_under_optimize(self):
+        proc = run_python(self.BAD_KERNEL, "-O")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == [
+            "chromatic_number rejected", "max_independent_set rejected", "optimize 1", ""]
+
+    def test_labels_not_onto_rejected(self, monkeypatch):
+        from openpack import solvers
+
+        class GappedKernel:
+            @staticmethod
+            def chromatic_number(n, adj):
+                return 3, [1, 3, 1]
+
+        monkeypatch.setattr(solvers, "_kernel", GappedKernel)
+        with pytest.raises(CertificateError):
+            chromatic_number(path(3))
+
+    def test_set_beyond_vertices_rejected(self, monkeypatch):
+        from openpack import solvers
+
+        class WideKernel:
+            @staticmethod
+            def max_independent_set(n, adj):
+                return 1, 1 << n
+
+        monkeypatch.setattr(solvers, "_kernel", WideKernel)
+        with pytest.raises(CertificateError):
+            max_independent_set(path(3))
