@@ -177,13 +177,12 @@ def is_packing(g: Graph, s) -> bool:
 def is_opp(g: Graph, labeling: VertexLabeling) -> bool:
     """Is the labeling an open packing partition?
 
-    Computed two ways (no vertex sees a repeated label in its neighborhood;
-    every class is an open packing) and cross-asserted.
+    Every class is an open packing exactly when no vertex sees a repeated
+    label in its open neighborhood, which is what is checked.
     """
     if len(labeling.labels) != g.n:
         raise ValueError("labeling length does not match the graph")
     labels = labeling.labels
-    by_neighborhoods = True
     for v in range(g.n):
         seen = 0
         mask = g.adj[v]
@@ -192,15 +191,9 @@ def is_opp(g: Graph, labeling: VertexLabeling) -> bool:
             mask ^= low
             bit = 1 << labels[low.bit_length() - 1]
             if seen & bit:
-                by_neighborhoods = False
-                mask = 0
-            else:
-                seen |= bit
-        if not by_neighborhoods:
-            break
-    by_classes = all(is_open_packing(g, mask) for mask in labeling.classes())
-    assert by_neighborhoods == by_classes
-    return by_neighborhoods
+                return False
+            seen |= bit
+    return True
 
 
 def open_packing_number(g: Graph) -> tuple[int, VertexSet]:
@@ -275,7 +268,20 @@ def _min_cover(n: int, cover: list[int]) -> tuple[int, int]:
 
     ``cover[u]`` doubles as "what selecting u covers" and "who can cover u"
     (the two coincide for both closed and open neighborhoods).  Branches on a
-    most-constrained uncovered vertex; prunes with a static coverage bound.
+    most-constrained uncovered vertex.  A subtree is pruned once a lower bound
+    on the picks it still needs reaches ``room = best - size``; the bounds,
+    cheapest first:
+
+    * static: ceil(|uncovered| / largest cover);
+    * packing: uncovered vertices with pairwise disjoint covers, taken greedily
+      by ascending cover size, each need their own pick.  For closed covers
+      they form a 2-packing (rho <= gamma), for open covers an open packing
+      (rho_o <= gamma_t), the T14 bounds;
+    * residual gain: the fewest t whose t largest residual gains
+      ``|cover[u] & uncovered|`` add up to |uncovered|.
+
+    ``best`` changes only on a strictly smaller cover, and a pruned subtree
+    holds none, so the bounds change the running time, never the result.
     """
     universe = (1 << n) - 1
 
@@ -291,14 +297,30 @@ def _min_cover(n: int, cover: list[int]) -> tuple[int, int]:
         uncovered &= ~cover[pick]
     best = [count, chosen]
 
-    max_cover = max(cover[u].bit_count() for u in range(n))
+    sizes = [c.bit_count() for c in cover]
+    max_cover = max(sizes)
+    if -(-n // max_cover) >= count:  # the greedy cover meets the static bound
+        return count, chosen
+    by_size = [(1 << v, cover[v]) for v in sorted(range(n), key=sizes.__getitem__)]
 
     def extend(uncovered: int, size: int, mask: int) -> None:
         if not uncovered:
             if size < best[0]:
                 best[0], best[1] = size, mask
             return
-        if size + -(-uncovered.bit_count() // max_cover) >= best[0]:
+        room = best[0] - size
+        left = uncovered.bit_count()
+        if -(-left // max_cover) >= room:
+            return
+        packed, hit = 0, 0
+        for bit, cv in by_size:
+            if uncovered & bit and not cv & hit:
+                packed += 1
+                if packed >= room:
+                    return
+                hit |= cv
+        gains = sorted([(cv & uncovered).bit_count() for cv in cover], reverse=True)
+        if sum(gains[:room - 1]) < left:
             return
         pick, nopts = -1, n + 1
         m = uncovered
@@ -315,13 +337,16 @@ def _min_cover(n: int, cover: list[int]) -> tuple[int, int]:
     return best[0], best[1]
 
 
+def _certified_cover(n: int, cover: list[int]) -> tuple[int, VertexSet]:
+    size, mask = _min_cover(n, cover)
+    if mask.bit_count() != size or mask >> n or not all(c & mask for c in cover):
+        raise CertificateError("search result is not a cover of the claimed size")
+    return size, VertexSet(mask)
+
+
 def domination_number(g: Graph) -> tuple[int, VertexSet]:
     _require_within_cap(g)
-    closed = [g.adj[v] | 1 << v for v in range(g.n)]
-    size, mask = _min_cover(g.n, closed)
-    cert = VertexSet(mask)
-    assert all(closed[v] & mask for v in range(g.n))
-    return size, cert
+    return _certified_cover(g.n, [g.adj[v] | 1 << v for v in range(g.n)])
 
 
 def total_domination_number(g: Graph) -> tuple[int, VertexSet]:
@@ -330,10 +355,7 @@ def total_domination_number(g: Graph) -> tuple[int, VertexSet]:
         raise UndefinedInvariantError(
             "total domination is undefined on graphs with isolated vertices"
         )
-    size, mask = _min_cover(g.n, list(g.adj))
-    cert = VertexSet(mask)
-    assert all(g.adj[v] & mask for v in range(g.n))
-    return size, cert
+    return _certified_cover(g.n, list(g.adj))
 
 
 # ---------------------------------------------------------------------------

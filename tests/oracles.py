@@ -2,8 +2,9 @@
 
 Everything here works straight from the definitions (subset enumeration,
 exhaustive labelings, permutation search) and never calls the code paths it
-is used to check.  The one exception is ``reference_chromatic``, which pins
-the exact witness bytes of the chromatic kernel's driver rather than a value.
+is used to check.  The exceptions are ``reference_chromatic`` and
+``reference_min_cover``, which pin the exact witness bytes of the chromatic
+kernel's driver and of the domination search rather than a value.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from collections import deque
 from itertools import combinations, permutations
 
 from openpack import _kernels_py
-from openpack.graph import Graph
+from openpack.graph import Graph, iter_bits
 
 
 def neighbors(g: Graph, v: int) -> set[int]:
@@ -166,6 +167,48 @@ def brute_domination(g: Graph) -> int:
             if all(closed[v] & mask for v in range(g.n)):
                 return size
     raise AssertionError("unreachable")
+
+
+def reference_min_cover(n: int, cover: list[int]) -> tuple[int, int]:
+    """The domination search with only its static coverage bound, copied
+    verbatim from before its packing and residual-gain bounds.  Stronger
+    pruning must return this (size, mask) exactly."""
+    universe = (1 << n) - 1
+
+    chosen, count, uncovered = 0, 0, universe
+    while uncovered:
+        pick, gain = -1, -1
+        for u in range(n):
+            got = (cover[u] & uncovered).bit_count()
+            if got > gain:
+                pick, gain = u, got
+        chosen |= 1 << pick
+        count += 1
+        uncovered &= ~cover[pick]
+    best = [count, chosen]
+
+    max_cover = max(cover[u].bit_count() for u in range(n))
+
+    def extend(uncovered: int, size: int, mask: int) -> None:
+        if not uncovered:
+            if size < best[0]:
+                best[0], best[1] = size, mask
+            return
+        if size + -(-uncovered.bit_count() // max_cover) >= best[0]:
+            return
+        pick, nopts = -1, n + 1
+        m = uncovered
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            c = cover[v].bit_count()
+            if c < nopts:
+                pick, nopts = v, c
+        for u in iter_bits(cover[pick]):
+            extend(uncovered & ~cover[u], size + 1, mask | 1 << u)
+
+    extend(universe, 0, 0)
+    return best[0], best[1]
 
 
 def brute_total_domination(g: Graph) -> int | None:

@@ -403,6 +403,36 @@ class TestCertificateChecks:
         assert proc.stdout.split("\n") == [
             "chromatic_number rejected", "max_independent_set rejected", "optimize 1", ""]
 
+    # a domination search that returns {0}, which neither dominates nor totally
+    # dominates the path on 3 vertices
+    BAD_COVER = textwrap.dedent("""
+        import sys
+        from openpack import solvers
+        from openpack.graph import path
+
+        solvers._min_cover = lambda n, cover: (1, 1)
+        for solve in (solvers.domination_number, solvers.total_domination_number):
+            try:
+                solve(path(3))
+            except solvers.CertificateError:
+                print(solve.__name__, "rejected")
+        print("optimize", sys.flags.optimize)
+    """)
+
+    def test_bad_cover_rejected_under_optimize(self):
+        proc = run_python(self.BAD_COVER, "-O")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == [
+            "domination_number rejected", "total_domination_number rejected", "optimize 1", ""]
+
+    def test_cover_of_wrong_size_rejected(self, monkeypatch):
+        from openpack import solvers
+
+        # {1} dominates the path, but the search claims two picks
+        monkeypatch.setattr(solvers, "_min_cover", lambda n, cover: (2, 0b010))
+        with pytest.raises(CertificateError):
+            domination_number(path(3))
+
     def test_labels_not_onto_rejected(self, monkeypatch):
         from openpack import solvers
 
