@@ -211,6 +211,18 @@ def _value_cert(name: str, value: int) -> dict:
     return {"kind": "value", "name": name, "value": value}
 
 
+# the solver predicate that defines each certificate kind on the graph it names
+_CERT_PREDICATES = {
+    "opp_labeling": solvers.is_opp,
+    "packing_labeling": solvers.is_packing_partition,
+    "open_packing_set": solvers.is_open_packing,
+    "packing_set": solvers.is_packing,
+    "dominating_set": solvers.is_dominating,
+    "total_dominating_set": solvers.is_total_dominating,
+    "common_neighbor_clique": solvers.is_common_neighbor_clique,
+}
+
+
 def reverify_violation(row: TheoremCheckResult) -> None:
     """Check a violated row is self-consistent before it is emitted.
 
@@ -232,32 +244,12 @@ def reverify_violation(row: TheoremCheckResult) -> None:
         if kind == "value":
             continue
         g = parse_graph6(cert["graph6"])
-        if kind in ("opp_labeling", "packing_labeling"):
-            lab = VertexLabeling(tuple(cert["labels"]), cert["k"])
-            if kind == "opp_labeling":
-                ok = solvers.is_opp(g, lab)
-            else:
-                ok = all(solvers.is_packing(g, mask) for mask in lab.classes())
-        elif kind == "open_packing_set":
-            ok = solvers.is_open_packing(g, VertexSet.of(cert["vertices"]))
-        elif kind == "packing_set":
-            ok = solvers.is_packing(g, VertexSet.of(cert["vertices"]))
-        elif kind == "dominating_set":
-            mask = VertexSet.of(cert["vertices"]).bits
-            ok = all((g.adj[v] | 1 << v) & mask for v in range(g.n))
-        elif kind == "total_dominating_set":
-            mask = VertexSet.of(cert["vertices"]).bits
-            ok = all(g.adj[v] & mask for v in range(g.n))
-        elif kind == "common_neighbor_clique":
-            members = cert["vertices"]
-            ts = two_step(g)
-            ok = all(
-                ts.adj[u] >> v & 1
-                for i, u in enumerate(members)
-                for v in members[i + 1:]
-            )
-        elif kind == "degree_witness":
+        if kind == "degree_witness":
             ok = g.degree(cert["vertex"]) == cert["degree"]
+        elif kind in _CERT_PREDICATES:
+            witness = (VertexLabeling(tuple(cert["labels"]), cert["k"]) if "labels" in cert
+                       else VertexSet.of(cert["vertices"]))
+            ok = _CERT_PREDICATES[kind](g, witness)
         else:
             raise ValueError(f"unknown certificate kind {kind!r}")
         if not ok:
@@ -404,7 +396,6 @@ def check_T9(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]
 
     if excluded:
         # the two excluded graphs sit exactly one below the bound
-        assert total == facts.g.n - 1
         return [TheoremCheckResult("T9", facts.g6, REPORT_ONLY, facts.g.n - 1, total)]
     return [_bound_row("T9", facts.g6, facts.g.n, total, witness)]
 
@@ -636,8 +627,6 @@ def check_T15(t: int, options: RunOptions) -> list[TheoremCheckResult]:
     omega_n, omega_set = solvers.omega_of_two_step(base)
     chi_target = solvers.chromatic_number(target)[0]
     omega_target = solvers.max_independent_set(complement(target))[0]
-    assert chi_target == 3
-    assert omega_target == (3 if t == 1 else 2)
 
     def witness():
         return {"certificates": [
@@ -781,10 +770,6 @@ def render_summary(counts: dict[str, dict[str, int]]) -> str:
 
 # ---------------------------------------------------------------------------
 # Corpus builders
-
-
-def all_graphs_exactly(n: int) -> Iterator[Graph]:
-    return enumerate_all_graphs(n)
 
 
 def all_graphs_upto(n: int) -> Iterator[Graph]:

@@ -9,8 +9,9 @@ maximum independent set) applied to the neighborhood transforms:
 * ``packing_number``                = independence number of ``square(g)``
 * ``omega_of_two_step``             = independence number of its complement
 
-No solver returns a bare number: the certificate is validated against the
-defining predicate before being handed back.
+No solver returns a bare number: each checks its certificate once, against
+the predicate that defines the invariant on the input graph, by explicit code
+that raises ``CertificateError``.
 """
 
 from __future__ import annotations
@@ -119,32 +120,47 @@ def _as_mask(s) -> int:
 # Kernels with certificates
 
 
-def chromatic_number(g: Graph) -> tuple[int, VertexLabeling]:
-    """Exact chromatic number and a proper coloring using exactly k labels."""
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise CertificateError(message)
+
+
+def _kernel_coloring(g: Graph) -> tuple[int, VertexLabeling]:
+    """Kernel coloring of g, checked only for its shape: one label per vertex, onto 1..k."""
     _require_within_cap(g)
     k, colors = _kernel.chromatic_number(g.n, list(g.adj))
     try:
         labeling = VertexLabeling(tuple(colors), k)
     except ValueError as exc:
         raise CertificateError(f"kernel coloring does not use exactly 1..{k}") from exc
-    if not _is_proper_coloring(g, labeling):
-        raise CertificateError("kernel coloring is not proper")
+    _check(len(colors) == g.n, "kernel coloring does not label every vertex once")
+    return k, labeling
+
+
+def _kernel_independent_set(g: Graph) -> tuple[int, VertexSet]:
+    """Kernel set of g, checked only for its shape: the claimed size, no bits beyond n."""
+    _require_within_cap(g)
+    size, mask = _kernel.max_independent_set(g.n, list(g.adj))
+    _check(mask.bit_count() == size and not mask >> g.n,
+           "kernel set has the wrong size or bits beyond n")
+    return size, VertexSet(mask)
+
+
+def chromatic_number(g: Graph) -> tuple[int, VertexLabeling]:
+    """Exact chromatic number and a proper coloring using exactly k labels."""
+    k, labeling = _kernel_coloring(g)
+    _check(_is_proper_coloring(g, labeling), "kernel coloring is not proper")
     return k, labeling
 
 
 def max_independent_set(g: Graph) -> tuple[int, VertexSet]:
     """Maximum independent set size and one witness set."""
-    _require_within_cap(g)
-    size, mask = _kernel.max_independent_set(g.n, list(g.adj))
-    cert = VertexSet(mask)
-    if cert.size != size or mask >> g.n or not _is_independent(g, mask):
-        raise CertificateError("kernel set is not an independent set of the claimed size")
+    size, cert = _kernel_independent_set(g)
+    _check(_is_independent(g, cert.bits), "kernel set is not independent")
     return size, cert
 
 
 def _is_proper_coloring(g: Graph, labeling: VertexLabeling) -> bool:
-    if len(labeling.labels) != g.n:
-        return False
     return all(labeling.labels[u] != labeling.labels[v] for u, v in g.edges())
 
 
@@ -196,40 +212,47 @@ def is_opp(g: Graph, labeling: VertexLabeling) -> bool:
     return True
 
 
+def is_packing_partition(g: Graph, labeling: VertexLabeling) -> bool:
+    """Is every class of the labeling a packing, i.e. is it a 2-distance coloring?"""
+    return all(is_packing(g, mask) for mask in labeling.classes())
+
+
+def is_common_neighbor_clique(g: Graph, s) -> bool:
+    """Does every pair of members share a common neighbor (a clique of two_step(g))?"""
+    members = list(iter_bits(_as_mask(s)))
+    return all(g.adj[u] & g.adj[v] for i, u in enumerate(members) for v in members[i + 1:])
+
+
 def open_packing_number(g: Graph) -> tuple[int, VertexSet]:
-    size, cert = max_independent_set(two_step(g))
-    assert is_open_packing(g, cert)
+    size, cert = _kernel_independent_set(two_step(g))
+    _check(is_open_packing(g, cert), "kernel set is not an open packing")
     return size, cert
 
 
 def packing_number(g: Graph) -> tuple[int, VertexSet]:
-    size, cert = max_independent_set(closed_neighborhood_graph(g))
-    assert is_packing(g, cert)
+    size, cert = _kernel_independent_set(closed_neighborhood_graph(g))
+    _check(is_packing(g, cert), "kernel set is not a packing")
     return size, cert
 
 
 def open_packing_partition_number(g: Graph) -> tuple[int, VertexLabeling]:
     """Minimum number of open packings partitioning V(g), with a witness partition."""
-    k, labeling = chromatic_number(two_step(g))
-    assert is_opp(g, labeling)
+    k, labeling = _kernel_coloring(two_step(g))
+    _check(is_opp(g, labeling), "kernel coloring is not an open packing partition")
     return k, labeling
 
 
 def two_distance_chromatic(g: Graph) -> tuple[int, VertexLabeling]:
     """Minimum colors so vertices within distance two differ, with a witness."""
-    k, labeling = chromatic_number(closed_neighborhood_graph(g))
-    assert all(is_packing(g, mask) for mask in labeling.classes())
+    k, labeling = _kernel_coloring(closed_neighborhood_graph(g))
+    _check(is_packing_partition(g, labeling), "kernel coloring is not a packing partition")
     return k, labeling
 
 
 def omega_of_two_step(g: Graph) -> tuple[int, VertexSet]:
     """Largest vertex set of g in which any two members share a common neighbor."""
-    ng = two_step(g)
-    size, cert = max_independent_set(complement(ng))
-    members = cert.members()
-    assert all(
-        ng.adj[u] >> v & 1 for i, u in enumerate(members) for v in members[i + 1:]
-    )
+    size, cert = _kernel_independent_set(complement(two_step(g)))
+    _check(is_common_neighbor_clique(g, cert), "kernel set is not a common-neighbor clique")
     return size, cert
 
 
@@ -249,14 +272,10 @@ def split_open_packing(g: Graph, s) -> tuple[VertexSet, VertexSet]:
         if second >> v & 1:
             continue
         partner = g.adj[v] & bits & ~(1 << v)
-        assert partner.bit_count() <= 1
         if partner:
             second |= partner
         first |= 1 << v
-    assert first | second == bits and not first & second
-    p1, p2 = VertexSet(first), VertexSet(second)
-    assert is_packing(g, p1) and is_packing(g, p2)
-    return p1, p2
+    return VertexSet(first), VertexSet(second)
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +356,28 @@ def _min_cover(n: int, cover: list[int]) -> tuple[int, int]:
     return best[0], best[1]
 
 
-def _certified_cover(n: int, cover: list[int]) -> tuple[int, VertexSet]:
-    size, mask = _min_cover(n, cover)
-    if mask.bit_count() != size or mask >> n or not all(c & mask for c in cover):
-        raise CertificateError("search result is not a cover of the claimed size")
+def is_dominating(g: Graph, s) -> bool:
+    """Does every vertex lie in the set or have a neighbor in it?"""
+    mask = _as_mask(s)
+    return all((adj | 1 << v) & mask for v, adj in enumerate(g.adj))
+
+
+def is_total_dominating(g: Graph, s) -> bool:
+    """Does every vertex have a neighbor in the set?"""
+    mask = _as_mask(s)
+    return all(adj & mask for adj in g.adj)
+
+
+def _certified_cover(g: Graph, cover: list[int], covers) -> tuple[int, VertexSet]:
+    size, mask = _min_cover(g.n, cover)
+    _check(mask.bit_count() == size and not mask >> g.n and covers(g, mask),
+           "search result is not a cover of the claimed size")
     return size, VertexSet(mask)
 
 
 def domination_number(g: Graph) -> tuple[int, VertexSet]:
     _require_within_cap(g)
-    return _certified_cover(g.n, [g.adj[v] | 1 << v for v in range(g.n)])
+    return _certified_cover(g, [g.adj[v] | 1 << v for v in range(g.n)], is_dominating)
 
 
 def total_domination_number(g: Graph) -> tuple[int, VertexSet]:
@@ -355,7 +386,7 @@ def total_domination_number(g: Graph) -> tuple[int, VertexSet]:
         raise UndefinedInvariantError(
             "total domination is undefined on graphs with isolated vertices"
         )
-    return _certified_cover(g.n, list(g.adj))
+    return _certified_cover(g, list(g.adj), is_total_dominating)
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +437,4 @@ def full_report(g: Graph, with_certificates: bool = True) -> InvariantReport:
         gamma_t, gamma_t_set = total_domination_number(g)
         values["gamma_t"] = gamma_t
         certificates["gamma_t"] = gamma_t_set
-        assert rho_o <= gamma_t
-
-    # internal consistency: the certified values must satisfy the elementary bounds
-    assert rho <= gamma
-    assert values["Delta"] <= po
-    assert chi2 <= 2 * po and po <= chi2
-    assert g.n <= po * rho_o and po <= g.n - rho_o + 1
-    assert omega_n <= po
-
     return InvariantReport(values, certificates if with_certificates else {})

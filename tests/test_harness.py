@@ -113,6 +113,7 @@ class TestComplementSum:
     def test_excluded_matching(self):
         row, = check_T9(facts(disjoint_union(K2, K2)), OPTS)
         assert row.verdict == REPORT_ONLY
+        assert row.lhs == 3 and row.rhs == 3
 
     def test_relabeled_copy_excluded(self):
         relabeled = from_edge_list(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
@@ -300,6 +301,33 @@ class TestWitnesses:
                 cert["k"] = 1
         with pytest.raises(ValueError):
             reverify_violation(row)
+
+    # one certificate of each kind on the path 0-1-2: a valid one, then a corrupted one
+    P3_CERTS = [
+        ("opp_labeling", {"labels": [1, 1, 2], "k": 2}, {"labels": [1, 1, 1], "k": 1}),
+        ("packing_labeling", {"labels": [1, 2, 3], "k": 3}, {"labels": [1, 2, 1], "k": 2}),
+        ("open_packing_set", {"vertices": [0, 1]}, {"vertices": [0, 2]}),
+        ("packing_set", {"vertices": [0]}, {"vertices": [0, 1]}),
+        ("dominating_set", {"vertices": [1]}, {"vertices": [0]}),
+        ("total_dominating_set", {"vertices": [0, 1]}, {"vertices": [1]}),
+        ("common_neighbor_clique", {"vertices": [0, 2]}, {"vertices": [0, 1]}),
+        ("degree_witness", {"vertex": 1, "degree": 2}, {"vertex": 1, "degree": 1}),
+    ]
+
+    @staticmethod
+    def _row_with(kind, fields):
+        cert = {"kind": kind, "graph6": to_graph6(path(3)), **fields}
+        return TheoremCheckResult("T3", "Bg", VIOLATED, 5, 4, {"certificates": [cert]})
+
+    @pytest.mark.parametrize("kind,good,bad", P3_CERTS, ids=[c[0] for c in P3_CERTS])
+    def test_reverify_checks_each_kind(self, kind, good, bad):
+        reverify_violation(self._row_with(kind, good))
+        with pytest.raises(ValueError, match="failed verification"):
+            reverify_violation(self._row_with(kind, bad))
+
+    def test_reverify_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown certificate kind"):
+            reverify_violation(self._row_with("mystery_set", {"vertices": [0]}))
 
     def test_reverify_requires_witness(self):
         row = TheoremCheckResult("T3", "A_", VIOLATED, 5, 4, None)

@@ -389,7 +389,10 @@ class TestCertificateChecks:
                 return n, (1 << n) - 1
 
         solvers._kernel = BadKernel
-        for solve in (solvers.chromatic_number, solvers.max_independent_set):
+        for solve in (solvers.chromatic_number, solvers.max_independent_set,
+                      solvers.open_packing_partition_number, solvers.two_distance_chromatic,
+                      solvers.open_packing_number, solvers.packing_number,
+                      solvers.omega_of_two_step):
             try:
                 solve(path(3))
             except solvers.CertificateError:
@@ -401,7 +404,10 @@ class TestCertificateChecks:
         proc = run_python(self.BAD_KERNEL, "-O")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n") == [
-            "chromatic_number rejected", "max_independent_set rejected", "optimize 1", ""]
+            "chromatic_number rejected", "max_independent_set rejected",
+            "open_packing_partition_number rejected", "two_distance_chromatic rejected",
+            "open_packing_number rejected", "packing_number rejected",
+            "omega_of_two_step rejected", "optimize 1", ""]
 
     # a domination search that returns {0}, which neither dominates nor totally
     # dominates the path on 3 vertices
