@@ -69,10 +69,6 @@ def parse_graph6(line: str) -> Graph:
     return Graph(n, adj)
 
 
-def read_graph6_lines(text: str) -> list[Graph]:
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]
-
-
 def to_edge_list_text(g: Graph) -> str:
     """First line ``n m``, then one 0-indexed ``u v`` line per edge."""
     lines = [f"{g.n} {g.m}"]

@@ -58,7 +58,6 @@ VIOLATED = "violated"
 REPORT_ONLY = "report_only"
 SKIPPED = "skipped"
 
-THEOREM_IDS = tuple(f"T{i}" for i in range(1, 16))
 
 # relation each theorem's rows assert between lhs and rhs
 _RELATION = {
@@ -223,6 +222,16 @@ _CERT_PREDICATES = {
 }
 
 
+def _fits(g: Graph, cert: dict) -> bool:
+    """Does the certificate label every vertex of g once, or name only vertices of g?
+
+    The predicates look only at bits below n, so they cannot tell."""
+    if "labels" in cert:
+        return len(cert["labels"]) == g.n
+    vertices = cert["vertices"] if "vertices" in cert else [cert["vertex"]]
+    return all(0 <= v < g.n for v in vertices)
+
+
 def reverify_violation(row: TheoremCheckResult) -> None:
     """Check a violated row is self-consistent before it is emitted.
 
@@ -244,14 +253,16 @@ def reverify_violation(row: TheoremCheckResult) -> None:
         if kind == "value":
             continue
         g = parse_graph6(cert["graph6"])
+        if kind not in _CERT_PREDICATES and kind != "degree_witness":
+            raise ValueError(f"unknown certificate kind {kind!r}")
+        if not _fits(g, cert):
+            raise ValueError(f"certificate of kind {kind!r} does not fit its {g.n}-vertex graph")
         if kind == "degree_witness":
             ok = g.degree(cert["vertex"]) == cert["degree"]
-        elif kind in _CERT_PREDICATES:
+        else:
             witness = (VertexLabeling(tuple(cert["labels"]), cert["k"]) if "labels" in cert
                        else VertexSet.of(cert["vertices"]))
             ok = _CERT_PREDICATES[kind](g, witness)
-        else:
-            raise ValueError(f"unknown certificate kind {kind!r}")
         if not ok:
             raise ValueError(f"certificate of kind {kind!r} failed verification")
 

@@ -2,9 +2,11 @@
 
 Everything here works straight from the definitions (subset enumeration,
 exhaustive labelings, permutation search) and never calls the code paths it
-is used to check.  The exceptions are ``reference_chromatic`` and
-``reference_min_cover``, which pin the exact witness bytes of the chromatic
-kernel's driver and of the domination search rather than a value.
+is used to check.  The exceptions are ``reference_chromatic``,
+``reference_max_independent_set`` and ``reference_min_cover``: frozen copies
+of earlier kernel and search code that pin the exact witness bytes of the
+chromatic driver, the independent-set search and the domination search
+rather than a value.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations, permutations
 
-from openpack import _kernels_py
 from openpack.graph import Graph, iter_bits
 
 
@@ -42,17 +43,182 @@ def brute_chromatic(g: Graph) -> int:
 
 
 def reference_chromatic(n: int, adj: list[int]) -> tuple[int, list[int]]:
-    """The chromatic driver without its component pre-pass: iterative
-    deepening over the whole graph from the greedy clique size.  Every
-    driver change must return this (k, labels) exactly."""
-    clique = _kernels_py._greedy_clique(n, adj)
-    ub, greedy_colors = _kernels_py._greedy_coloring(n, adj)
+    """The chromatic driver without its component pre-pass or clique-number
+    bound: iterative deepening over the whole graph from the greedy clique
+    size, on the count-based search state copied verbatim below from before
+    the bit-sliced one.  Every kernel change must return this (k, labels)
+    exactly."""
+    clique = _greedy_clique(n, adj)
+    ub, greedy_colors = _greedy_coloring(n, adj)
     degs = [adj[v].bit_count() for v in range(n)]
     for k in range(len(clique), ub):
-        found = _kernels_py._color_with_k(n, adj, degs, k, clique)
+        found = _color_with_k(n, adj, degs, k, clique)
         if found is not None:
             return k, found
     return ub, greedy_colors
+
+
+def _greedy_clique(n: int, adj: list[int]) -> list[int]:
+    """Greedily grown clique: seed with a maximum-degree vertex, then repeatedly
+    add the common neighbor of largest degree."""
+    degs = [adj[v].bit_count() for v in range(n)]
+    start = 0
+    for v in range(1, n):
+        if degs[v] > degs[start]:
+            start = v
+    clique = [start]
+    cand = adj[start]
+    while cand:
+        pick, pick_deg = -1, -1
+        m = cand
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            if degs[v] > pick_deg:
+                pick, pick_deg = v, degs[v]
+        clique.append(pick)
+        cand &= adj[pick]
+    return clique
+
+
+def _greedy_coloring(n: int, adj: list[int]) -> tuple[int, list[int]]:
+    """Saturation-first greedy coloring; ties by degree, then lowest index."""
+    degs = [adj[v].bit_count() for v in range(n)]
+    colors = [0] * n
+    satmask = [0] * n
+    used = 0
+    for _ in range(n):
+        best, best_sat, best_deg = -1, -1, -1
+        for v in range(n):
+            if colors[v]:
+                continue
+            s = satmask[v].bit_count()
+            if s > best_sat or (s == best_sat and degs[v] > best_deg):
+                best, best_sat, best_deg = v, s, degs[v]
+        forbidden = satmask[best]
+        c = 1
+        while forbidden >> (c - 1) & 1:
+            c += 1
+        colors[best] = c
+        if c > used:
+            used = c
+        m = adj[best]
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            satmask[u] |= 1 << (c - 1)
+    return used, colors
+
+
+def _color_with_k(n, adj, degs, k, clique):
+    """Search for a proper coloring with at most k colors; DSATUR-ordered
+    backtracking with the clique precolored 1..|clique|."""
+    colors = [0] * n
+    # counts[v][c]: how many neighbors of v currently have color c
+    counts = [[0] * (k + 1) for _ in range(n)]
+    sat = [0] * n
+
+    def assign(v, c):
+        colors[v] = c
+        m = adj[v]
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            row = counts[u]
+            row[c] += 1
+            if row[c] == 1:
+                sat[u] += 1
+
+    def unassign(v, c):
+        colors[v] = 0
+        m = adj[v]
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            row = counts[u]
+            row[c] -= 1
+            if row[c] == 0:
+                sat[u] -= 1
+
+    for i, v in enumerate(clique):
+        assign(v, i + 1)
+
+    def extend(colored, used):
+        if colored == n:
+            return True
+        best, best_sat, best_deg = -1, -1, -1
+        for v in range(n):
+            if colors[v]:
+                continue
+            s = sat[v]
+            if s > best_sat or (s == best_sat and degs[v] > best_deg):
+                best, best_sat, best_deg = v, s, degs[v]
+        v = best
+        row = counts[v]
+        limit = used + 1 if used < k else k
+        for c in range(1, limit + 1):
+            if row[c] == 0:
+                assign(v, c)
+                if extend(colored + 1, used if c <= used else c):
+                    return True
+                unassign(v, c)
+        return False
+
+    if extend(len(clique), len(clique)):
+        return colors
+    return None
+
+
+def reference_max_independent_set(n: int, adj: list[int]) -> tuple[int, int]:
+    """The independent-set search with only its |cand| bound, copied
+    verbatim from before the clique-cover bound.  Stronger pruning must
+    return this (size, mask) exactly."""
+    full = (1 << n) - 1
+
+    # Greedy seed: repeatedly take a minimum-residual-degree vertex.
+    best_size, best_mask = 0, 0
+    cand = full
+    while cand:
+        pick, pick_deg = -1, n + 1
+        m = cand
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            d = (adj[v] & cand).bit_count()
+            if d < pick_deg:
+                pick, pick_deg = v, d
+        best_mask |= 1 << pick
+        best_size += 1
+        cand &= ~(adj[pick] | 1 << pick)
+
+    best = [best_size, best_mask]
+
+    def explore(cand, size, mask):
+        if size + cand.bit_count() <= best[0]:
+            return
+        if not cand:
+            best[0] = size
+            best[1] = mask
+            return
+        pick, pick_deg = -1, -1
+        m = cand
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            d = (adj[v] & cand).bit_count()
+            if d > pick_deg:
+                pick, pick_deg = v, d
+        if pick_deg == 0:
+            size += cand.bit_count()
+            if size > best[0]:
+                best[0] = size
+                best[1] = mask | cand
+            return
+        explore(cand & ~(adj[pick] | 1 << pick), size + 1, mask | 1 << pick)
+        explore(cand & ~(1 << pick), size, mask)
+
+    explore(full, 0, 0)
+    return best[0], best[1]
 
 
 def brute_max_independent_set(g: Graph) -> int:

@@ -325,6 +325,16 @@ class TestWitnesses:
         with pytest.raises(ValueError, match="failed verification"):
             reverify_violation(self._row_with(kind, bad))
 
+    @pytest.mark.parametrize("kind,fields", [
+        ("packing_set", {"vertices": [0, 7, 9]}),
+        ("packing_labeling", {"labels": [1, 2, 3, 1], "k": 3}),
+        ("opp_labeling", {"labels": [1, 1], "k": 1}),
+        ("degree_witness", {"vertex": 5, "degree": 0}),
+    ], ids=["set-beyond-n", "labeling-too-long", "labeling-too-short", "degree-vertex-beyond-n"])
+    def test_reverify_rejects_certificates_outside_the_graph(self, kind, fields):
+        with pytest.raises(ValueError, match="does not fit its 3-vertex graph"):
+            reverify_violation(self._row_with(kind, fields))
+
     def test_reverify_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown certificate kind"):
             reverify_violation(self._row_with("mystery_set", {"vertices": [0]}))
