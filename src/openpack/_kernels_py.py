@@ -1,9 +1,8 @@
 """Pure-Python solver kernels over bit-mask adjacency.
 
 Exact chromatic number and maximum independent set, the two NP-hard primitives
-everything else reduces to.  ``openpack._kernels`` (Cython) implements the
-same algorithms with the same branching and tie-breaking rules; the two
-backends must return bit-identical results (see tests/test_kernels.py).
+everything else reduces to.  This module is the only kernel implementation;
+``openpack.solvers`` calls it as ``_kernel``.
 
 All search state is bit masks, one Python int per vertex set, in the
 one-word-per-row layout of San Segundo et al.'s bitboard solvers (Comput.

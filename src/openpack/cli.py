@@ -236,11 +236,18 @@ def cmd_verify(args) -> int:
         if (args.all_n is None and args.all_upto is None and not args.g6_file
                 and not args.random_trees):
             raise SystemExit("no corpus selected (use --all-n/--all-upto/--g6-file/--random-trees)")
-        if args.random_trees and args.random_trees[1] > GRAPH6_MAX_N:
-            raise SystemExit(
-                f"--random-trees NMAX is {args.random_trees[1]}, but rows name "
-                f"instances by graph6, which caps at {GRAPH6_MAX_N} vertices"
-            )
+        if args.random_trees:
+            n_lo, n_hi, count, _ = args.random_trees
+            if not 1 <= n_lo <= n_hi or count < 1:
+                raise SystemExit(
+                    f"--random-trees needs 1 <= NMIN <= NMAX and COUNT >= 1, "
+                    f"got NMIN={n_lo} NMAX={n_hi} COUNT={count}"
+                )
+            if n_hi > GRAPH6_MAX_N:
+                raise SystemExit(
+                    f"--random-trees NMAX is {n_hi}, but rows name instances "
+                    f"by graph6, which caps at {GRAPH6_MAX_N} vertices"
+                )
         instances = _single_corpus(args)
         for name in args.filter or []:
             predicate = harness.CORPUS_FILTERS[name]

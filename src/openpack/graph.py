@@ -150,6 +150,8 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree via a random Pruefer sequence."""
+    if n < 1:
+        raise GraphError("a graph needs at least one vertex")
     if n == 1:
         return Graph(1, (0,))
     if n == 2:

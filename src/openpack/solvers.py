@@ -19,13 +19,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from . import _kernels_py as _kernel
 from .graph import Graph, complement, iter_bits, max_degree, min_degree
 from .transforms import closed_neighborhood_graph, two_step
-
-try:
-    from . import _kernels as _kernel
-except ImportError:  # compiled extension not built; pure fallback
-    from . import _kernels_py as _kernel
 
 HARD_MAX_N = 64
 
@@ -45,7 +41,7 @@ class UndefinedInvariantError(ValueError):
 
 
 def kernel_backend() -> str:
-    """Name of the active kernel implementation: "cython" or "python"."""
+    """Name of the kernel implementation; always "python"."""
     return _kernel.BACKEND
 
 

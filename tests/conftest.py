@@ -1,22 +1,27 @@
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 import openpack
-from openpack import kernel_backend
 from openpack.graph import Graph, pair_order
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
 
+# wall-time limit per test under the search_deadline fixture
+SEARCH_DEADLINE_S = 60
 
-def pytest_report_header(config):
-    return f"openpack kernel backend: {kernel_backend()}"
+
+class SearchDeadlineExceeded(BaseException):
+    """A test under ``search_deadline`` ran out of time.  Not an Exception, so
+    hypothesis re-raises it at once instead of shrinking on."""
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -24,6 +29,31 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def search_deadline():
+    """Fail a test whose search has not ended after SEARCH_DEADLINE_S seconds
+    of wall time, instead of hanging the suite."""
+    def expire(signum, frame):
+        raise SearchDeadlineExceeded(f"test still running after {SEARCH_DEADLINE_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, SEARCH_DEADLINE_S)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    try:
+        return (yield)
+    except SearchDeadlineExceeded as exc:
+        # report the message alone: the traceback of an exception raised by a
+        # signal mid-search can hold a frame with no line number, on which
+        # pytest's traceback formatting fails and ends the whole session
+        raise pytest.fail.Exception(str(exc), pytrace=False) from None
 
 
 def run_python(code: str, *flags: str, timeout: float = 60) -> subprocess.CompletedProcess:

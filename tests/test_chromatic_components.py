@@ -22,13 +22,10 @@ from openpack.solvers import is_opp, open_packing_partition_number
 from openpack.transforms import square, two_step
 from test_cli import run_cli
 
-try:
-    from openpack import _kernels as _compiled
-except ImportError:
-    _compiled = None
+pytestmark = pytest.mark.usefixtures("search_deadline")
 
-KERNELS = [_kernels_py] + ([_compiled] if _compiled is not None else [])
-KERNEL_IDS = [k.BACKEND for k in KERNELS]
+# runs a test class on the kernel module, named by its BACKEND in the test ids
+ON_KERNEL = pytest.mark.parametrize("kern", [_kernels_py], ids=[_kernels_py.BACKEND])
 
 
 def assert_matches_reference(kern, g):
@@ -36,7 +33,7 @@ def assert_matches_reference(kern, g):
         oracles.reference_chromatic(g.n, list(g.adj)), g
 
 
-@pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)
+@ON_KERNEL
 class TestWitnessParity:
     def test_two_step_and_square_upto_5(self, kern):
         for g in all_graphs_upto(5):

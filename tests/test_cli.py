@@ -248,6 +248,15 @@ class TestVerify:
         assert "62" in str(exc.value.code)
         assert out.getvalue() == ""
 
+    @pytest.mark.parametrize("bad", [("0", "2", "1", "1"), ("5", "3", "1", "1"),
+                                     ("3", "3", "-1", "1"), ("3", "3", "0", "1")])
+    def test_random_trees_bad_range_rejected_before_output(self, bad):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            main(["verify", "--theorem", "T10", "--random-trees", *bad])
+        assert "NMIN <= NMAX" in str(exc.value.code)
+        assert out.getvalue() == ""
+
     def test_jobs_match_serial(self):
         args = ("verify", "--theorem", "T1,T3", "--all-n", "4")
         _, serial = run_cli(*args)

@@ -18,6 +18,8 @@ from openpack.graph import Graph, random_graph, random_tree
 from openpack.harness import all_graphs_upto
 from openpack.solvers import domination_number, total_domination_number
 
+pytestmark = pytest.mark.usefixtures("search_deadline")
+
 
 def closed_cover(g: Graph) -> list[int]:
     return [g.adj[v] | 1 << v for v in range(g.n)]

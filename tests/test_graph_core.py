@@ -96,6 +96,11 @@ class TestGenerators:
         g = random_tree(10, seed=7)
         assert is_connected(g) and g.m == 9 and is_tree(g)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_random_tree_needs_a_vertex(self, n):
+        with pytest.raises(GraphError, match="at least one vertex"):
+            random_tree(n, seed=1)
+
     def test_random_tree_deterministic(self):
         assert random_tree(30, seed=5) == random_tree(30, seed=5)
         assert random_tree(30, seed=5) != random_tree(30, seed=6)

@@ -17,7 +17,9 @@ from openpack.graph import Graph, complement, random_graph
 from openpack.harness import all_graphs_upto
 from openpack.solvers import is_opp, open_packing_partition_number
 from openpack.transforms import square, two_step
-from test_chromatic_components import KERNEL_IDS, KERNELS
+from test_chromatic_components import ON_KERNEL
+
+pytestmark = pytest.mark.usefixtures("search_deadline")
 
 
 def assert_matches_reference(kern, g: Graph) -> None:
@@ -28,7 +30,7 @@ def assert_matches_reference(kern, g: Graph) -> None:
         oracles.reference_max_independent_set(g.n, adj), (g.n, g.adj)
 
 
-@pytest.mark.parametrize("kern", KERNELS, ids=KERNEL_IDS)
+@ON_KERNEL
 class TestSearchParity:
     def test_transforms_upto_5(self, kern):
         for g in all_graphs_upto(5):

@@ -1,7 +1,9 @@
-"""Parity between the compiled and pure-Python kernels.
+"""Contracts of the kernel module ``openpack._kernels_py``.
 
-Both backends implement the same branching and tie-breaking rules, so they
-must agree not just on values but on the exact certificates.
+The solvers call it through ``solvers._kernel`` and check each certificate
+again; these tests pin what the kernel itself returns: contiguous colour
+labels, an independent set of the stated size, the same answer on every run,
+and a full 64-vertex instance.
 """
 
 import random
@@ -9,74 +11,34 @@ import random
 import pytest
 
 from openpack import _kernels_py
-from openpack.graph import complete, cycle, enumerate_all_graphs, random_graph
-from openpack.products import cartesian
+from openpack.graph import random_graph
 from openpack.solvers import kernel_backend
-from openpack.transforms import two_step
 
-compiled = pytest.importorskip(
-    "openpack._kernels", reason="compiled kernels not built"
-)
+pytestmark = pytest.mark.usefixtures("search_deadline")
 
 
-def _instances():
-    for n in range(1, 5):
-        yield from enumerate_all_graphs(n)
-    rng = random.Random(77)
-    for _ in range(30):
-        n = rng.randrange(2, 25)
-        yield random_graph(n, rng.random(), rng.randrange(10 ** 6))
-    prod, _ = cartesian(cycle(8), complete(3))
-    yield two_step(prod)
-
-
-class TestParity:
-    def test_chromatic_identical(self):
-        for g in _instances():
-            assert compiled.chromatic_number(g.n, list(g.adj)) == \
-                _kernels_py.chromatic_number(g.n, list(g.adj))
-
-    def test_mis_identical(self):
-        for g in _instances():
-            assert compiled.max_independent_set(g.n, list(g.adj)) == \
-                _kernels_py.max_independent_set(g.n, list(g.adj))
-
-
-class TestBackends:
-    def test_backend_names(self):
-        assert compiled.BACKEND == "cython"
-        assert _kernels_py.BACKEND == "python"
-        assert kernel_backend() in ("cython", "python")
-
-    def test_compiled_cap(self):
-        with pytest.raises(ValueError):
-            compiled.chromatic_number(65, [0] * 65)
-        with pytest.raises(ValueError):
-            compiled.max_independent_set(65, [0] * 65)
+def test_backend_name():
+    assert _kernels_py.BACKEND == kernel_backend() == "python"
 
 
 class TestKernelContracts:
-    @pytest.mark.parametrize("kern", [compiled, _kernels_py],
-                             ids=["cython", "python"])
-    def test_labels_contiguous(self, kern):
+    def test_labels_contiguous(self):
         rng = random.Random(5)
         for _ in range(25):
             n = rng.randrange(1, 18)
             g = random_graph(n, rng.random(), rng.randrange(10 ** 6))
-            k, colors = kern.chromatic_number(g.n, list(g.adj))
+            k, colors = _kernels_py.chromatic_number(g.n, list(g.adj))
             assert sorted(set(colors)) == list(range(1, k + 1))
             assert all(
                 colors[u] != colors[v] for u, v in g.edges()
             )
 
-    @pytest.mark.parametrize("kern", [compiled, _kernels_py],
-                             ids=["cython", "python"])
-    def test_mis_certificate(self, kern):
+    def test_mis_certificate(self):
         rng = random.Random(6)
         for _ in range(25):
             n = rng.randrange(1, 20)
             g = random_graph(n, rng.random(), rng.randrange(10 ** 6))
-            size, mask = kern.max_independent_set(g.n, list(g.adj))
+            size, mask = _kernels_py.max_independent_set(g.n, list(g.adj))
             assert mask.bit_count() == size
             m = mask
             while m:
@@ -84,20 +46,17 @@ class TestKernelContracts:
                 m &= m - 1
                 assert not g.adj[v] & mask
 
-    @pytest.mark.parametrize("kern", [compiled, _kernels_py],
-                             ids=["cython", "python"])
-    def test_deterministic_repeat(self, kern):
+    def test_deterministic_repeat(self):
         g = random_graph(18, 0.5, 42)
-        first = kern.chromatic_number(g.n, list(g.adj))
+        first = _kernels_py.chromatic_number(g.n, list(g.adj))
         assert all(
-            kern.chromatic_number(g.n, list(g.adj)) == first for _ in range(3)
+            _kernels_py.chromatic_number(g.n, list(g.adj)) == first
+            for _ in range(3)
         )
 
-    @pytest.mark.parametrize("kern", [compiled, _kernels_py],
-                             ids=["cython", "python"])
-    def test_full_width_instance(self, kern):
+    def test_full_width_instance(self):
         g = random_graph(64, 0.06, 9)
-        k, colors = kern.chromatic_number(g.n, list(g.adj))
+        k, colors = _kernels_py.chromatic_number(g.n, list(g.adj))
         assert all(colors[u] != colors[v] for u, v in g.edges())
-        size, mask = kern.max_independent_set(g.n, list(g.adj))
+        size, mask = _kernels_py.max_independent_set(g.n, list(g.adj))
         assert mask.bit_count() == size
