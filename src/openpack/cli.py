@@ -10,6 +10,7 @@ from . import constructions, harness, solvers, transforms
 from .constructions import PsiSpec
 from .formats import GRAPH6_MAX_N, parse_edge_list_text, parse_graph6, to_graph6
 from .graph import (
+    ENUMERATION_MAX_N,
     Graph,
     complete,
     complete_bipartite,
@@ -21,19 +22,10 @@ from .graph import (
     star,
 )
 from .products import cartesian, corona, direct, lexicographic, strong
-from .solvers import VertexLabeling, VertexSet
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _cert_json(cert):
-    if isinstance(cert, VertexSet):
-        return {"vertices": cert.members()}
-    if isinstance(cert, VertexLabeling):
-        return {"labels": list(cert.labels), "k": cert.k}
-    raise TypeError(f"unexpected certificate {cert!r}")
 
 
 def _read_text(path_arg: str) -> str:
@@ -91,18 +83,6 @@ def _generate_family(args):
 # ---------------------------------------------------------------------------
 # invariant
 
-_SINGLE_SOLVERS = {
-    "p_o": solvers.open_packing_partition_number,
-    "chi2": solvers.two_distance_chromatic,
-    "chi": solvers.chromatic_number,
-    "rho": solvers.packing_number,
-    "rho_o": solvers.open_packing_number,
-    "gamma": solvers.domination_number,
-    "gamma_t": solvers.total_domination_number,
-    "omega_N": solvers.omega_of_two_step,
-}
-
-
 def cmd_invariant(args) -> int:
     for g in _input_graphs(args):
         record: dict = {"graph6": to_graph6(g)}
@@ -111,13 +91,13 @@ def cmd_invariant(args) -> int:
             record["values"] = report.values
             if args.certify:
                 record["certificates"] = {
-                    name: _cert_json(cert) for name, cert in report.certificates.items()
+                    name: cert.to_json_obj() for name, cert in report.certificates.items()
                 }
         else:
-            value, cert = _SINGLE_SOLVERS[args.what](g)
+            value, cert = getattr(solvers.GraphFacts(g), args.what)
             record["values"] = {args.what: value}
             if args.certify:
-                record["certificates"] = {args.what: _cert_json(cert)}
+                record["certificates"] = {args.what: cert.to_json_obj()}
         print(_dump(record))
     return 0
 
@@ -226,6 +206,30 @@ def _single_corpus(args):
                 yield random_tree(n, seed + 1000 * n + i)
 
 
+def _check_enumerated(flag: str, n: int) -> None:
+    if not 1 <= n <= ENUMERATION_MAX_N:
+        raise SystemExit(f"{flag} needs 1 <= N <= {ENUMERATION_MAX_N}, got N={n}")
+
+
+def _check_grid(flag: str, max_g: int, max_h: int, theorems: list[str]) -> None:
+    """Reject a grid whose factors cannot be enumerated or whose largest
+    product (G corona H has |G|(1 + |H|) vertices, the others |G||H|) is past
+    the harness's product cap."""
+    min_g = 2 if flag == "--lex-grid" else 1
+    if not (min_g <= max_g <= ENUMERATION_MAX_N and 1 <= max_h <= ENUMERATION_MAX_N):
+        raise SystemExit(
+            f"{flag} needs {min_g} <= MAXG <= {ENUMERATION_MAX_N} and "
+            f"1 <= MAXH <= {ENUMERATION_MAX_N}, got MAXG={max_g} MAXH={max_h}"
+        )
+    for tid in theorems:
+        largest = max_g * (1 + max_h) if tid == "T7" else max_g * max_h
+        if largest > harness.HARNESS_MAX_PRODUCT_N:
+            raise SystemExit(
+                f"{flag} {max_g} {max_h} gives {tid} products of {largest} vertices, "
+                f"but harness products cap at {harness.HARNESS_MAX_PRODUCT_N}"
+            )
+
+
 def cmd_verify(args) -> int:
     theorems = [t.strip() for t in args.theorem.split(",") if t.strip()]
     kind = _theorem_kind(theorems)
@@ -236,6 +240,10 @@ def cmd_verify(args) -> int:
         if (args.all_n is None and args.all_upto is None and not args.g6_file
                 and not args.random_trees):
             raise SystemExit("no corpus selected (use --all-n/--all-upto/--g6-file/--random-trees)")
+        if args.all_n is not None:
+            _check_enumerated("--all-n", args.all_n)
+        if args.all_upto is not None:
+            _check_enumerated("--all-upto", args.all_upto)
         if args.random_trees:
             n_lo, n_hi, count, _ = args.random_trees
             if not 1 <= n_lo <= n_hi or count < 1:
@@ -254,8 +262,10 @@ def cmd_verify(args) -> int:
             instances = (g for g in instances if predicate(g))
     elif kind == "pair":
         if args.lex_grid:
+            _check_grid("--lex-grid", *args.lex_grid, theorems)
             instances = harness.lex_grid(*args.lex_grid)
         elif args.pair_grid:
+            _check_grid("--pair-grid", *args.pair_grid, theorems)
             instances = harness.pair_grid(*args.pair_grid)
         else:
             raise SystemExit("pair theorems need --pair-grid or --lex-grid")
@@ -328,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     inv = sub.add_parser("invariant", help="compute invariants of input graphs")
-    inv.add_argument("--what", choices=sorted(_SINGLE_SOLVERS) + ["all"], default="all")
+    inv.add_argument("--what", choices=sorted(solvers.INVARIANTS) + ["all"], default="all")
     inv.add_argument("--certify", action="store_true")
     inv.add_argument("--input", default="-")
     inv.add_argument("--format", choices=["g6", "edgelist"], default="g6")

@@ -77,12 +77,18 @@ def to_edge_list_text(g: Graph) -> str:
 
 
 def parse_edge_list_text(text: str) -> Graph:
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows or len(rows[0]) != 2:
+    rows = [(lineno, line.split())
+            for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not rows or len(rows[0][1]) != 2:
         raise FormatError("edge-list input must start with a 'n m' line")
+    for lineno, row in rows[1:]:
+        if len(row) != 2:
+            raise FormatError(
+                f"edge-list line {lineno} ({' '.join(row)!r}) must hold two vertex indices"
+            )
     try:
-        n, m = (int(tok) for tok in rows[0])
-        edges = [(int(u), int(v)) for u, v in rows[1:]]
+        n, m = (int(tok) for tok in rows[0][1])
+        edges = [(int(u), int(v)) for _, (u, v) in rows[1:]]
     except ValueError as exc:
         raise FormatError(f"non-integer token in edge list: {exc}") from exc
     if len(edges) != m:

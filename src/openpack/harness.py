@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from multiprocessing import get_context
@@ -44,7 +44,7 @@ from .graph import (
 )
 from .products import cartesian, corona, direct, isolated_vertex_count, lexicographic
 from .solvers import VertexLabeling, VertexSet
-from .transforms import every_edge_on_triangle, has_even_cycle, two_step
+from .transforms import every_edge_on_triangle, has_even_cycle
 
 HARNESS_MAX_PRODUCT_N = 24
 TREE_SOLVER_CONFIRM_N = 12
@@ -95,65 +95,17 @@ class RunOptions:
     tree_confirm_n: int = TREE_SOLVER_CONFIRM_N
 
 
-class GraphFacts:
-    """Lazily computed invariants of one graph, shared by all checks on it."""
-
-    def __init__(self, g: Graph):
-        self.g = g
+class GraphFacts(solvers.GraphFacts):
+    """The solver facts of one graph, and what else the checks ask of it,
+    computed lazily and shared by all checks on it."""
 
     @cached_property
     def g6(self) -> str:
         return to_graph6(self.g)
 
     @cached_property
-    def po_pair(self) -> tuple[int, VertexLabeling]:
-        return solvers.open_packing_partition_number(self.g)
-
-    @property
-    def po(self) -> int:
-        return self.po_pair[0]
-
-    @cached_property
-    def rho_o_pair(self) -> tuple[int, VertexSet]:
-        return solvers.open_packing_number(self.g)
-
-    @property
-    def rho_o(self) -> int:
-        return self.rho_o_pair[0]
-
-    @cached_property
-    def chi2_pair(self) -> tuple[int, VertexLabeling]:
-        return solvers.two_distance_chromatic(self.g)
-
-    @property
-    def chi2(self) -> int:
-        return self.chi2_pair[0]
-
-    @cached_property
-    def rho_pair(self) -> tuple[int, VertexSet]:
-        return solvers.packing_number(self.g)
-
-    @cached_property
-    def gamma_pair(self) -> tuple[int, VertexSet]:
-        return solvers.domination_number(self.g)
-
-    @cached_property
-    def gamma_t_pair(self) -> tuple[int, VertexSet] | None:
-        if self.has_isolated:
-            return None
-        return solvers.total_domination_number(self.g)
-
-    @cached_property
-    def omega_n_pair(self) -> tuple[int, VertexSet]:
-        return solvers.omega_of_two_step(self.g)
-
-    @cached_property
     def maxdeg(self) -> int:
         return max_degree(self.g)
-
-    @cached_property
-    def has_isolated(self) -> bool:
-        return any(mask == 0 for mask in self.g.adj)
 
     @cached_property
     def connected(self) -> bool:
@@ -194,16 +146,8 @@ class FactorFacts:
 # Witness certificates
 
 
-def _opp_cert(g6: str, lab: VertexLabeling) -> dict:
-    return {"kind": "opp_labeling", "graph6": g6, "labels": list(lab.labels), "k": lab.k}
-
-
-def _packing_labeling_cert(g6: str, lab: VertexLabeling) -> dict:
-    return {"kind": "packing_labeling", "graph6": g6, "labels": list(lab.labels), "k": lab.k}
-
-
-def _set_cert(kind: str, g6: str, s: VertexSet) -> dict:
-    return {"kind": kind, "graph6": g6, "vertices": s.members()}
+def _cert(kind: str, g6: str, cert: VertexSet | VertexLabeling) -> dict:
+    return {"kind": kind, "graph6": g6, **cert.to_json_obj()}
 
 
 def _value_cert(name: str, value: int) -> dict:
@@ -220,6 +164,31 @@ _CERT_PREDICATES = {
     "total_dominating_set": solvers.is_total_dominating,
     "common_neighbor_clique": solvers.is_common_neighbor_clique,
 }
+# the certificate kind of each invariant's GraphFacts certificate
+_CERT_KINDS = {
+    "p_o": "opp_labeling",
+    "chi2": "packing_labeling",
+    "rho_o": "open_packing_set",
+    "rho": "packing_set",
+    "gamma": "dominating_set",
+    "gamma_t": "total_dominating_set",
+    "omega_N": "common_neighbor_clique",
+}
+
+
+def _witness(*parts) -> Callable[[], dict]:
+    """A witness built only when called: its certificates in the order given,
+    each part either a ``(facts, invariant name)`` pair or a finished
+    certificate."""
+
+    def build() -> dict:
+        return {"certificates": [
+            part if isinstance(part, dict)
+            else _cert(_CERT_KINDS[part[1]], part[0].g6, getattr(part[0], part[1])[1])
+            for part in parts
+        ]}
+
+    return build
 
 
 def _fits(g: Graph, cert: dict) -> bool:
@@ -292,49 +261,30 @@ def _skipped(theorem, instance) -> TheoremCheckResult:
 
 def check_T1(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """n <= p_o * rho_o and p_o <= n - rho_o + 1."""
-
-    def lower_witness():
-        return {"certificates": [
-            _opp_cert(facts.g6, facts.po_pair[1]),
-            _set_cert("open_packing_set", facts.g6, facts.rho_o_pair[1]),
-        ]}
-
-    def upper_witness():
-        return lower_witness()
-
+    po, rho_o = facts.p_o[0], facts.rho_o[0]
+    witness = _witness((facts, "p_o"), (facts, "rho_o"))
     return [
-        _bound_row("T1", facts.g6, facts.g.n, facts.po * facts.rho_o, lower_witness),
-        _bound_row("T1", facts.g6, facts.po, facts.g.n - facts.rho_o + 1, upper_witness),
+        _bound_row("T1", facts.g6, facts.g.n, po * rho_o, witness),
+        _bound_row("T1", facts.g6, po, facts.g.n - rho_o + 1, witness),
     ]
 
 
 def check_T2(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """chi2 <= 2 * p_o and p_o <= chi2."""
-
-    def witness():
-        return {"certificates": [
-            _opp_cert(facts.g6, facts.po_pair[1]),
-            _packing_labeling_cert(facts.g6, facts.chi2_pair[1]),
-        ]}
-
+    po, chi2 = facts.p_o[0], facts.chi2[0]
+    witness = _witness((facts, "p_o"), (facts, "chi2"))
     return [
-        _bound_row("T2", facts.g6, facts.chi2, 2 * facts.po, witness),
-        _bound_row("T2", facts.g6, facts.po, facts.chi2, witness),
+        _bound_row("T2", facts.g6, chi2, 2 * po, witness),
+        _bound_row("T2", facts.g6, po, chi2, witness),
     ]
 
 
 def check_T3(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """max degree <= p_o."""
     hub = max(range(facts.g.n), key=lambda v: (facts.g.degree(v), -v))
-
-    def witness():
-        return {"certificates": [
-            _opp_cert(facts.g6, facts.po_pair[1]),
-            {"kind": "degree_witness", "graph6": facts.g6,
-             "vertex": hub, "degree": facts.maxdeg},
-        ]}
-
-    return [_bound_row("T3", facts.g6, facts.maxdeg, facts.po, witness)]
+    witness = _witness((facts, "p_o"), {"kind": "degree_witness", "graph6": facts.g6,
+                                        "vertex": hub, "degree": facts.maxdeg})
+    return [_bound_row("T3", facts.g6, facts.maxdeg, facts.p_o[0], witness)]
 
 
 def has_matching_partition_structure(g: Graph, labeling: VertexLabeling, part_size: int) -> bool:
@@ -362,24 +312,18 @@ def check_T8(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]
     2m - n <= p_o (p_o - 1) rho_o, with equality exactly on the matching family."""
     if not facts.connected or facts.g.n < 2:
         return [_skipped("T8", facts.g6)]
+    (po, po_lab), rho_o = facts.p_o, facts.rho_o[0]
     lhs = 2 * facts.g.m - facts.g.n
-    rhs = facts.po * (facts.po - 1) * facts.rho_o
-
-    def witness():
-        return {"certificates": [
-            _opp_cert(facts.g6, facts.po_pair[1]),
-            _set_cert("open_packing_set", facts.g6, facts.rho_o_pair[1]),
-        ]}
-
+    rhs = po * (po - 1) * rho_o
+    parts = ((facts, "p_o"), (facts, "rho_o"))
     if lhs > rhs:
-        return [TheoremCheckResult("T8", facts.g6, VIOLATED, lhs, rhs, witness())]
+        return [TheoremCheckResult("T8", facts.g6, VIOLATED, lhs, rhs, _witness(*parts)())]
     if lhs == rhs:
         rows = [TheoremCheckResult("T8", facts.g6, EQUALITY, lhs, rhs)]
-        if not has_matching_partition_structure(facts.g, facts.po_pair[1], facts.rho_o):
+        if not has_matching_partition_structure(facts.g, po_lab, rho_o):
             # equality is supposed to force the matching structure; flag row
             # compares the required flag (1) against the observed one (0)
-            wit = witness()
-            wit["certificates"].append(_value_cert("matching_partition_structure", 0))
+            wit = _witness(*parts, _value_cert("matching_partition_structure", 0))()
             rows.append(TheoremCheckResult("T8", facts.g6, VIOLATED, 1, 0, wit))
         return rows
     return [TheoremCheckResult("T8", facts.g6, HOLDS, lhs, rhs)]
@@ -392,22 +336,15 @@ _TWO_P2 = disjoint_union(from_edge_list(2, [(0, 1)]), from_edge_list(2, [(0, 1)]
 def check_T9(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """p_o(G) + p_o(co-G) >= n, except the two 4-vertex graphs where the sum
     is n - 1 (reported, not asserted)."""
-    co = complement(facts.g)
-    co_po, co_lab = solvers.open_packing_partition_number(co)
-    total = facts.po + co_po
+    co = GraphFacts(complement(facts.g))
+    total = facts.p_o[0] + co.p_o[0]
     excluded = facts.g.n == 4 and (
         is_isomorphic(facts.g, _C4) or is_isomorphic(facts.g, _TWO_P2)
     )
-
-    def witness():
-        return {"certificates": [
-            _opp_cert(facts.g6, facts.po_pair[1]),
-            _opp_cert(to_graph6(co), co_lab),
-        ]}
-
     if excluded:
         # the two excluded graphs sit exactly one below the bound
         return [TheoremCheckResult("T9", facts.g6, REPORT_ONLY, facts.g.n - 1, total)]
+    witness = _witness((facts, "p_o"), (co, "p_o"))
     return [_bound_row("T9", facts.g6, facts.g.n, total, witness)]
 
 
@@ -421,13 +358,8 @@ def check_T10(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult
         # not a theorem violation: the constructor itself is broken
         raise RuntimeError(f"tree labeling construction failed on {facts.g6}")
     if facts.g.n <= options.tree_confirm_n:
-        def witness():
-            return {"certificates": [
-                _opp_cert(facts.g6, facts.po_pair[1]),
-                _opp_cert(facts.g6, labeling),
-            ]}
-
-        return [_exact_row("T10", facts.g6, facts.po, facts.maxdeg, witness)]
+        witness = _witness((facts, "p_o"), _cert("opp_labeling", facts.g6, labeling))
+        return [_exact_row("T10", facts.g6, facts.p_o[0], facts.maxdeg, witness)]
     # too large for the exact solver: the valid construction certifies
     # p_o <= max degree, reported as holding without the solver equality
     return [TheoremCheckResult("T10", facts.g6, HOLDS, labeling.k, facts.maxdeg)]
@@ -441,16 +373,9 @@ def check_T11(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult
     """
     if has_even_cycle(facts.g):
         return [_skipped("T11", facts.g6)]
-    chi_n = facts.po
-    omega_n = facts.omega_n_pair[0]
-
-    def witness():
-        return {"certificates": [
-            _opp_cert(facts.g6, facts.po_pair[1]),
-            _set_cert("common_neighbor_clique", facts.g6, facts.omega_n_pair[1]),
-        ]}
-
+    chi_n, omega_n = facts.p_o[0], facts.omega_N[0]
     if is_tree(facts.g) or options.strict:
+        witness = _witness((facts, "p_o"), (facts, "omega_N"))
         return [_exact_row("T11", facts.g6, chi_n, omega_n, witness)]
     return [TheoremCheckResult("T11", facts.g6, REPORT_ONLY, chi_n, omega_n)]
 
@@ -459,14 +384,8 @@ def check_T12(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult
     """Bipartite complement forces chi(N(g)) = omega(N(g))."""
     if not is_bipartite(complement(facts.g)):
         return [_skipped("T12", facts.g6)]
-
-    def witness():
-        return {"certificates": [
-            _opp_cert(facts.g6, facts.po_pair[1]),
-            _set_cert("common_neighbor_clique", facts.g6, facts.omega_n_pair[1]),
-        ]}
-
-    return [_exact_row("T12", facts.g6, facts.po, facts.omega_n_pair[0], witness)]
+    witness = _witness((facts, "p_o"), (facts, "omega_N"))
+    return [_exact_row("T12", facts.g6, facts.p_o[0], facts.omega_N[0], witness)]
 
 
 def check_T13(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
@@ -475,21 +394,12 @@ def check_T13(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult
     if facts.g.n < 3:
         return [_skipped("T13", facts.g6)]
     condition = int(facts.diameter_le_2 and every_edge_on_triangle(facts.g))
-
-    def witness_rho():
-        return {"certificates": [
-            _set_cert("open_packing_set", facts.g6, facts.rho_o_pair[1]),
-        ]}
-
-    def witness_po():
-        return {"certificates": [_opp_cert(facts.g6, facts.po_pair[1])]}
-
     rows = []
-    for lhs, witness in ((int(facts.rho_o == 1), witness_rho),
-                         (int(facts.po == facts.g.n), witness_po)):
+    for lhs, name in ((int(facts.rho_o[0] == 1), "rho_o"),
+                      (int(facts.p_o[0] == facts.g.n), "p_o")):
         if lhs != condition:
             rows.append(TheoremCheckResult("T13", facts.g6, VIOLATED, lhs,
-                                           condition, witness()))
+                                           condition, _witness((facts, name))()))
         else:
             rows.append(TheoremCheckResult("T13", facts.g6, HOLDS, lhs, condition))
     return rows
@@ -497,26 +407,14 @@ def check_T13(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult
 
 def check_T14(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """rho <= gamma always; rho_o <= gamma_t when there is no isolated vertex."""
-
-    def witness_closed():
-        return {"certificates": [
-            _set_cert("packing_set", facts.g6, facts.rho_pair[1]),
-            _set_cert("dominating_set", facts.g6, facts.gamma_pair[1]),
-        ]}
-
-    rows = [_bound_row("T14", facts.g6, facts.rho_pair[0],
-                       facts.gamma_pair[0], witness_closed)]
-    if facts.gamma_t_pair is None:
-        rows.append(_skipped("T14", facts.g6))
-    else:
-        def witness_open():
-            return {"certificates": [
-                _set_cert("open_packing_set", facts.g6, facts.rho_o_pair[1]),
-                _set_cert("total_dominating_set", facts.g6, facts.gamma_t_pair[1]),
-            ]}
-
-        rows.append(_bound_row("T14", facts.g6, facts.rho_o,
-                               facts.gamma_t_pair[0], witness_open))
+    closed_witness = _witness((facts, "rho"), (facts, "gamma"))
+    rows = [_bound_row("T14", facts.g6, facts.rho[0], facts.gamma[0], closed_witness)]
+    try:
+        gamma_t = facts.gamma_t[0]
+    except solvers.UndefinedInvariantError:
+        return rows + [_skipped("T14", facts.g6)]
+    open_witness = _witness((facts, "rho_o"), (facts, "gamma_t"))
+    rows.append(_bound_row("T14", facts.g6, facts.rho_o[0], gamma_t, open_witness))
     return rows
 
 
@@ -537,18 +435,12 @@ def check_T4(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[Theore
     _require_harness_size(prod)
     fp = GraphFacts(prod)
     instance = [fg.g6, fh.g6]
-
-    def witness():
-        return {"certificates": [
-            _opp_cert(fp.g6, fp.po_pair[1]),
-            _opp_cert(fg.g6, fg.po_pair[1]),
-            _opp_cert(fh.g6, fh.po_pair[1]),
-        ]}
-
-    upper = min(fg.po * fh.chi2, fg.chi2 * fh.po)
+    witness = _witness((fp, "p_o"), (fg, "p_o"), (fh, "p_o"))
+    po_g, po_h, po_p = fg.p_o[0], fh.p_o[0], fp.p_o[0]
+    upper = min(po_g * fh.chi2[0], fg.chi2[0] * po_h)
     return [
-        _bound_row("T4", instance, max(fg.po, fh.po), fp.po, witness),
-        _bound_row("T4", instance, fp.po, upper, witness),
+        _bound_row("T4", instance, max(po_g, po_h), po_p, witness),
+        _bound_row("T4", instance, po_p, upper, witness),
     ]
 
 
@@ -560,17 +452,11 @@ def check_T5(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[Theore
     prod, _ = direct(fg.g, fh.g)
     _require_harness_size(prod)
     fp = GraphFacts(prod)
-
-    def witness():
-        return {"certificates": [
-            _opp_cert(fp.g6, fp.po_pair[1]),
-            _opp_cert(fg.g6, fg.po_pair[1]),
-            _opp_cert(fh.g6, fh.po_pair[1]),
-        ]}
-
+    witness = _witness((fp, "p_o"), (fg, "p_o"), (fh, "p_o"))
+    po_g, po_h, po_p = fg.p_o[0], fh.p_o[0], fp.p_o[0]
     return [
-        _bound_row("T5", instance, max(fg.po, fh.po), fp.po, witness),
-        _bound_row("T5", instance, fp.po, fg.po * fh.po, witness),
+        _bound_row("T5", instance, max(po_g, po_h), po_p, witness),
+        _bound_row("T5", instance, po_p, po_g * po_h, witness),
     ]
 
 
@@ -584,17 +470,11 @@ def check_T6(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[Theore
     _require_harness_size(prod)
     fp = GraphFacts(prod)
     i_h = isolated_vertex_count(fh.g)
-    predicted = fg.chi2 * fh.g.n - i_h * (fg.chi2 - fg.po)
-
-    def witness():
-        return {"certificates": [
-            _opp_cert(fp.g6, fp.po_pair[1]),
-            _packing_labeling_cert(fg.g6, fg.chi2_pair[1]),
-            _opp_cert(fg.g6, fg.po_pair[1]),
-            _value_cert("isolated_vertices_of_second_factor", i_h),
-        ]}
-
-    return [_exact_row("T6", instance, fp.po, predicted, witness)]
+    chi2_g = fg.chi2[0]
+    predicted = chi2_g * fh.g.n - i_h * (chi2_g - fg.p_o[0])
+    witness = _witness((fp, "p_o"), (fg, "chi2"), (fg, "p_o"),
+                       _value_cert("isolated_vertices_of_second_factor", i_h))
+    return [_exact_row("T6", instance, fp.p_o[0], predicted, witness)]
 
 
 def check_T7(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
@@ -603,16 +483,10 @@ def check_T7(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[Theore
     _require_harness_size(prod)
     fp = GraphFacts(prod)
     instance = [fg.g6, fh.g6]
-    predicted = max(fg.po, fh.g.n + fg.maxdeg)
-
-    def witness():
-        return {"certificates": [
-            _opp_cert(fp.g6, fp.po_pair[1]),
-            _opp_cert(fg.g6, fg.po_pair[1]),
-            _value_cert("second_factor_order_plus_max_degree", fh.g.n + fg.maxdeg),
-        ]}
-
-    return [_exact_row("T7", instance, fp.po, predicted, witness)]
+    predicted = max(fg.p_o[0], fh.g.n + fg.maxdeg)
+    witness = _witness((fp, "p_o"), (fg, "p_o"),
+                       _value_cert("second_factor_order_plus_max_degree", fh.g.n + fg.maxdeg))
+    return [_exact_row("T7", instance, fp.p_o[0], predicted, witness)]
 
 
 # ---------------------------------------------------------------------------
@@ -629,27 +503,20 @@ def check_T15(t: int, options: RunOptions) -> list[TheoremCheckResult]:
     """
     if t < 1:
         raise GraphError("need t >= 1")
-    base = cycle(4 * t + 2)
-    instance = to_graph6(base)
-    ng = two_step(base)
+    facts = GraphFacts(cycle(4 * t + 2))
     target = disjoint_union(cycle(2 * t + 1), cycle(2 * t + 1))
-    iso = is_isomorphic(ng, target)
-    chi_n, chi_lab = solvers.chromatic_number(ng)
-    omega_n, omega_set = solvers.omega_of_two_step(base)
+    iso = is_isomorphic(facts.two_step, target)
+    # p_o is the chromatic number of the two-step graph, and its labeling
+    # properly colors the two-step graph
+    chi_n, omega_n = facts.p_o[0], facts.omega_N[0]
     chi_target = solvers.chromatic_number(target)[0]
     omega_target = solvers.max_independent_set(complement(target))[0]
-
-    def witness():
-        return {"certificates": [
-            _opp_cert(instance, chi_lab),
-            _set_cert("common_neighbor_clique", instance, omega_set),
-            _value_cert("isomorphic_to_two_odd_cycles", int(iso)),
-        ]}
-
+    witness = _witness((facts, "p_o"), (facts, "omega_N"),
+                       _value_cert("isomorphic_to_two_odd_cycles", int(iso)))
     return [
-        _exact_row("T15", instance, int(iso), 1, witness),
-        _exact_row("T15", instance, chi_n, chi_target, witness),
-        _exact_row("T15", instance, omega_n, omega_target, witness),
+        _exact_row("T15", facts.g6, int(iso), 1, witness),
+        _exact_row("T15", facts.g6, chi_n, chi_target, witness),
+        _exact_row("T15", facts.g6, omega_n, omega_target, witness),
     ]
 
 

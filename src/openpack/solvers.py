@@ -1,23 +1,26 @@
 """Exact solvers for every supported invariant, each with a certificate.
 
 Everything NP-hard funnels through two kernels (exact chromatic number and
-maximum independent set) applied to the neighborhood transforms:
+maximum independent set) applied to the neighborhood transforms, which one
+``GraphFacts`` per graph builds once and shares:
 
-* ``open_packing_partition_number`` = chromatic number of ``two_step(g)``
-* ``two_distance_chromatic``        = chromatic number of ``square(g)``
-* ``open_packing_number``           = independence number of ``two_step(g)``
-* ``packing_number``                = independence number of ``square(g)``
-* ``omega_of_two_step``             = independence number of its complement
+* ``p_o``     = chromatic number of ``two_step(g)``
+* ``chi2``    = chromatic number of ``square(g)``
+* ``rho_o``   = independence number of ``two_step(g)``
+* ``rho``     = independence number of ``square(g)``
+* ``omega_N`` = independence number of the complement of ``two_step(g)``
 
-No solver returns a bare number: each checks its certificate once, against
-the predicate that defines the invariant on the input graph, by explicit code
-that raises ``CertificateError``.
+The public solver functions return the same pairs from a fresh
+``GraphFacts``.  No solver returns a bare number: each checks its certificate
+once, against the predicate that defines the invariant on the input graph, by
+explicit code that raises ``CertificateError``.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _kernels_py as _kernel
 from .graph import Graph, complement, iter_bits, max_degree, min_degree
@@ -54,6 +57,8 @@ def solver_cap() -> int:
             requested = int(raw)
         except ValueError as exc:
             raise SolverCapError(f"OPENPACK_MAX_N must be an integer, got {raw!r}") from exc
+        if requested < 1:
+            raise SolverCapError(f"OPENPACK_MAX_N must be a positive integer, got {raw!r}")
         if requested < cap:
             cap = requested
     return cap
@@ -82,6 +87,9 @@ class VertexSet:
     def members(self) -> list[int]:
         return list(iter_bits(self.bits))
 
+    def to_json_obj(self) -> dict:
+        return {"vertices": self.members()}
+
     @staticmethod
     def of(vertices) -> "VertexSet":
         return VertexSet(sum(1 << v for v in set(vertices)))
@@ -99,6 +107,9 @@ class VertexLabeling:
             raise ValueError("labeling needs at least one label and one vertex")
         if set(self.labels) != set(range(1, self.k + 1)):
             raise ValueError(f"labels must use every value in 1..{self.k}")
+
+    def to_json_obj(self) -> dict:
+        return {"labels": list(self.labels), "k": self.k}
 
     def classes(self) -> list[int]:
         """Class bit masks, indexed by label - 1."""
@@ -140,13 +151,6 @@ def _kernel_independent_set(g: Graph) -> tuple[int, VertexSet]:
     _check(mask.bit_count() == size and not mask >> g.n,
            "kernel set has the wrong size or bits beyond n")
     return size, VertexSet(mask)
-
-
-def chromatic_number(g: Graph) -> tuple[int, VertexLabeling]:
-    """Exact chromatic number and a proper coloring using exactly k labels."""
-    k, labeling = _kernel_coloring(g)
-    _check(_is_proper_coloring(g, labeling), "kernel coloring is not proper")
-    return k, labeling
 
 
 def max_independent_set(g: Graph) -> tuple[int, VertexSet]:
@@ -217,39 +221,6 @@ def is_common_neighbor_clique(g: Graph, s) -> bool:
     """Does every pair of members share a common neighbor (a clique of two_step(g))?"""
     members = list(iter_bits(_as_mask(s)))
     return all(g.adj[u] & g.adj[v] for i, u in enumerate(members) for v in members[i + 1:])
-
-
-def open_packing_number(g: Graph) -> tuple[int, VertexSet]:
-    size, cert = _kernel_independent_set(two_step(g))
-    _check(is_open_packing(g, cert), "kernel set is not an open packing")
-    return size, cert
-
-
-def packing_number(g: Graph) -> tuple[int, VertexSet]:
-    size, cert = _kernel_independent_set(closed_neighborhood_graph(g))
-    _check(is_packing(g, cert), "kernel set is not a packing")
-    return size, cert
-
-
-def open_packing_partition_number(g: Graph) -> tuple[int, VertexLabeling]:
-    """Minimum number of open packings partitioning V(g), with a witness partition."""
-    k, labeling = _kernel_coloring(two_step(g))
-    _check(is_opp(g, labeling), "kernel coloring is not an open packing partition")
-    return k, labeling
-
-
-def two_distance_chromatic(g: Graph) -> tuple[int, VertexLabeling]:
-    """Minimum colors so vertices within distance two differ, with a witness."""
-    k, labeling = _kernel_coloring(closed_neighborhood_graph(g))
-    _check(is_packing_partition(g, labeling), "kernel coloring is not a packing partition")
-    return k, labeling
-
-
-def omega_of_two_step(g: Graph) -> tuple[int, VertexSet]:
-    """Largest vertex set of g in which any two members share a common neighbor."""
-    size, cert = _kernel_independent_set(complement(two_step(g)))
-    _check(is_common_neighbor_clique(g, cert), "kernel set is not a common-neighbor clique")
-    return size, cert
 
 
 def split_open_packing(g: Graph, s) -> tuple[VertexSet, VertexSet]:
@@ -371,18 +342,122 @@ def _certified_cover(g: Graph, cover: list[int], covers) -> tuple[int, VertexSet
     return size, VertexSet(mask)
 
 
+# ---------------------------------------------------------------------------
+# One cache per graph
+
+
+INVARIANTS = ("chi", "p_o", "chi2", "rho", "rho_o", "gamma", "gamma_t", "omega_N")
+
+
+class GraphFacts:
+    """The exact invariants of one graph, each solved and checked at most once.
+
+    The two transforms the kernels run on, ``two_step`` and ``square``, are
+    built at most once each.  Every name in ``INVARIANTS`` is a
+    ``(value, certificate)`` pair whose certificate has passed the predicate
+    that defines the invariant on g.
+    """
+
+    def __init__(self, g: Graph):
+        self.g = g
+
+    @cached_property
+    def two_step(self) -> Graph:
+        return two_step(self.g)
+
+    @cached_property
+    def square(self) -> Graph:
+        return closed_neighborhood_graph(self.g)
+
+    @cached_property
+    def chi(self) -> tuple[int, VertexLabeling]:
+        k, labeling = _kernel_coloring(self.g)
+        _check(_is_proper_coloring(self.g, labeling), "kernel coloring is not proper")
+        return k, labeling
+
+    @cached_property
+    def p_o(self) -> tuple[int, VertexLabeling]:
+        k, labeling = _kernel_coloring(self.two_step)
+        _check(is_opp(self.g, labeling), "kernel coloring is not an open packing partition")
+        return k, labeling
+
+    @cached_property
+    def chi2(self) -> tuple[int, VertexLabeling]:
+        k, labeling = _kernel_coloring(self.square)
+        _check(is_packing_partition(self.g, labeling),
+               "kernel coloring is not a packing partition")
+        return k, labeling
+
+    @cached_property
+    def rho(self) -> tuple[int, VertexSet]:
+        size, cert = _kernel_independent_set(self.square)
+        _check(is_packing(self.g, cert), "kernel set is not a packing")
+        return size, cert
+
+    @cached_property
+    def rho_o(self) -> tuple[int, VertexSet]:
+        size, cert = _kernel_independent_set(self.two_step)
+        _check(is_open_packing(self.g, cert), "kernel set is not an open packing")
+        return size, cert
+
+    @cached_property
+    def gamma(self) -> tuple[int, VertexSet]:
+        g = self.g
+        _require_within_cap(g)
+        return _certified_cover(g, [g.adj[v] | 1 << v for v in range(g.n)], is_dominating)
+
+    @cached_property
+    def gamma_t(self) -> tuple[int, VertexSet]:
+        g = self.g
+        _require_within_cap(g)
+        if any(mask == 0 for mask in g.adj):
+            raise UndefinedInvariantError(
+                "total domination is undefined on graphs with isolated vertices"
+            )
+        return _certified_cover(g, list(g.adj), is_total_dominating)
+
+    @cached_property
+    def omega_N(self) -> tuple[int, VertexSet]:
+        size, cert = _kernel_independent_set(complement(self.two_step))
+        _check(is_common_neighbor_clique(self.g, cert),
+               "kernel set is not a common-neighbor clique")
+        return size, cert
+
+
+def chromatic_number(g: Graph) -> tuple[int, VertexLabeling]:
+    """Exact chromatic number and a proper coloring using exactly k labels."""
+    return GraphFacts(g).chi
+
+
+def open_packing_partition_number(g: Graph) -> tuple[int, VertexLabeling]:
+    """Minimum number of open packings partitioning V(g), with a witness partition."""
+    return GraphFacts(g).p_o
+
+
+def two_distance_chromatic(g: Graph) -> tuple[int, VertexLabeling]:
+    """Minimum colors so vertices within distance two differ, with a witness."""
+    return GraphFacts(g).chi2
+
+
+def packing_number(g: Graph) -> tuple[int, VertexSet]:
+    return GraphFacts(g).rho
+
+
+def open_packing_number(g: Graph) -> tuple[int, VertexSet]:
+    return GraphFacts(g).rho_o
+
+
 def domination_number(g: Graph) -> tuple[int, VertexSet]:
-    _require_within_cap(g)
-    return _certified_cover(g, [g.adj[v] | 1 << v for v in range(g.n)], is_dominating)
+    return GraphFacts(g).gamma
 
 
 def total_domination_number(g: Graph) -> tuple[int, VertexSet]:
-    _require_within_cap(g)
-    if any(mask == 0 for mask in g.adj):
-        raise UndefinedInvariantError(
-            "total domination is undefined on graphs with isolated vertices"
-        )
-    return _certified_cover(g, list(g.adj), is_total_dominating)
+    return GraphFacts(g).gamma_t
+
+
+def omega_of_two_step(g: Graph) -> tuple[int, VertexSet]:
+    """Largest vertex set of g in which any two members share a common neighbor."""
+    return GraphFacts(g).omega_N
 
 
 # ---------------------------------------------------------------------------
@@ -398,39 +473,15 @@ class InvariantReport:
 
 
 def full_report(g: Graph, with_certificates: bool = True) -> InvariantReport:
+    """Every invariant of ``INVARIANTS`` with its certificate, from one
+    ``GraphFacts``; gamma_t is left out when g has an isolated vertex."""
     _require_within_cap(g)
-    chi, chi_lab = chromatic_number(g)
-    po, po_lab = open_packing_partition_number(g)
-    chi2, chi2_lab = two_distance_chromatic(g)
-    rho, rho_set = packing_number(g)
-    rho_o, rho_o_set = open_packing_number(g)
-    gamma, gamma_set = domination_number(g)
-    omega_n, omega_set = omega_of_two_step(g)
-
-    values = {
-        "n": g.n,
-        "m": g.m,
-        "Delta": max_degree(g),
-        "delta": min_degree(g),
-        "chi": chi,
-        "p_o": po,
-        "chi2": chi2,
-        "rho": rho,
-        "rho_o": rho_o,
-        "gamma": gamma,
-        "omega_N": omega_n,
-    }
-    certificates = {
-        "chi": chi_lab,
-        "p_o": po_lab,
-        "chi2": chi2_lab,
-        "rho": rho_set,
-        "rho_o": rho_o_set,
-        "gamma": gamma_set,
-        "omega_N": omega_set,
-    }
-    if all(mask != 0 for mask in g.adj):
-        gamma_t, gamma_t_set = total_domination_number(g)
-        values["gamma_t"] = gamma_t
-        certificates["gamma_t"] = gamma_t_set
+    facts = GraphFacts(g)
+    values = {"n": g.n, "m": g.m, "Delta": max_degree(g), "delta": min_degree(g)}
+    certificates = {}
+    for name in INVARIANTS:
+        try:
+            values[name], certificates[name] = getattr(facts, name)
+        except UndefinedInvariantError:  # gamma_t with an isolated vertex
+            continue
     return InvariantReport(values, certificates if with_certificates else {})

@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 
 import pytest
 
-from openpack.cli import main
+from openpack import solvers
+from openpack.cli import _check_grid, main
 from openpack.formats import parse_graph6, to_graph6
 from openpack.graph import (
     complete,
@@ -13,7 +15,9 @@ from openpack.graph import (
     is_isomorphic,
     is_tree,
     path,
+    random_graph,
 )
+from openpack.harness import all_graphs_upto
 from openpack.solvers import VertexLabeling, is_opp
 
 
@@ -95,6 +99,46 @@ class TestInvariant:
         code, out = run_cli("invariant", "--what", "rho_o", "--input", str(src))
         values = [json.loads(line)["values"]["rho_o"] for line in out.splitlines()]
         assert values == [2, 2]
+
+
+class TestCertificateBytes:
+    """The exact stdout of ``invariant --certify``, certificates included,
+    pinned by SHA-256."""
+
+    UPTO5_ALL = "a41d267c0a74383f1905a5c877a31cdf606c5ec66dce4e59609ab37c2c3dd9d6"
+    # random_graph(9, 0.4, seed) for seeds 0, 1, 2, one line each
+    RANDOM9 = {
+        "all": "8833aac3b2ccad06288dd3d2f78a89bd92db0e38a86acf59858b7a2c09c3585a",
+        "chi": "60e146f5738f1df21065c43666895303338f2fa610b84991ce501f91d0d87106",
+        "chi2": "494d32092fe2ced0125442eda7faf1db6cf18bb3dff72752654d82a6b4b02ee4",
+        "gamma": "e22edb33227a3a69fbe2fc6a2672f32c60bc3deede2d962ecc9bed40cd4b2f1a",
+        "gamma_t": "49b98798cc2267f965aa37d97b402b91b00388df9b504a6e4b60be2646e90882",
+        "omega_N": "dd9b88d91714af879b9640fe5d6c6a0d7cf7ee5aaa5ddaccb299f6a51071c480",
+        "p_o": "944a5e236488d0ef3d8cb0d1c6cd030c08adbfdef134e78455bde088b25ba794",
+        "rho": "c203263524bed56b1bf1538c99c34e2694f716bec70602c5f5337ede374e1606",
+        "rho_o": "3485c377f35f4a865e0a992d3464ab07420e9af44b4bd6a3ef60b6e74e595a77",
+    }
+
+    @staticmethod
+    def certify_digest(tmp_path, what, graphs):
+        src = tmp_path / "in.g6"
+        src.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+        code, out = run_cli("invariant", "--what", what, "--certify", "--input", str(src))
+        assert code == 0
+        return hashlib.sha256(out.encode("ascii")).hexdigest()
+
+    def test_all_graphs_upto_5(self, tmp_path):
+        graphs = list(all_graphs_upto(5))
+        assert len(graphs) == 1099
+        assert self.certify_digest(tmp_path, "all", graphs) == self.UPTO5_ALL
+
+    def test_every_what_choice_is_pinned(self):
+        assert sorted(self.RANDOM9) == sorted([*solvers.INVARIANTS, "all"])
+
+    @pytest.mark.parametrize("what", sorted(RANDOM9))
+    def test_random_graphs(self, tmp_path, what):
+        graphs = [random_graph(9, 0.4, seed) for seed in range(3)]
+        assert self.certify_digest(tmp_path, what, graphs) == self.RANDOM9[what]
 
 
 class TestTransform:
@@ -256,6 +300,34 @@ class TestVerify:
             main(["verify", "--theorem", "T10", "--random-trees", *bad])
         assert "NMIN <= NMAX" in str(exc.value.code)
         assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("argv, named", [
+        (("T1", "--all-n", "0"), "N=0"),
+        (("T1", "--all-n", "8"), "N=8"),
+        (("T1", "--all-upto", "0"), "N=0"),
+        (("T1", "--all-upto", "8"), "N=8"),
+        (("T4", "--pair-grid", "0", "0"), "MAXG=0 MAXH=0"),
+        (("T4", "--pair-grid", "3", "8"), "MAXG=3 MAXH=8"),
+        (("T6", "--lex-grid", "1", "3"), "MAXG=1 MAXH=3"),
+        (("T4", "--pair-grid", "5", "5"), "25 vertices"),
+        (("T6", "--lex-grid", "7", "4"), "28 vertices"),
+        (("T5,T7", "--pair-grid", "5", "4"), "T7 products of 25 vertices"),
+    ])
+    def test_enumerated_corpus_bad_range_rejected_before_output(self, argv, named):
+        theorem, *corpus = argv
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            main(["verify", "--theorem", theorem, *corpus])
+        assert named in str(exc.value.code)
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("flag, grid, theorems", [
+        ("--pair-grid", (4, 5), ["T7"]), ("--pair-grid", (4, 6), ["T4", "T5"]),
+        ("--lex-grid", (2, 7), ["T6", "T7"]), ("--pair-grid", (1, 1), ["T7"]),
+    ])
+    def test_grids_at_the_product_cap_accepted(self, flag, grid, theorems):
+        # the largest products are exactly 24 vertices (or fewer): no exit
+        _check_grid(flag, *grid, theorems)
 
     def test_jobs_match_serial(self):
         args = ("verify", "--theorem", "T1,T3", "--all-n", "4")

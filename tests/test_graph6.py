@@ -140,3 +140,8 @@ class TestEdgeListFormat:
     def test_missing_heading(self):
         with pytest.raises(FormatError):
             parse_edge_list_text("")
+
+    @pytest.mark.parametrize("text, lineno", [("3 1\n0 1 2\n", 2), ("3 1\n\n0\n", 3)])
+    def test_edge_line_without_two_indices(self, text, lineno):
+        with pytest.raises(FormatError, match=f"line {lineno} .* two vertex indices"):
+            parse_edge_list_text(text)

@@ -98,9 +98,9 @@ class TestDegreeDensity:
     def test_structure_predicate(self):
         g = psi_graph(PsiSpec(2, 4))
         fg = facts(g)
-        assert has_matching_partition_structure(g, fg.po_pair[1], fg.rho_o)
+        assert has_matching_partition_structure(g, fg.p_o[1], fg.rho_o[0])
         assert not has_matching_partition_structure(
-            complete(4), facts(complete(4)).po_pair[1], 1
+            complete(4), facts(complete(4)).p_o[1], 1
         )
 
 
@@ -243,7 +243,7 @@ class TestPairChecks:
         fg = facts(g)
         row, = check_T6(fg, facts(K2), OPTS)
         assert row.verdict == EQUALITY
-        assert row.lhs == 2 * fg.chi2
+        assert row.lhs == 2 * fg.chi2[0]
 
     def test_t6_disconnected_skipped(self):
         row, = check_T6(facts(from_edge_list(3, [(0, 1)])), facts(K2), OPTS)

@@ -369,6 +369,12 @@ class TestCaps:
         with pytest.raises(SolverCapError):
             chromatic_number(cycle(5))
 
+    @pytest.mark.parametrize("raw", ["-3", "0"])
+    def test_env_cap_must_be_positive(self, monkeypatch, raw):
+        monkeypatch.setenv("OPENPACK_MAX_N", raw)
+        with pytest.raises(SolverCapError, match="must be a positive integer"):
+            chromatic_number(cycle(5))
+
 
 class TestCertificateChecks:
     # kernels that return a wrong certificate for any graph with an edge
