@@ -88,16 +88,18 @@ def cmd_invariant(args) -> int:
         record: dict = {"graph6": to_graph6(g)}
         if args.what == "all":
             report = solvers.full_report(g, with_certificates=args.certify)
-            record["values"] = report.values
-            if args.certify:
-                record["certificates"] = {
-                    name: cert.to_json_obj() for name, cert in report.certificates.items()
-                }
+            values, certificates = report.values, report.certificates
         else:
-            value, cert = getattr(solvers.GraphFacts(g), args.what)
-            record["values"] = {args.what: value}
-            if args.certify:
-                record["certificates"] = {args.what: cert.to_json_obj()}
+            try:
+                value, cert = getattr(solvers.GraphFacts(g), args.what)
+                values, certificates = {args.what: value}, {args.what: cert}
+            except solvers.UndefinedInvariantError:  # left out, as full_report does
+                values, certificates = {}, {}
+        record["values"] = values
+        if args.certify:
+            record["certificates"] = {
+                name: cert.to_json_obj() for name, cert in certificates.items()
+            }
         print(_dump(record))
     return 0
 
@@ -106,19 +108,24 @@ def cmd_invariant(args) -> int:
 # transform
 
 
+TRANSFORMS = {
+    "two-step": transforms.two_step,
+    "square": transforms.closed_neighborhood_graph,
+}
+PREDICATES = {
+    "every-edge-on-triangle": transforms.every_edge_on_triangle,
+    "has-even-cycle": transforms.has_even_cycle,
+    "is-chordal": transforms.is_chordal,
+}
+
+
 def cmd_transform(args) -> int:
     for g in _input_graphs(args):
-        if args.op == "two-step":
-            print(to_graph6(transforms.two_step(g)))
-        elif args.op == "square":
-            print(to_graph6(transforms.closed_neighborhood_graph(g)))
+        if args.op in TRANSFORMS:
+            print(to_graph6(TRANSFORMS[args.op](g)))
         else:
-            predicate = {
-                "every-edge-on-triangle": transforms.every_edge_on_triangle,
-                "has-even-cycle": transforms.has_even_cycle,
-                "is-chordal": transforms.is_chordal,
-            }[args.op]
-            print(_dump({"graph6": to_graph6(g), "op": args.op, "value": predicate(g)}))
+            value = PREDICATES[args.op](g)
+            print(_dump({"graph6": to_graph6(g), "op": args.op, "value": value}))
     return 0
 
 
@@ -126,17 +133,19 @@ def cmd_transform(args) -> int:
 # product
 
 
+PRODUCTS = {
+    "cart": cartesian,
+    "direct": direct,
+    "strong": strong,
+    "lex": lexicographic,
+    "corona": corona,
+}
+
+
 def cmd_product(args) -> int:
     g = parse_graph6(args.graph_a)
     h = parse_graph6(args.graph_b)
-    op = {
-        "cart": cartesian,
-        "direct": direct,
-        "strong": strong,
-        "lex": lexicographic,
-        "corona": corona,
-    }[args.op]
-    prod, layout = op(g, h)
+    prod, layout = PRODUCTS[args.op](g, h)
     print(to_graph6(prod))
     if args.layout_out:
         with open(args.layout_out, "w", encoding="ascii") as fh:
@@ -230,6 +239,19 @@ def _check_grid(flag: str, max_g: int, max_h: int, theorems: list[str]) -> None:
             )
 
 
+def _t_values(text: str) -> list[int]:
+    values = []
+    for token in text.split(","):
+        try:
+            t = int(token)
+        except ValueError:
+            t = None
+        if t is None or t < 1:
+            raise SystemExit(f"--t-values needs comma-separated integers t >= 1, got {token!r}")
+        values.append(t)
+    return values
+
+
 def cmd_verify(args) -> int:
     theorems = [t.strip() for t in args.theorem.split(",") if t.strip()]
     kind = _theorem_kind(theorems)
@@ -272,25 +294,25 @@ def cmd_verify(args) -> int:
     else:
         if not args.t_values:
             raise SystemExit("T15 needs --t-values, e.g. --t-values 1,2,3")
-        instances = [int(t) for t in args.t_values.split(",")]
+        instances = _t_values(args.t_values)
 
     options = harness.RunOptions(strict=args.strict, tree_confirm_n=args.tree_confirm_n)
     out = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
-    counts: dict[str, dict[str, int]] = {}
-    violated = 0
-    try:
-        for row in harness.run_corpus(theorems, instances, jobs=args.jobs, options=options):
+    rows = harness.run_corpus(theorems, instances, jobs=args.jobs, options=options)
+
+    def written(rows):
+        for row in rows:
             out.write(row.to_json() + "\n")
-            per = counts.setdefault(row.theorem, {})
-            per[row.verdict] = per.get(row.verdict, 0) + 1
-            if row.verdict == harness.VIOLATED:
-                violated += 1
+            yield row
+
+    try:
+        counts = harness.summarize(written(rows))
     finally:
         if args.out:
             out.close()
     if args.summary:
         print(harness.render_summary(counts), file=sys.stderr)
-    return 1 if violated else 0
+    return 1 if any(per.get(harness.VIOLATED) for per in counts.values()) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     inv.set_defaults(func=cmd_invariant)
 
     tr = sub.add_parser("transform", help="apply a transform or predicate")
-    tr.add_argument("--op", required=True, choices=[
-        "two-step", "square", "every-edge-on-triangle", "has-even-cycle", "is-chordal",
-    ])
+    tr.add_argument("--op", required=True, choices=[*TRANSFORMS, *PREDICATES])
     tr.add_argument("--input", default="-")
     tr.add_argument("--format", choices=["g6", "edgelist"], default="g6")
     tr.set_defaults(func=cmd_transform)
 
     pr = sub.add_parser("product", help="product of two graph6 graphs")
-    pr.add_argument("--op", required=True,
-                    choices=["cart", "direct", "strong", "lex", "corona"])
+    pr.add_argument("--op", required=True, choices=list(PRODUCTS))
     pr.add_argument("graph_a")
     pr.add_argument("graph_b")
     pr.add_argument("--layout-out", default=None,

@@ -422,18 +422,19 @@ def check_T14(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult
 # Pair checks
 
 
-def _require_harness_size(g: Graph) -> None:
-    if g.n > HARNESS_MAX_PRODUCT_N:
+def _product_facts(op: Callable, fg: GraphFacts, fh: GraphFacts) -> GraphFacts:
+    """Fresh facts of the product ``op(fg.g, fh.g)``, refused past the harness cap."""
+    prod, _ = op(fg.g, fh.g)
+    if prod.n > HARNESS_MAX_PRODUCT_N:
         raise GraphError(
-            f"harness product instances cap at {HARNESS_MAX_PRODUCT_N} vertices, got {g.n}"
+            f"harness product instances cap at {HARNESS_MAX_PRODUCT_N} vertices, got {prod.n}"
         )
+    return GraphFacts(prod)
 
 
 def check_T4(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """Cartesian product: max factor p_o <= p_o(prod) <= min mixed products."""
-    prod, _ = cartesian(fg.g, fh.g)
-    _require_harness_size(prod)
-    fp = GraphFacts(prod)
+    fp = _product_facts(cartesian, fg, fh)
     instance = [fg.g6, fh.g6]
     witness = _witness((fp, "p_o"), (fg, "p_o"), (fh, "p_o"))
     po_g, po_h, po_p = fg.p_o[0], fh.p_o[0], fp.p_o[0]
@@ -449,9 +450,7 @@ def check_T5(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[Theore
     instance = [fg.g6, fh.g6]
     if fg.g.m == 0 or fh.g.m == 0:
         return [_skipped("T5", instance)]
-    prod, _ = direct(fg.g, fh.g)
-    _require_harness_size(prod)
-    fp = GraphFacts(prod)
+    fp = _product_facts(direct, fg, fh)
     witness = _witness((fp, "p_o"), (fg, "p_o"), (fh, "p_o"))
     po_g, po_h, po_p = fg.p_o[0], fh.p_o[0], fp.p_o[0]
     return [
@@ -466,9 +465,7 @@ def check_T6(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[Theore
     instance = [fg.g6, fh.g6]
     if fg.g.n < 2 or not fg.connected:
         return [_skipped("T6", instance)]
-    prod, _ = lexicographic(fg.g, fh.g)
-    _require_harness_size(prod)
-    fp = GraphFacts(prod)
+    fp = _product_facts(lexicographic, fg, fh)
     i_h = isolated_vertex_count(fh.g)
     chi2_g = fg.chi2[0]
     predicted = chi2_g * fh.g.n - i_h * (chi2_g - fg.p_o[0])
@@ -479,9 +476,7 @@ def check_T6(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[Theore
 
 def check_T7(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """Corona formula: p_o(G . H) = max(p_o(G), |V(H)| + max degree of G)."""
-    prod, _ = corona(fg.g, fh.g)
-    _require_harness_size(prod)
-    fp = GraphFacts(prod)
+    fp = _product_facts(corona, fg, fh)
     instance = [fg.g6, fh.g6]
     predicted = max(fg.p_o[0], fh.g.n + fg.maxdeg)
     witness = _witness((fp, "p_o"), (fg, "p_o"),

@@ -60,55 +60,50 @@ def _check_size(total: int) -> None:
         raise GraphError(f"product would have {total} vertices, cap is {PRODUCT_MAX_VERTICES}")
 
 
-def cartesian(g: Graph, h: Graph) -> tuple[Graph, ProductVertexMap]:
-    """Adjacent iff adjacent in one coordinate and equal in the other."""
+def _product(g: Graph, h: Graph, across, within) -> tuple[Graph, ProductVertexMap]:
+    """The product whose adjacency is A_G (x) X + I (x) Y, where row b of X is
+    ``across[b]`` and row b of Y is ``within[b]`` (masks over V(H)).
+
+    Row (a, b) holds a copy of ``across[b]`` in the block of every neighbor
+    of a, and ``within[b]`` in a's own block.  ``spread`` has one bit at the
+    start of each neighbor's block, so ``across[b] * spread`` places all the
+    copies at once: every ``across[b]`` is below 2^|H| and the blocks are
+    |H| bits apart, so the shifted copies never overlap and the
+    multiplication makes no carry.
+    """
     _check_size(g.n * h.n)
-    adj = [0] * (g.n * h.n)
-    for a in range(g.n):
+    adj = []
+    for a, nbrs in enumerate(g.adj):
+        spread = 0
+        for u in iter_bits(nbrs):
+            spread |= 1 << (u * h.n)
         base = a * h.n
         for b in range(h.n):
-            row = h.adj[b] << base
-            for u in iter_bits(g.adj[a]):
-                row |= 1 << (u * h.n + b)
-            adj[base + b] = row
+            adj.append(across[b] * spread | within[b] << base)
     return Graph(g.n * h.n, adj), ProductVertexMap(g.n, h.n)
+
+
+def cartesian(g: Graph, h: Graph) -> tuple[Graph, ProductVertexMap]:
+    """Adjacent iff adjacent in one coordinate and equal in the other:
+    A_G (x) I + I (x) A_H."""
+    return _product(g, h, [1 << b for b in range(h.n)], h.adj)
 
 
 def direct(g: Graph, h: Graph) -> tuple[Graph, ProductVertexMap]:
-    """Adjacent iff adjacent in both coordinates."""
-    _check_size(g.n * h.n)
-    adj = [0] * (g.n * h.n)
-    for a in range(g.n):
-        base = a * h.n
-        for b in range(h.n):
-            row = 0
-            for u in iter_bits(g.adj[a]):
-                row |= h.adj[b] << (u * h.n)
-            adj[base + b] = row
-    return Graph(g.n * h.n, adj), ProductVertexMap(g.n, h.n)
+    """Adjacent iff adjacent in both coordinates: A_G (x) A_H."""
+    return _product(g, h, h.adj, [0] * h.n)
 
 
 def strong(g: Graph, h: Graph) -> tuple[Graph, ProductVertexMap]:
-    """Edge set is the union of the Cartesian and direct edge sets."""
-    cart, vmap = cartesian(g, h)
-    dirp, _ = direct(g, h)
-    adj = [cart.adj[i] | dirp.adj[i] for i in range(cart.n)]
-    return Graph(cart.n, adj), vmap
+    """Edge set is the union of the Cartesian and direct edge sets:
+    (A_G + I) (x) (A_H + I) - I."""
+    return _product(g, h, [mask | 1 << b for b, mask in enumerate(h.adj)], h.adj)
 
 
 def lexicographic(g: Graph, h: Graph) -> tuple[Graph, ProductVertexMap]:
-    """(a,b) ~ (u,v) iff au is an edge of g, or a = u and bv is an edge of h."""
-    _check_size(g.n * h.n)
-    h_full = (1 << h.n) - 1
-    adj = [0] * (g.n * h.n)
-    for a in range(g.n):
-        base = a * h.n
-        blocks = 0
-        for u in iter_bits(g.adj[a]):
-            blocks |= h_full << (u * h.n)
-        for b in range(h.n):
-            adj[base + b] = blocks | (h.adj[b] << base)
-    return Graph(g.n * h.n, adj), ProductVertexMap(g.n, h.n)
+    """(a,b) ~ (u,v) iff au is an edge of g, or a = u and bv is an edge of h:
+    A_G (x) J + I (x) A_H."""
+    return _product(g, h, [(1 << h.n) - 1] * h.n, h.adj)
 
 
 def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaLayout]:

@@ -11,21 +11,25 @@ from __future__ import annotations
 from .graph import Graph, iter_bits
 
 
+def _compose(outer, inner) -> list[int]:
+    """Row v is the union of ``inner[u]`` over the members u of ``outer[v]``, less v."""
+    rows = []
+    for v, members in enumerate(outer):
+        row = 0
+        while members:
+            low = members & -members
+            row |= inner[low.bit_length() - 1]
+            members ^= low
+        rows.append(row & ~(1 << v))
+    return rows
+
+
 def two_step(g: Graph) -> Graph:
     """Join u and v iff they have a common neighbor in g (isolated vertices stay isolated).
 
     The row of v is the union of the neighborhoods of v's neighbors, less v.
     """
-    adj = g.adj
-    rows = []
-    for v, nbrs in enumerate(adj):
-        row = 0
-        while nbrs:
-            low = nbrs & -nbrs
-            row |= adj[low.bit_length() - 1]
-            nbrs ^= low
-        rows.append(row & ~(1 << v))
-    return Graph(g.n, rows)
+    return Graph(g.n, _compose(g.adj, g.adj))
 
 
 def closed_neighborhood_graph(g: Graph) -> Graph:
@@ -35,15 +39,7 @@ def closed_neighborhood_graph(g: Graph) -> Graph:
     v's closed neighborhood, less v.
     """
     closed = [mask | 1 << v for v, mask in enumerate(g.adj)]
-    rows = []
-    for v, own in enumerate(closed):
-        row = 0
-        while own:
-            low = own & -own
-            row |= closed[low.bit_length() - 1]
-            own ^= low
-        rows.append(row & ~(1 << v))
-    return Graph(g.n, rows)
+    return Graph(g.n, _compose(closed, closed))
 
 
 # The closed neighborhood graph coincides with the square of g.

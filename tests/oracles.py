@@ -416,6 +416,82 @@ def brute_square(g: Graph) -> list[int]:
     ]
 
 
+def _scan(n: int, adjacent) -> list[int]:
+    """Adjacency masks on vertices 0..n-1 by testing ``adjacent(i, j)`` on
+    every ordered pair of distinct vertices."""
+    return [sum(1 << j for j in range(n) if j != i and adjacent(i, j)) for i in range(n)]
+
+
+def _edge(g: Graph, u: int, v: int) -> bool:
+    return bool(g.adj[u] >> v & 1)
+
+
+def brute_cartesian(g: Graph, h: Graph) -> list[int]:
+    """(a, b) ~ (u, v) iff a ~ u in g and b = v, or a = u and b ~ v in h;
+    (a, b) is vertex a * |V(h)| + b."""
+    def adjacent(i, j):
+        (a, b), (u, v) = divmod(i, h.n), divmod(j, h.n)
+        return (_edge(g, a, u) and b == v) or (a == u and _edge(h, b, v))
+    return _scan(g.n * h.n, adjacent)
+
+
+def brute_direct(g: Graph, h: Graph) -> list[int]:
+    """(a, b) ~ (u, v) iff a ~ u in g and b ~ v in h."""
+    def adjacent(i, j):
+        (a, b), (u, v) = divmod(i, h.n), divmod(j, h.n)
+        return _edge(g, a, u) and _edge(h, b, v)
+    return _scan(g.n * h.n, adjacent)
+
+
+def brute_strong(g: Graph, h: Graph) -> list[int]:
+    """(a, b) ~ (u, v) iff the pairs differ and each coordinate is equal or
+    adjacent."""
+    def adjacent(i, j):
+        (a, b), (u, v) = divmod(i, h.n), divmod(j, h.n)
+        return (a == u or _edge(g, a, u)) and (b == v or _edge(h, b, v))
+    return _scan(g.n * h.n, adjacent)
+
+
+def brute_lexicographic(g: Graph, h: Graph) -> list[int]:
+    """(a, b) ~ (u, v) iff a ~ u in g, or a = u and b ~ v in h."""
+    def adjacent(i, j):
+        (a, b), (u, v) = divmod(i, h.n), divmod(j, h.n)
+        return _edge(g, a, u) or (a == u and _edge(h, b, v))
+    return _scan(g.n * h.n, adjacent)
+
+
+def brute_corona(g: Graph, h: Graph) -> list[int]:
+    """g on vertices 0..|V(g)|-1, then one copy of h per base vertex i on
+    |V(g)| + i|V(h)| onwards, with i joined to every vertex of its copy."""
+    def place(i):  # (base vertex, None) or (owner, vertex of h)
+        return (i, None) if i < g.n else divmod(i - g.n, h.n)
+
+    def adjacent(i, j):
+        (a, b), (u, v) = place(i), place(j)
+        if b is None and v is None:
+            return _edge(g, a, u)
+        if b is not None and v is not None:
+            return a == u and _edge(h, b, v)
+        return a == u
+    return _scan(g.n * (1 + h.n), adjacent)
+
+
+def brute_complement(g: Graph) -> list[int]:
+    """u ~ v iff u != v and u, v are not adjacent in g."""
+    return _scan(g.n, lambda u, v: not _edge(g, u, v))
+
+
+def brute_disjoint_union(g: Graph, h: Graph) -> list[int]:
+    """g on vertices 0..|V(g)|-1 and h after it, with no edge between them."""
+    def adjacent(i, j):
+        if i < g.n and j < g.n:
+            return _edge(g, i, j)
+        if i >= g.n and j >= g.n:
+            return _edge(h, i - g.n, j - g.n)
+        return False
+    return _scan(g.n + h.n, adjacent)
+
+
 def bfs_distances(g: Graph, source: int) -> list[int]:
     dist = [-1] * g.n
     dist[source] = 0

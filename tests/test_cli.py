@@ -100,6 +100,19 @@ class TestInvariant:
         values = [json.loads(line)["values"]["rho_o"] for line in out.splitlines()]
         assert values == [2, 2]
 
+    @pytest.mark.parametrize("certify", [(), ("--certify",)])
+    def test_undefined_invariant_left_out(self, tmp_path, certify):
+        # K1 and 2K1 have isolated vertices, so gamma_t is undefined on them
+        src = tmp_path / "in.g6"
+        src.write_text("@\nA_\nA?\n")
+        code, out = run_cli("invariant", "--what", "gamma_t", *certify,
+                            "--input", str(src))
+        assert code == 0
+        recs = [json.loads(line) for line in out.splitlines()]
+        assert [rec["values"] for rec in recs] == [{}, {"gamma_t": 2}, {}]
+        if certify:
+            assert [sorted(rec["certificates"]) for rec in recs] == [[], ["gamma_t"], []]
+
 
 class TestCertificateBytes:
     """The exact stdout of ``invariant --certify``, certificates included,
@@ -319,6 +332,16 @@ class TestVerify:
         with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
             main(["verify", "--theorem", theorem, *corpus])
         assert named in str(exc.value.code)
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("values, named", [
+        ("1,0", "'0'"), ("1,x", "'x'"), ("1,", "''"), ("-2", "'-2'"),
+    ])
+    def test_bad_t_values_rejected_before_output(self, values, named):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            main(["verify", "--theorem", "T15", "--t-values", values])
+        assert f"got {named}" in str(exc.value.code)
         assert out.getvalue() == ""
 
     @pytest.mark.parametrize("flag, grid, theorems", [

@@ -128,6 +128,17 @@ class TestElementaryOps:
         assert oracles.permutation_isomorphic(complement(path(4)), path(4))
         assert is_isomorphic(complement(path(4)), path(4))
 
+    def test_complement_against_definition(self):
+        for n in range(1, 6):
+            for g in enumerate_all_graphs(n):
+                assert list(complement(g).adj) == oracles.brute_complement(g)
+
+    def test_disjoint_union_against_definition(self):
+        gs = [g for n in range(1, 4) for g in enumerate_all_graphs(n)]
+        for g in gs:
+            for h in gs:
+                assert list(disjoint_union(g, h).adj) == oracles.brute_disjoint_union(g, h)
+
     def test_disjoint_union(self):
         k2 = from_edge_list(2, [(0, 1)])
         g = disjoint_union(k2, k2)

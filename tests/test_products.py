@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
+import oracles
+from conftest import graphs
 from openpack.graph import (
     Graph,
     GraphError,
@@ -29,6 +32,15 @@ from openpack.products import (
 
 K1 = Graph(1, (0,))
 K2 = from_edge_list(2, [(0, 1)])
+
+# each product against the pair scan of its definition
+DEFINITIONS = [
+    (cartesian, oracles.brute_cartesian),
+    (direct, oracles.brute_direct),
+    (strong, oracles.brute_strong),
+    (lexicographic, oracles.brute_lexicographic),
+    (corona, oracles.brute_corona),
+]
 
 
 def all_graphs_upto(n):
@@ -158,6 +170,21 @@ class TestCorona:
         assert not any(
             prod.has_edge(u, v) for u in range(a0, a1) for v in range(b0, b1)
         )
+
+
+class TestAgainstDefinitions:
+    def test_exhaustive_small_factors(self):
+        hs = list(all_graphs_upto(3))
+        for g in all_graphs_upto(4):
+            for h in hs:
+                for op, brute in DEFINITIONS:
+                    assert list(op(g, h)[0].adj) == brute(g, h), (op.__name__, g, h)
+
+    @given(graphs(max_n=7), graphs(max_n=7))
+    @settings(max_examples=60, deadline=None)
+    def test_random_factors(self, g, h):
+        for op, brute in DEFINITIONS:
+            assert list(op(g, h)[0].adj) == brute(g, h), op.__name__
 
 
 class TestEdgeCountFormulas:

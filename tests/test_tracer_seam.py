@@ -19,7 +19,7 @@ TRACED_RUN = textwrap.dedent("""
     sys.path.insert(0, {perfbench!r})
     import openpack.cli
     from spans import Tracer
-    from openpack import cli, graph, solvers
+    from openpack import cli, graph, products, solvers
 
     tracer = Tracer()
     tracer.install({{name: mod for name, mod in sys.modules.items()
@@ -28,12 +28,18 @@ TRACED_RUN = textwrap.dedent("""
     solvers.full_report(graph.random_graph(9, 0.4, 0))
     tracer.active = False
     report = tracer.layer_metrics(0.0)
+    g, h = graph.path(3), graph.path(2)
+    tracer.active = True
+    products.strong(g, h)
+    tracer.active = False
+    with_strong = tracer.layer_metrics(0.0)
     tracer.active = True
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["verify", "--theorem", "T1", "--all-n", "3"])
         cli.main(["verify", "--theorem", "T4", "--pair-grid", "2", "2"])
     tracer.active = False
-    print(json.dumps({{"report": report, "all": tracer.layer_metrics(0.0)}}))
+    print(json.dumps({{"report": report, "with_strong": with_strong,
+                      "all": tracer.layer_metrics(0.0)}}))
 """).format(perfbench=str(PERFBENCH))
 
 
@@ -46,6 +52,10 @@ def test_tracer_measures_every_layer():
     assert report["transforms.calls"] == 2
     assert report["kernels.chromatic_calls"] == 3
     assert report["kernels.mis_calls"] == 3
-    for name in ("harness.facts_built", "kernels.chromatic_calls",
+    # one strong product is one products call that constructs one graph
+    strong = {name: metrics["with_strong"][name] - report[name]
+              for name in ("products.calls", "graph.construct_calls")}
+    assert strong == {"products.calls": 1, "graph.construct_calls": 1}
+    for name in ("harness.facts_built", "kernels.chromatic_calls", "products.calls",
                  "solvers.cert_check_calls", "solvers.domination_calls"):
         assert everything[name] > 0, name
