@@ -5,13 +5,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from . import constructions, harness, solvers, transforms
 from .constructions import PsiSpec
-from .formats import GRAPH6_MAX_N, parse_edge_list_text, parse_graph6, to_graph6
+from .formats import check_graph6_order, parse_edge_list_text, parse_graph6, to_graph6
 from .graph import (
-    ENUMERATION_MAX_N,
     Graph,
+    GraphError,
     complete,
     complete_bipartite,
     cycle,
@@ -21,7 +22,10 @@ from .graph import (
     random_tree,
     star,
 )
-from .products import cartesian, corona, direct, lexicographic, strong
+from .products import PRODUCTS, order
+
+# openpack's errors for input it cannot take; anything else raised is a bug
+INPUT_ERRORS = (GraphError, solvers.SolverCapError, solvers.UndefinedInvariantError)
 
 
 def _dump(obj) -> str:
@@ -133,18 +137,10 @@ def cmd_transform(args) -> int:
 # product
 
 
-PRODUCTS = {
-    "cart": cartesian,
-    "direct": direct,
-    "strong": strong,
-    "lex": lexicographic,
-    "corona": corona,
-}
-
-
 def cmd_product(args) -> int:
     g = parse_graph6(args.graph_a)
     h = parse_graph6(args.graph_b)
+    check_graph6_order(order(args.op, g.n, h.n))
     prod, layout = PRODUCTS[args.op](g, h)
     print(to_graph6(prod))
     if args.layout_out:
@@ -182,58 +178,38 @@ def cmd_enumerate(args) -> int:
 # verify
 
 
-def _theorem_kind(theorems: list[str]) -> str:
-    kinds = set()
-    for tid in theorems:
-        if tid in harness.SINGLE_CHECKS:
-            kinds.add("single")
-        elif tid in harness.PAIR_CHECKS:
-            kinds.add("pair")
-        elif tid in harness.PARAM_CHECKS:
-            kinds.add("param")
-        else:
-            raise SystemExit(f"unknown theorem id {tid!r}")
-    if len(kinds) != 1:
-        raise SystemExit("cannot mix single-graph, pair, and parameter theorems in one run")
-    return kinds.pop()
-
-
 def _single_corpus(args):
+    """The chained corpora of the single-graph flags, each one's sizes checked
+    now, before the first graph is asked for."""
+    parts = []
     if args.all_n is not None:
-        yield from enumerate_all_graphs(args.all_n)
+        parts.append(enumerate_all_graphs(args.all_n))
     if args.all_upto is not None:
-        yield from harness.all_graphs_upto(args.all_upto)
+        parts.append(harness.all_graphs_upto(args.all_upto))
     if args.g6_file:
         text = _read_text(args.g6_file)
-        for line in text.splitlines():
-            if line.strip():
-                yield parse_graph6(line)
+        parts.append(parse_graph6(line) for line in text.splitlines() if line.strip())
     if args.random_trees:
         n_lo, n_hi, count, seed = args.random_trees
-        for n in range(n_lo, n_hi + 1):
-            for i in range(count):
-                yield random_tree(n, seed + 1000 * n + i)
-
-
-def _check_enumerated(flag: str, n: int) -> None:
-    if not 1 <= n <= ENUMERATION_MAX_N:
-        raise SystemExit(f"{flag} needs 1 <= N <= {ENUMERATION_MAX_N}, got N={n}")
+        if not 1 <= n_lo <= n_hi or count < 1:
+            raise GraphError(
+                f"--random-trees needs 1 <= NMIN <= NMAX and COUNT >= 1, "
+                f"got NMIN={n_lo} NMAX={n_hi} COUNT={count}"
+            )
+        check_graph6_order(n_hi)  # rows name instances by graph6
+        parts.append(random_tree(n, seed + 1000 * n + i)
+                     for n in range(n_lo, n_hi + 1) for i in range(count))
+    if not parts:
+        raise GraphError("no corpus selected (use --all-n/--all-upto/--g6-file/--random-trees)")
+    return chain.from_iterable(parts)
 
 
 def _check_grid(flag: str, max_g: int, max_h: int, theorems: list[str]) -> None:
-    """Reject a grid whose factors cannot be enumerated or whose largest
-    product (G corona H has |G|(1 + |H|) vertices, the others |G||H|) is past
-    the harness's product cap."""
-    min_g = 2 if flag == "--lex-grid" else 1
-    if not (min_g <= max_g <= ENUMERATION_MAX_N and 1 <= max_h <= ENUMERATION_MAX_N):
-        raise SystemExit(
-            f"{flag} needs {min_g} <= MAXG <= {ENUMERATION_MAX_N} and "
-            f"1 <= MAXH <= {ENUMERATION_MAX_N}, got MAXG={max_g} MAXH={max_h}"
-        )
+    """Reject a grid whose largest product is past the harness's product cap."""
     for tid in theorems:
-        largest = max_g * (1 + max_h) if tid == "T7" else max_g * max_h
+        largest = order(harness.PAIR_PRODUCTS[tid], max_g, max_h)
         if largest > harness.HARNESS_MAX_PRODUCT_N:
-            raise SystemExit(
+            raise GraphError(
                 f"{flag} {max_g} {max_h} gives {tid} products of {largest} vertices, "
                 f"but harness products cap at {harness.HARNESS_MAX_PRODUCT_N}"
             )
@@ -247,37 +223,17 @@ def _t_values(text: str) -> list[int]:
         except ValueError:
             t = None
         if t is None or t < 1:
-            raise SystemExit(f"--t-values needs comma-separated integers t >= 1, got {token!r}")
+            raise GraphError(f"--t-values needs comma-separated integers t >= 1, got {token!r}")
         values.append(t)
     return values
 
 
 def cmd_verify(args) -> int:
     theorems = [t.strip() for t in args.theorem.split(",") if t.strip()]
-    kind = _theorem_kind(theorems)
+    kind = harness.theorem_kind(theorems)
 
+    # every corpus is checked here, before the first row is written
     if kind == "single":
-        # checked here, not in the lazy corpus: no row is written first, and a
-        # SystemExit raised while a --jobs pool reads the corpus would hang it
-        if (args.all_n is None and args.all_upto is None and not args.g6_file
-                and not args.random_trees):
-            raise SystemExit("no corpus selected (use --all-n/--all-upto/--g6-file/--random-trees)")
-        if args.all_n is not None:
-            _check_enumerated("--all-n", args.all_n)
-        if args.all_upto is not None:
-            _check_enumerated("--all-upto", args.all_upto)
-        if args.random_trees:
-            n_lo, n_hi, count, _ = args.random_trees
-            if not 1 <= n_lo <= n_hi or count < 1:
-                raise SystemExit(
-                    f"--random-trees needs 1 <= NMIN <= NMAX and COUNT >= 1, "
-                    f"got NMIN={n_lo} NMAX={n_hi} COUNT={count}"
-                )
-            if n_hi > GRAPH6_MAX_N:
-                raise SystemExit(
-                    f"--random-trees NMAX is {n_hi}, but rows name instances "
-                    f"by graph6, which caps at {GRAPH6_MAX_N} vertices"
-                )
         instances = _single_corpus(args)
         for name in args.filter or []:
             predicate = harness.CORPUS_FILTERS[name]
@@ -290,10 +246,10 @@ def cmd_verify(args) -> int:
             _check_grid("--pair-grid", *args.pair_grid, theorems)
             instances = harness.pair_grid(*args.pair_grid)
         else:
-            raise SystemExit("pair theorems need --pair-grid or --lex-grid")
+            raise GraphError("pair theorems need --pair-grid or --lex-grid")
     else:
         if not args.t_values:
-            raise SystemExit("T15 needs --t-values, e.g. --t-values 1,2,3")
+            raise GraphError("T15 needs --t-values, e.g. --t-values 1,2,3")
         instances = _t_values(args.t_values)
 
     options = harness.RunOptions(strict=args.strict, tree_confirm_n=args.tree_confirm_n)
@@ -420,8 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Input it cannot take ends in one stderr line and
+    status 2, as argparse's own errors do; a violated row in status 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except INPUT_ERRORS as exc:
+        print(f"openpack {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

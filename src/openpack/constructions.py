@@ -31,7 +31,7 @@ def tree_opp(t: Graph) -> VertexLabeling:
     same label twice in its neighborhood.  Linear time.
     """
     if t.n < 2:
-        raise GraphError("tree labeling needs at least two vertices")
+        raise GraphError(f"tree labeling needs at least two vertices, got n={t.n}")
     if t.m != t.n - 1:
         raise GraphError("input is not a tree")
     delta = max_degree(t)
@@ -79,9 +79,9 @@ class PsiSpec:
 
     def __post_init__(self):
         if self.r < 2:
-            raise GraphError("need at least two parts")
+            raise GraphError(f"need at least two parts, got r={self.r}")
         if self.s < 2 or self.s % 2:
-            raise GraphError("part size must be even and at least two")
+            raise GraphError(f"part size must be even and at least two, got s={self.s}")
 
     @property
     def n(self) -> int:
@@ -113,7 +113,7 @@ def ng_extremal(k: int) -> Graph:
     drawing whose complement is two disjoint K_k); the consecutive pairs
     {2i, 2i+1} form an optimal open packing partition."""
     if k < 3:
-        raise GraphError("family starts at k=3")
+        raise GraphError(f"family starts at k=3, got k={k}")
     n = 2 * k
     evens = sum(1 << v for v in range(0, n, 2))
     odds = sum(1 << v for v in range(1, n, 2))
@@ -124,8 +124,8 @@ def cart_sharp_instance(m: int, n: int) -> Graph:
     """cycle(4m) x complete(n) in the Cartesian sense; the instance family on
     which the Cartesian upper bound is tight."""
     if m < 1:
-        raise GraphError("need m >= 1")
+        raise GraphError(f"need m >= 1, got m={m}")
     if n < 3:
-        raise GraphError("need n >= 3")
+        raise GraphError(f"need n >= 3, got n={n}")
     g, _ = cartesian(cycle(4 * m), complete(n))
     return g

@@ -12,11 +12,16 @@ class FormatError(GraphError):
     """Malformed graph6 or edge-list input."""
 
 
+def check_graph6_order(n: int) -> None:
+    """Refuse an order that a graph6 record cannot hold, before the graph is built."""
+    if n > GRAPH6_MAX_N:
+        raise FormatError(f"graph6 output supports n <= {GRAPH6_MAX_N}, got n={n}")
+
+
 def to_graph6(g: Graph) -> str:
     """Encode as a graph6 record: size byte, then upper-triangle bits packed
     six per character at offset 63, final sextet zero-padded."""
-    if g.n > GRAPH6_MAX_N:
-        raise FormatError(f"graph6 output supports n <= {GRAPH6_MAX_N}, got {g.n}")
+    check_graph6_order(g.n)
     out = [chr(63 + g.n)]
     acc = 0
     nbits = 0

@@ -20,6 +20,11 @@ class DisconnectedGraphError(GraphError):
     """A distance invariant was requested on a graph with infinite distances."""
 
 
+def _check_order(n: int) -> None:
+    if n < 1:
+        raise GraphError(f"a graph needs at least one vertex, got n={n}")
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the indices of the set bits of ``mask`` in ascending order."""
     while mask:
@@ -40,8 +45,7 @@ class Graph:
 
     def __init__(self, n: int, adj: Iterable[int]):
         adj = tuple(adj)
-        if n < 1:
-            raise GraphError("a graph needs at least one vertex")
+        _check_order(n)
         if n > MAX_VERTICES:
             raise GraphError(f"at most {MAX_VERTICES} vertices supported, got {n}")
         if len(adj) != n:
@@ -113,17 +117,20 @@ def path(n: int) -> Graph:
 
 def cycle(n: int) -> Graph:
     if n < 3:
-        raise GraphError(f"a cycle needs at least 3 vertices, got {n}")
+        raise GraphError(f"a cycle needs at least 3 vertices, got n={n}")
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
+    _check_order(n)
     full = (1 << n) - 1
     return Graph(n, [full ^ (1 << v) for v in range(n)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b}; one side of size zero yields the empty graph on the other side."""
+    if a < 0 or b < 0:
+        raise GraphError(f"K_{{a,b}} needs sides of size >= 0, got a={a} b={b}")
     n = a + b
     left = (1 << a) - 1
     right = ((1 << n) - 1) ^ left
@@ -132,6 +139,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 def star(n: int) -> Graph:
     """K_{1,n-1}: vertex 0 is the center."""
+    _check_order(n)
     return complete_bipartite(1, n - 1)
 
 
@@ -150,8 +158,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree via a random Pruefer sequence."""
-    if n < 1:
-        raise GraphError("a graph needs at least one vertex")
+    _check_order(n)
     if n == 1:
         return Graph(1, (0,))
     if n == 2:
@@ -272,14 +279,26 @@ def pair_order(n: int) -> list[tuple[int, int]]:
     return [(u, v) for v in range(1, n) for u in range(v)]
 
 
+def check_enumerable(name: str, n: int, least: int = 1) -> None:
+    """Refuse ``n`` outside ``least..ENUMERATION_MAX_N``, naming it ``name``."""
+    if not least <= n <= ENUMERATION_MAX_N:
+        raise GraphError(
+            f"enumeration needs {least} <= {name} <= {ENUMERATION_MAX_N}, got {name}={n}"
+        )
+
+
 def enumerate_all_graphs(n: int) -> Iterator[Graph]:
     """Every labeled simple graph on n vertices, exactly once, deterministic order.
 
     Graph ``code`` has edge (u, v) iff bit t of ``code`` is set, where t is the
-    position of (u, v) in ``pair_order(n)``.
+    position of (u, v) in ``pair_order(n)``.  ``n`` is checked at the call,
+    before the first graph is asked for.
     """
-    if n > ENUMERATION_MAX_N:
-        raise GraphError(f"exhaustive enumeration capped at n={ENUMERATION_MAX_N}")
+    check_enumerable("n", n)
+    return _enumerate(n)
+
+
+def _enumerate(n: int) -> Iterator[Graph]:
     pairs = pair_order(n)
     for code in range(1 << len(pairs)):
         adj = [0] * n

@@ -20,8 +20,10 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from multiprocessing import get_context
 
 from . import solvers
@@ -30,6 +32,7 @@ from .formats import parse_graph6, to_graph6
 from .graph import (
     Graph,
     GraphError,
+    check_enumerable,
     complement,
     cycle,
     diameter,
@@ -42,7 +45,7 @@ from .graph import (
     is_tree,
     max_degree,
 )
-from .products import cartesian, corona, direct, isolated_vertex_count, lexicographic
+from .products import PRODUCTS, isolated_vertex_count
 from .solvers import VertexLabeling, VertexSet
 from .transforms import every_edge_on_triangle, has_even_cycle
 
@@ -422,9 +425,14 @@ def check_T14(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult
 # Pair checks
 
 
-def _product_facts(op: Callable, fg: GraphFacts, fh: GraphFacts) -> GraphFacts:
-    """Fresh facts of the product ``op(fg.g, fh.g)``, refused past the harness cap."""
-    prod, _ = op(fg.g, fh.g)
+# the product each pair theorem is about, by its name in ``products.PRODUCTS``
+PAIR_PRODUCTS = {"T4": "cart", "T5": "direct", "T6": "lex", "T7": "corona"}
+
+
+def _product_facts(tid: str, fg: GraphFacts, fh: GraphFacts) -> GraphFacts:
+    """Fresh facts of the product theorem ``tid`` is about, refused past the
+    harness cap."""
+    prod, _ = PRODUCTS[PAIR_PRODUCTS[tid]](fg.g, fh.g)
     if prod.n > HARNESS_MAX_PRODUCT_N:
         raise GraphError(
             f"harness product instances cap at {HARNESS_MAX_PRODUCT_N} vertices, got {prod.n}"
@@ -434,7 +442,7 @@ def _product_facts(op: Callable, fg: GraphFacts, fh: GraphFacts) -> GraphFacts:
 
 def check_T4(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """Cartesian product: max factor p_o <= p_o(prod) <= min mixed products."""
-    fp = _product_facts(cartesian, fg, fh)
+    fp = _product_facts("T4", fg, fh)
     instance = [fg.g6, fh.g6]
     witness = _witness((fp, "p_o"), (fg, "p_o"), (fh, "p_o"))
     po_g, po_h, po_p = fg.p_o[0], fh.p_o[0], fp.p_o[0]
@@ -450,7 +458,7 @@ def check_T5(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[Theore
     instance = [fg.g6, fh.g6]
     if fg.g.m == 0 or fh.g.m == 0:
         return [_skipped("T5", instance)]
-    fp = _product_facts(direct, fg, fh)
+    fp = _product_facts("T5", fg, fh)
     witness = _witness((fp, "p_o"), (fg, "p_o"), (fh, "p_o"))
     po_g, po_h, po_p = fg.p_o[0], fh.p_o[0], fp.p_o[0]
     return [
@@ -465,7 +473,7 @@ def check_T6(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[Theore
     instance = [fg.g6, fh.g6]
     if fg.g.n < 2 or not fg.connected:
         return [_skipped("T6", instance)]
-    fp = _product_facts(lexicographic, fg, fh)
+    fp = _product_facts("T6", fg, fh)
     i_h = isolated_vertex_count(fh.g)
     chi2_g = fg.chi2[0]
     predicted = chi2_g * fh.g.n - i_h * (chi2_g - fg.p_o[0])
@@ -476,7 +484,7 @@ def check_T6(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[Theore
 
 def check_T7(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """Corona formula: p_o(G . H) = max(p_o(G), |V(H)| + max degree of G)."""
-    fp = _product_facts(corona, fg, fh)
+    fp = _product_facts("T7", fg, fh)
     instance = [fg.g6, fh.g6]
     predicted = max(fg.p_o[0], fh.g.n + fg.maxdeg)
     witness = _witness((fp, "p_o"), (fg, "p_o"),
@@ -522,6 +530,21 @@ SINGLE_CHECKS = {
 }
 PAIR_CHECKS = {"T4": check_T4, "T5": check_T5, "T6": check_T6, "T7": check_T7}
 PARAM_CHECKS = {"T15": check_T15}
+CHECKS = {"single": SINGLE_CHECKS, "pair": PAIR_CHECKS, "param": PARAM_CHECKS}
+
+
+def theorem_kind(theorems: Iterable[str]) -> str:
+    """The one key of ``CHECKS`` that holds every id in ``theorems``: a run
+    takes one kind of instance."""
+    kinds = set()
+    for tid in theorems:
+        kind = next((kind for kind, checks in CHECKS.items() if tid in checks), None)
+        if kind is None:
+            raise GraphError(f"unknown theorem id {tid!r}")
+        kinds.add(kind)
+    if len(kinds) != 1:
+        raise GraphError("a run needs theorems of one kind: single-graph, pair or parameter")
+    return kinds.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -591,30 +614,25 @@ def run_corpus(theorems: Iterable[str], instances: Iterable[Instance], *,
     worker under a pool), and none outlive it.
     """
     theorems = tuple(theorems)
-    for tid in theorems:
-        if tid not in SINGLE_CHECKS and tid not in PAIR_CHECKS and tid not in PARAM_CHECKS:
-            raise GraphError(f"unknown theorem id {tid!r}")
+    theorem_kind(theorems)
     options = options or RunOptions()
-    if jobs <= 1:
-        factors = FactorFacts()
-        batches = (evaluate_instance(theorems, instance, options, factors)
-                   for instance in instances)
+    failure: list[BaseException] = []
+    with (get_context("fork").Pool(jobs, initializer=_start_worker) if jobs > 1
+          else nullcontext()) as pool:
+        if pool is None:
+            factors = FactorFacts()
+            batches = (evaluate_instance(theorems, instance, options, factors)
+                       for instance in instances)
+        else:
+            tasks = ((theorems, instance, options) for instance in _caught(instances, failure))
+            batches = pool.imap(_pool_eval, tasks, chunksize=16)
         for batch in batches:
             for row in batch:
                 if row.verdict == VIOLATED:
                     reverify_violation(row)
                 yield row
-    else:
-        failure: list[BaseException] = []
-        tasks = ((theorems, instance, options) for instance in _caught(instances, failure))
-        with get_context("fork").Pool(jobs, initializer=_start_worker) as pool:
-            for batch in pool.imap(_pool_eval, tasks, chunksize=16):
-                for row in batch:
-                    if row.verdict == VIOLATED:
-                        reverify_violation(row)
-                    yield row
-        if failure:
-            raise failure[0]
+    if failure:
+        raise failure[0]
 
 
 def summarize(rows: Iterable[TheoremCheckResult]) -> dict[str, dict[str, int]]:
@@ -645,27 +663,31 @@ def render_summary(counts: dict[str, dict[str, int]]) -> str:
 # Corpus builders
 
 
+# Each builder checks its sizes when it is called, before the first instance
+# is asked for, so a run refused for its corpus writes no row.
+
+
 def all_graphs_upto(n: int) -> Iterator[Graph]:
-    for k in range(1, n + 1):
-        yield from enumerate_all_graphs(k)
+    """Every labeled graph on 1..n vertices, by order, then as enumerated."""
+    check_enumerable("n", n)
+    return chain.from_iterable(map(enumerate_all_graphs, range(1, n + 1)))
 
 
 def pair_grid(max_g: int, max_h: int) -> Iterator[tuple[Graph, Graph]]:
     """All ordered pairs (G, H) with |G| <= max_g and |H| <= max_h."""
+    check_enumerable("max_g", max_g)
+    check_enumerable("max_h", max_h)
     hs = list(all_graphs_upto(max_h))
-    for g in all_graphs_upto(max_g):
-        for h in hs:
-            yield (g, h)
+    return ((g, h) for g in all_graphs_upto(max_g) for h in hs)
 
 
 def lex_grid(max_g: int, max_h: int) -> Iterator[tuple[Graph, Graph]]:
     """Connected G with 2 <= |G| <= max_g crossed with every H with |H| <= max_h."""
+    check_enumerable("max_g", max_g, least=2)
+    check_enumerable("max_h", max_h)
     hs = list(all_graphs_upto(max_h))
-    for g in all_graphs_upto(max_g):
-        if g.n < 2 or not is_connected(g):
-            continue
-        for h in hs:
-            yield (g, h)
+    return ((g, h) for g in all_graphs_upto(max_g)
+            if g.n >= 2 and is_connected(g) for h in hs)
 
 
 CORPUS_FILTERS = {

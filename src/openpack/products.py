@@ -30,8 +30,13 @@ class ProductVertexMap:
         return divmod(idx, self.h_size)
 
     @property
+    def n(self) -> int:
+        """Vertex count of the product: one vertex per pair."""
+        return self.g_size * self.h_size
+
+    @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(divmod(i, self.h_size) for i in range(self.g_size * self.h_size))
+        return tuple(divmod(i, self.h_size) for i in range(self.n))
 
     def to_json_obj(self) -> dict:
         return {"kind": "product", "g_size": self.g_size, "h_size": self.h_size,
@@ -46,6 +51,12 @@ class CoronaLayout:
     g_size: int
     h_size: int
 
+    @property
+    def n(self) -> int:
+        """Vertex count of the corona: the base graph plus one copy of H per
+        base vertex."""
+        return self.g_size * (1 + self.h_size)
+
     def copy_range(self, i: int) -> tuple[int, int]:
         start = self.g_size + i * self.h_size
         return start, start + self.h_size
@@ -55,9 +66,15 @@ class CoronaLayout:
                 "copy_ranges": [list(self.copy_range(i)) for i in range(self.g_size)]}
 
 
-def _check_size(total: int) -> None:
-    if total > PRODUCT_MAX_VERTICES:
-        raise GraphError(f"product would have {total} vertices, cap is {PRODUCT_MAX_VERTICES}")
+def order(op: str, g_n: int, h_n: int) -> int:
+    """Vertex count of the product named ``op`` (a key of ``PRODUCTS``) of a
+    g_n-vertex and an h_n-vertex graph, known before anything is built."""
+    return (CoronaLayout if op == "corona" else ProductVertexMap)(g_n, h_n).n
+
+
+def _check_size(layout: ProductVertexMap | CoronaLayout) -> None:
+    if layout.n > PRODUCT_MAX_VERTICES:
+        raise GraphError(f"product would have {layout.n} vertices, cap is {PRODUCT_MAX_VERTICES}")
 
 
 def _product(g: Graph, h: Graph, across, within) -> tuple[Graph, ProductVertexMap]:
@@ -71,7 +88,8 @@ def _product(g: Graph, h: Graph, across, within) -> tuple[Graph, ProductVertexMa
     |H| bits apart, so the shifted copies never overlap and the
     multiplication makes no carry.
     """
-    _check_size(g.n * h.n)
+    layout = ProductVertexMap(g.n, h.n)
+    _check_size(layout)
     adj = []
     for a, nbrs in enumerate(g.adj):
         spread = 0
@@ -80,7 +98,7 @@ def _product(g: Graph, h: Graph, across, within) -> tuple[Graph, ProductVertexMa
         base = a * h.n
         for b in range(h.n):
             adj.append(across[b] * spread | within[b] << base)
-    return Graph(g.n * h.n, adj), ProductVertexMap(g.n, h.n)
+    return Graph(layout.n, adj), layout
 
 
 def cartesian(g: Graph, h: Graph) -> tuple[Graph, ProductVertexMap]:
@@ -108,9 +126,9 @@ def lexicographic(g: Graph, h: Graph) -> tuple[Graph, ProductVertexMap]:
 
 def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaLayout]:
     """g plus one copy of h per base vertex, that vertex joined to its whole copy."""
-    total = g.n * (1 + h.n)
-    _check_size(total)
-    adj = [0] * total
+    layout = CoronaLayout(g.n, h.n)
+    _check_size(layout)
+    adj = [0] * layout.n
     for v in range(g.n):
         adj[v] = g.adj[v]
     h_full = (1 << h.n) - 1
@@ -119,8 +137,18 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaLayout]:
         adj[i] |= h_full << start
         for b in range(h.n):
             adj[start + b] = (h.adj[b] << start) | (1 << i)
-    return Graph(total, adj), CoronaLayout(g.n, h.n)
+    return Graph(layout.n, adj), layout
 
 
 def isolated_vertex_count(h: Graph) -> int:
     return sum(1 for mask in h.adj if mask == 0)
+
+
+# every product by the name the CLI and ``order`` know it by
+PRODUCTS = {
+    "cart": cartesian,
+    "direct": direct,
+    "strong": strong,
+    "lex": lexicographic,
+    "corona": corona,
+}

@@ -1,12 +1,18 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import openpack
 from openpack import solvers
-from openpack.cli import _check_grid, main
+from openpack.cli import _check_grid, build_parser, main
 from openpack.formats import parse_graph6, to_graph6
 from openpack.graph import (
     complete,
@@ -26,6 +32,96 @@ def run_cli(*args):
     with contextlib.redirect_stdout(out):
         code = main(list(args))
     return code, out.getvalue()
+
+
+def expect_input_error(argv, named):
+    """Input the CLI cannot take: status 2, no stdout, and one stderr line
+    ``openpack <command>: error: ...`` that names the bad value."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    lines = err.getvalue().splitlines()
+    assert (code, out.getvalue()) == (2, "")
+    assert len(lines) == 1 and lines[0].startswith(f"openpack {argv[0]}: error: "), lines
+    assert named in lines[0] and "Traceback" not in lines[0]
+
+
+G62 = to_graph6(path(62))
+
+
+class TestInputErrors:
+    """Every command refuses out-of-range input the same way.  The verify
+    cases of ``TestVerify`` go through the same ``expect_input_error``."""
+
+    # (argv, stdin, the text the stderr line must hold)
+    CASES = [
+        (("gen", "path", "--n", "0"), None, "n=0"),
+        (("gen", "cycle", "--n", "2"), None, "n=2"),
+        (("gen", "complete", "--n", "-1"), None, "n=-1"),
+        (("gen", "complete-bipartite", "--a", "2", "--b", "-1"), None, "a=2 b=-1"),
+        (("gen", "star", "--n", "-2"), None, "n=-2"),
+        (("gen", "random", "--n", "70", "--p", "0.1", "--seed", "1"), None, "n=70"),
+        (("gen", "random", "--n", "5", "--p", "1.5", "--seed", "1"), None, "1.5"),
+        (("gen", "tree-random", "--n", "0", "--seed", "1"), None, "n=0"),
+        (("gen", "psi", "--r", "1", "--s", "3"), None, "r=1"),
+        (("gen", "psi", "--r", "2", "--s", "3"), None, "s=3"),
+        (("gen", "ng", "--k", "2"), None, "k=2"),
+        (("gen", "cart-sharp", "--m", "0", "--n", "3"), None, "m=0"),
+        (("gen", "cart-sharp", "--m", "1", "--n", "2"), None, "n=2"),
+        (("enumerate", "--n", "9"), None, "n=9"),
+        (("enumerate", "--n", "0"), None, "n=0"),
+        (("invariant", "--format", "edgelist"), "63 0\n", "n=63"),
+        (("invariant", "--format", "edgelist"), "3 1\n0 5\n", "(0,5)"),
+        (("transform", "--op", "two-step", "--format", "edgelist"), "63 0\n", "n=63"),
+        (("product", "--op", "cart", G62, G62), None, "n=3844"),
+        (("product", "--op", "corona", G62, "A_"), None, "n=186"),
+        (("tree-opp",), "@\n", "n=1"),
+        (("verify", "--theorem", "T1", "--all-n", "3", "--all-upto", "9"), None, "n=9"),
+        (("verify", "--theorem", "T1", "--all-upto", "8", "--jobs", "2"), None, "n=8"),
+        (("verify", "--theorem", "T6", "--lex-grid", "3", "8", "--jobs", "2"), None, "max_h=8"),
+    ]
+
+    @pytest.mark.parametrize("argv, stdin, named", CASES,
+                             ids=["-".join(a for a in c[0][:2] if a[0] != "-") for c in CASES])
+    def test_refused_with_one_line(self, monkeypatch, argv, stdin, named):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+        expect_input_error(argv, named)
+
+    def test_table_covers_every_command(self):
+        def commands(parser):
+            return next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+
+        top = commands(build_parser())
+        expected = {f"gen {family}" for family in commands(top["gen"])}
+        expected |= set(top) - {"gen"}
+        covered = {" ".join(argv[:2]) if argv[0] == "gen" else argv[0]
+                   for argv, _, _ in self.CASES}
+        assert covered == expected
+
+    def test_solver_cap_is_an_input_error(self, monkeypatch):
+        monkeypatch.setenv("OPENPACK_MAX_N", "3")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(to_graph6(complete(4)) + "\n"))
+        expect_input_error(("invariant", "--what", "chi"), "4 vertices")
+
+    def test_exit_status_of_a_real_process(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(openpack.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "openpack.cli", "enumerate", "--n", "9"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "openpack enumerate: error: enumeration needs 1 <= n <= 7, got n=9\n"
+
+    def test_certificate_error_still_raised(self, monkeypatch):
+        # a wrong certificate is a bug, not an input error: it keeps its traceback
+        class BadKernel:
+            @staticmethod
+            def chromatic_number(n, adj):
+                return 1, [1] * n
+
+        monkeypatch.setattr(solvers, "_kernel", BadKernel)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(to_graph6(path(3)) + "\n"))
+        with pytest.raises(solvers.CertificateError):
+            run_cli("invariant", "--what", "chi")
 
 
 class TestGen:
@@ -283,66 +379,52 @@ class TestVerify:
         assert all(r["verdict"] == "equality" for r in rows)
 
     def test_mixed_kind_rejected(self):
-        with pytest.raises(SystemExit):
-            run_cli("verify", "--theorem", "T1,T4", "--all-n", "3")
+        expect_input_error(("verify", "--theorem", "T1,T4", "--all-n", "3"), "one kind")
 
     def test_missing_corpus_rejected(self):
-        with pytest.raises(SystemExit):
-            run_cli("verify", "--theorem", "T1")
+        expect_input_error(("verify", "--theorem", "T1"), "no corpus selected")
 
     def test_missing_corpus_rejected_under_jobs(self):
-        with pytest.raises(SystemExit):
-            run_cli("verify", "--theorem", "T1", "--jobs", "2")
+        expect_input_error(("verify", "--theorem", "T1", "--jobs", "2"), "no corpus selected")
 
     def test_unknown_theorem_rejected(self):
-        with pytest.raises(SystemExit):
-            run_cli("verify", "--theorem", "T77", "--all-n", "3")
+        expect_input_error(("verify", "--theorem", "T77", "--all-n", "3"), "'T77'")
 
     def test_random_trees_past_graph6_cap_rejected_before_output(self):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
-            main(["verify", "--theorem", "T10", "--random-trees", "60", "70", "1", "0"])
-        assert "62" in str(exc.value.code)
-        assert out.getvalue() == ""
+        expect_input_error(
+            ("verify", "--theorem", "T10", "--random-trees", "60", "70", "1", "0"),
+            "n <= 62, got n=70")
 
     @pytest.mark.parametrize("bad", [("0", "2", "1", "1"), ("5", "3", "1", "1"),
                                      ("3", "3", "-1", "1"), ("3", "3", "0", "1")])
     def test_random_trees_bad_range_rejected_before_output(self, bad):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
-            main(["verify", "--theorem", "T10", "--random-trees", *bad])
-        assert "NMIN <= NMAX" in str(exc.value.code)
-        assert out.getvalue() == ""
+        expect_input_error(("verify", "--theorem", "T10", "--random-trees", *bad),
+                           "NMIN <= NMAX")
 
+    # the ids name the values as the messages did when the CLI checked the
+    # enumeration range itself; enumerate_all_graphs, all_graphs_upto,
+    # pair_grid and lex_grid now name their own parameters
     @pytest.mark.parametrize("argv, named", [
-        (("T1", "--all-n", "0"), "N=0"),
-        (("T1", "--all-n", "8"), "N=8"),
-        (("T1", "--all-upto", "0"), "N=0"),
-        (("T1", "--all-upto", "8"), "N=8"),
-        (("T4", "--pair-grid", "0", "0"), "MAXG=0 MAXH=0"),
-        (("T4", "--pair-grid", "3", "8"), "MAXG=3 MAXH=8"),
-        (("T6", "--lex-grid", "1", "3"), "MAXG=1 MAXH=3"),
+        pytest.param(("T1", "--all-n", "0"), "got n=0", id="argv0-N=0"),
+        pytest.param(("T1", "--all-n", "8"), "got n=8", id="argv1-N=8"),
+        pytest.param(("T1", "--all-upto", "0"), "got n=0", id="argv2-N=0"),
+        pytest.param(("T1", "--all-upto", "8"), "got n=8", id="argv3-N=8"),
+        pytest.param(("T4", "--pair-grid", "0", "0"), "got max_g=0", id="argv4-MAXG=0 MAXH=0"),
+        pytest.param(("T4", "--pair-grid", "3", "8"), "got max_h=8", id="argv5-MAXG=3 MAXH=8"),
+        pytest.param(("T6", "--lex-grid", "1", "3"), "got max_g=1", id="argv6-MAXG=1 MAXH=3"),
         (("T4", "--pair-grid", "5", "5"), "25 vertices"),
         (("T6", "--lex-grid", "7", "4"), "28 vertices"),
         (("T5,T7", "--pair-grid", "5", "4"), "T7 products of 25 vertices"),
     ])
     def test_enumerated_corpus_bad_range_rejected_before_output(self, argv, named):
         theorem, *corpus = argv
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
-            main(["verify", "--theorem", theorem, *corpus])
-        assert named in str(exc.value.code)
-        assert out.getvalue() == ""
+        expect_input_error(("verify", "--theorem", theorem, *corpus), named)
 
     @pytest.mark.parametrize("values, named", [
         ("1,0", "'0'"), ("1,x", "'x'"), ("1,", "''"), ("-2", "'-2'"),
     ])
     def test_bad_t_values_rejected_before_output(self, values, named):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
-            main(["verify", "--theorem", "T15", "--t-values", values])
-        assert f"got {named}" in str(exc.value.code)
-        assert out.getvalue() == ""
+        expect_input_error(("verify", "--theorem", "T15", "--t-values", values), f"got {named}")
 
     @pytest.mark.parametrize("flag, grid, theorems", [
         ("--pair-grid", (4, 5), ["T7"]), ("--pair-grid", (4, 6), ["T4", "T5"]),

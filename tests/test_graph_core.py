@@ -101,6 +101,21 @@ class TestGenerators:
         with pytest.raises(GraphError, match="at least one vertex"):
             random_tree(n, seed=1)
 
+    @pytest.mark.parametrize("build, named", [
+        (lambda: complete(-1), "n=-1"),
+        (lambda: complete(0), "n=0"),
+        (lambda: star(-2), "n=-2"),
+        (lambda: star(0), "n=0"),
+        (lambda: complete_bipartite(-2, -1), "a=-2 b=-1"),
+        (lambda: complete_bipartite(2, -1), "a=2 b=-1"),
+        (lambda: complete_bipartite(0, 0), "n=0"),
+        (lambda: path(0), "n=0"),
+        (lambda: cycle(2), "n=2"),
+    ])
+    def test_bad_size_named(self, build, named):
+        with pytest.raises(GraphError, match=named):
+            build()
+
     def test_random_tree_deterministic(self):
         assert random_tree(30, seed=5) == random_tree(30, seed=5)
         assert random_tree(30, seed=5) != random_tree(30, seed=6)
@@ -187,6 +202,12 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(GraphError):
             next(enumerate_all_graphs(8))
+
+    @pytest.mark.parametrize("n", [-1, 0, 8])
+    def test_refused_at_the_call(self, n):
+        # before the first graph is asked for, not at the first next()
+        with pytest.raises(GraphError, match=f"got n={n}"):
+            enumerate_all_graphs(n)
 
 
 class TestIsomorphism:

@@ -9,6 +9,7 @@ from openpack.constructions import PsiSpec, ng_extremal, psi_graph
 from openpack.formats import to_graph6
 from openpack.graph import (
     Graph,
+    GraphError,
     complete,
     complete_bipartite,
     cycle,
@@ -405,6 +406,30 @@ class TestRunner:
         lines = table.splitlines()
         assert lines[0].startswith("theorem")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("build, args, named", [
+        (harness.all_graphs_upto, (0,), "n=0"),
+        (harness.all_graphs_upto, (8,), "n=8"),
+        (harness.pair_grid, (0, 3), "max_g=0"),
+        (harness.pair_grid, (3, 8), "max_h=8"),
+        (harness.lex_grid, (1, 3), "2 <= max_g"),
+        (harness.lex_grid, (3, -1), "max_h=-1"),
+    ])
+    def test_corpus_builders_refuse_at_the_call(self, build, args, named):
+        # before the first instance is asked for, so no row is written first
+        with pytest.raises(GraphError, match=named):
+            build(*args)
+
+    @pytest.mark.parametrize("theorems, named", [
+        (["T1", "T99"], "'T99'"), (["T1", "T4"], "one kind"), ([], "one kind"),
+    ])
+    def test_theorem_kind_refuses(self, theorems, named):
+        with pytest.raises(GraphError, match=named):
+            harness.theorem_kind(theorems)
+
+    def test_theorem_kind(self):
+        assert [harness.theorem_kind(t) for t in (["T1", "T3"], ["T4", "T7"], ["T15"])] == [
+            "single", "pair", "param"]
 
     def test_lex_grid_respects_hypothesis(self):
         pairs = list(harness.lex_grid(3, 2))

@@ -1,5 +1,6 @@
-"""The library checks its certificates with explicit code, never with ``assert``,
-which ``python -O`` strips."""
+"""Checks on the source tree: the library checks its certificates with
+explicit code, never with ``assert``, which ``python -O`` strips, and the CLI
+exits the process only from its ``__main__`` block."""
 
 import ast
 from pathlib import Path
@@ -16,3 +17,24 @@ def test_no_assert_statement(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
+
+
+def _is_main_guard(node) -> bool:
+    return (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+            and isinstance(node.test.left, ast.Name) and node.test.left.id == "__name__"
+            and [type(op) for op in node.test.ops] == [ast.Eq]
+            and [getattr(c, "value", None) for c in node.test.comparators] == ["__main__"])
+
+
+def test_cli_exits_only_under_main():
+    """The CLI's errors reach ``main``'s one handler as exceptions; only the
+    ``__main__`` block turns its status into a process exit."""
+    path = Path(openpack.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    guarded = {id(node) for guard in ast.walk(tree) if _is_main_guard(guard)
+               for node in ast.walk(guard)}
+    exits = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and "SystemExit" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+             and id(node) not in guarded]
+    assert exits == [], f"cli.py raises SystemExit outside __main__ on lines {exits}"

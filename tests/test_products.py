@@ -20,6 +20,7 @@ from openpack.graph import (
     random_graph,
 )
 from openpack.products import (
+    PRODUCTS,
     CoronaLayout,
     ProductVertexMap,
     cartesian,
@@ -27,6 +28,7 @@ from openpack.products import (
     direct,
     isolated_vertex_count,
     lexicographic,
+    order,
     strong,
 )
 
@@ -235,3 +237,14 @@ class TestMisc:
         big = random_graph(70, 0.1, 1)
         with pytest.raises(GraphError):
             cartesian(big, big)
+
+    @pytest.mark.parametrize("op", sorted(PRODUCTS))
+    def test_order_is_the_built_order(self, op):
+        for g, h in [(path(3), cycle(4)), (K1, K2), (complete(4), K1)]:
+            assert PRODUCTS[op](g, h)[0].n == order(op, g.n, h.n)
+
+    @pytest.mark.parametrize("op", sorted(PRODUCTS))
+    def test_size_cap_names_the_order(self, op):
+        big = Graph(65, [0] * 65)
+        with pytest.raises(GraphError, match=f"would have {order(op, 65, 65)} vertices"):
+            PRODUCTS[op](big, big)
