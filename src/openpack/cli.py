@@ -9,7 +9,7 @@ from itertools import chain
 
 from . import constructions, harness, solvers, transforms
 from .constructions import PsiSpec
-from .formats import check_graph6_order, parse_edge_list_text, parse_graph6, to_graph6
+from .formats import FormatError, check_graph6_order, parse_edge_list_text, parse_graph6, to_graph6
 from .graph import (
     Graph,
     GraphError,
@@ -33,10 +33,23 @@ def _dump(obj) -> str:
 
 
 def _read_text(path_arg: str) -> str:
-    if path_arg == "-":
-        return sys.stdin.read()
-    with open(path_arg, "r", encoding="ascii") as fh:
-        return fh.read()
+    try:
+        if path_arg == "-":
+            return sys.stdin.read()
+        with open(path_arg, "r", encoding="ascii") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise GraphError(f"cannot read {path_arg}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path_arg}: byte {exc.object[exc.start]:#04x} "
+                          f"at offset {exc.start} is not ASCII") from exc
+
+
+def _open_out(path_arg: str):
+    try:
+        return open(path_arg, "w", encoding="ascii")
+    except OSError as exc:
+        raise GraphError(f"cannot write {path_arg}: {exc.strerror or exc}") from exc
 
 
 def _input_graphs(args) -> list[Graph]:
@@ -142,10 +155,10 @@ def cmd_product(args) -> int:
     h = parse_graph6(args.graph_b)
     check_graph6_order(order(args.op, g.n, h.n))
     prod, layout = PRODUCTS[args.op](g, h)
-    print(to_graph6(prod))
     if args.layout_out:
-        with open(args.layout_out, "w", encoding="ascii") as fh:
+        with _open_out(args.layout_out) as fh:
             fh.write(_dump(layout.to_json_obj()) + "\n")
+    print(to_graph6(prod))
     return 0
 
 
@@ -236,8 +249,7 @@ def cmd_verify(args) -> int:
     if kind == "single":
         instances = _single_corpus(args)
         for name in args.filter or []:
-            predicate = harness.CORPUS_FILTERS[name]
-            instances = (g for g in instances if predicate(g))
+            instances = filter(harness.CORPUS_FILTERS[name], instances)
     elif kind == "pair":
         if args.lex_grid:
             _check_grid("--lex-grid", *args.lex_grid, theorems)
@@ -253,7 +265,7 @@ def cmd_verify(args) -> int:
         instances = _t_values(args.t_values)
 
     options = harness.RunOptions(strict=args.strict, tree_confirm_n=args.tree_confirm_n)
-    out = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
+    out = _open_out(args.out) if args.out else sys.stdout
     rows = harness.run_corpus(theorems, instances, jobs=args.jobs, options=options)
 
     def written(rows):

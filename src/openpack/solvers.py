@@ -267,7 +267,21 @@ def _min_cover(n: int, cover: list[int]) -> tuple[int, int]:
       ``|cover[u] & uncovered|`` add up to |uncovered|.
 
     ``best`` changes only on a strictly smaller cover, and a pruned subtree
-    holds none, so the bounds change the running time, never the result.
+    holds none, so the bounds change the running time, never the result.  Two
+    more shortcuts skip work whose outcome is already known, with the same
+    argument:
+
+    * last pick: at ``room == 2`` only a single pick that covers all of
+      ``uncovered`` can improve ``best``.  Such a u covers every uncovered
+      vertex, so it lies in the intersection of their covers, and the search
+      would take the lowest one, in ascending order over ``cover[pick]``, then
+      prune its later siblings; one scan of that intersection does the same;
+    * transposition table: ``expanded`` maps each residual ``uncovered`` to the
+      smallest size at which it was expanded in this call.  Every pick covers
+      the branching vertex, so a residual recurs only after its first subtree
+      is done; that subtree found every cover of the residual that beat
+      ``best``, and ``best`` only shrinks, so the residual reached again at no
+      smaller size holds no strictly smaller cover and is skipped.
     """
     universe = (1 << n) - 1
 
@@ -298,9 +312,23 @@ def _min_cover(n: int, cover: list[int]) -> tuple[int, int]:
         left = uncovered.bit_count()
         if -(-left // max_cover) >= room:
             return
+        if room == 2:
+            common, m = universe, uncovered
+            while m and common:
+                low = m & -m
+                m ^= low
+                common &= cover[low.bit_length() - 1]
+            if common:
+                best[0], best[1] = size + 1, mask | (common & -common)
+            return
+        if expanded.get(uncovered, n) <= size:
+            return
+        expanded[uncovered] = size
         packed, hit = 0, 0
         for bit, cv in by_size:
             if uncovered & bit and not cv & hit:
+                if not packed:  # the most constrained uncovered vertex
+                    options = cv
                 packed += 1
                 if packed >= room:
                     return
@@ -308,17 +336,10 @@ def _min_cover(n: int, cover: list[int]) -> tuple[int, int]:
         gains = sorted([(cv & uncovered).bit_count() for cv in cover], reverse=True)
         if sum(gains[:room - 1]) < left:
             return
-        pick, nopts = -1, n + 1
-        m = uncovered
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            c = cover[v].bit_count()
-            if c < nopts:
-                pick, nopts = v, c
-        for u in iter_bits(cover[pick]):
+        for u in iter_bits(options):
             extend(uncovered & ~cover[u], size + 1, mask | 1 << u)
 
+    expanded: dict[int, int] = {}
     extend(universe, 0, 0)
     return best[0], best[1]
 

@@ -18,12 +18,13 @@ from openpack.graph import (
     complete,
     cycle,
     disjoint_union,
+    enumerate_all_graphs,
     is_isomorphic,
     is_tree,
     path,
     random_graph,
 )
-from openpack.harness import all_graphs_upto
+from openpack.harness import CORPUS_FILTERS, all_graphs_upto
 from openpack.solvers import VertexLabeling, is_opp
 
 
@@ -79,13 +80,23 @@ class TestInputErrors:
         (("verify", "--theorem", "T1", "--all-n", "3", "--all-upto", "9"), None, "n=9"),
         (("verify", "--theorem", "T1", "--all-upto", "8", "--jobs", "2"), None, "n=8"),
         (("verify", "--theorem", "T6", "--lex-grid", "3", "8", "--jobs", "2"), None, "max_h=8"),
+        # file errors; {tmp} is a fresh directory holding only nonascii.g6
+        (("invariant", "--input", "{tmp}/missing.g6"), None, "cannot read {tmp}/missing.g6"),
+        (("verify", "--theorem", "T1", "--g6-file", "{tmp}/nonascii.g6"), None,
+         "cannot read {tmp}/nonascii.g6: byte 0xc3"),
+        (("verify", "--theorem", "T1", "--all-n", "3", "--out", "{tmp}/no-dir/rows.jsonl"), None,
+         "cannot write {tmp}/no-dir/rows.jsonl"),
+        (("product", "--op", "cart", "Bw", "Bw", "--layout-out", "{tmp}/no-dir/layout.json"), None,
+         "cannot write {tmp}/no-dir/layout.json"),
     ]
 
     @pytest.mark.parametrize("argv, stdin, named", CASES,
                              ids=["-".join(a for a in c[0][:2] if a[0] != "-") for c in CASES])
-    def test_refused_with_one_line(self, monkeypatch, argv, stdin, named):
+    def test_refused_with_one_line(self, monkeypatch, tmp_path, argv, stdin, named):
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
-        expect_input_error(argv, named)
+        (tmp_path / "nonascii.g6").write_bytes(b"B\xc3\n")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        expect_input_error(argv, named.replace("{tmp}", str(tmp_path)))
 
     def test_table_covers_every_command(self):
         def commands(parser):
@@ -348,6 +359,16 @@ class TestVerify:
                             "--filter", "even-cycle-free")
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert rows and all(r["verdict"] != "skipped" for r in rows)
+
+    def test_filters_combine(self):
+        # each --filter keeps its own predicate, so two filters keep the
+        # graphs that pass both
+        filters = ("connected", "even-cycle-free")
+        keep = sum(all(CORPUS_FILTERS[name](g) for name in filters)
+                   for g in enumerate_all_graphs(5))
+        code, out = run_cli("verify", "--theorem", "T3", "--all-n", "5",
+                            "--filter", filters[0], "--filter", filters[1])
+        assert code == 0 and len(out.splitlines()) == keep
 
     def test_t15(self):
         code, out = run_cli("verify", "--theorem", "T15", "--t-values", "1,2")

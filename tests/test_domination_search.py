@@ -1,11 +1,17 @@
-"""The domination search's packing and residual-gain bounds.
+"""The domination search's bounds and shortcuts.
 
 ``solvers._min_cover`` prunes a subtree once a lower bound on the picks it
-still needs reaches the room left below the best cover so far.  The bounds
-decide only when to prune; the branching rule, child order and greedy seed
-are those of the search with the static bound alone, so every (size, mask)
-must stay byte-identical to ``oracles.reference_min_cover``.
+still needs reaches the room left below the best cover so far, closes the
+last pick (``room == 2``) with one scan, and skips a residual already expanded
+at no larger size.  These skip only subtrees that cannot change the best cover;
+the branching rule, child order and greedy seed are those of the search with
+the static bound alone, so every (size, mask) must stay byte-identical to
+``oracles.reference_min_cover``.  A SHA-256 of the covers of the 40-56 vertex
+medium graphs, recorded before the last-pick scan and the transposition table,
+pins the bytes there too.
 """
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -25,16 +31,20 @@ def closed_cover(g: Graph) -> list[int]:
     return [g.adj[v] | 1 << v for v in range(g.n)]
 
 
+def covers(g: Graph) -> list[list[int]]:
+    """The closed cover, and the open one when gamma_t is defined."""
+    return [closed_cover(g)] + ([list(g.adj)] if all(g.adj) else [])
+
+
 def assert_matches_reference(g: Graph) -> None:
-    covers = [closed_cover(g)] + ([list(g.adj)] if all(g.adj) else [])
-    for cover in covers:
+    for cover in covers(g):
         assert solvers._min_cover(g.n, cover) == \
             oracles.reference_min_cover(g.n, cover), (g.n, g.adj)
 
 
 class TestCoverParity:
-    def test_every_graph_upto_5(self):
-        for g in all_graphs_upto(5):
+    def test_every_graph_upto_6(self):
+        for g in all_graphs_upto(6):
             assert_matches_reference(g)
 
     @settings(max_examples=60, deadline=None)
@@ -59,3 +69,18 @@ class TestFormerlySlowInstances:
         size, cert = solve(g)
         assert size == 11
         assert (size, cert.bits) == oracles.reference_min_cover(g.n, cover(g))
+
+
+class TestMediumCoverBytes:
+    # SHA-256 of the 71 (size, mask) pairs on the 36 medium G(n, p, seed) graphs
+    DIGEST = "5e26ec0f56eacb3f938d91a189d3e3017113fefd276e9761ee52efcde223544f"
+
+    def test_medium_random_graphs(self):
+        sha = hashlib.sha256()
+        for n in (40, 48, 56):
+            for p in (0.1, 0.2, 0.3, 0.5):
+                for seed in range(3):
+                    g = random_graph(n, p, seed)
+                    for cover in covers(g):
+                        sha.update(repr(solvers._min_cover(g.n, cover)).encode() + b"\n")
+        assert sha.hexdigest() == self.DIGEST
