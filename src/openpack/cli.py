@@ -220,7 +220,7 @@ def _single_corpus(args):
 def _check_grid(flag: str, max_g: int, max_h: int, theorems: list[str]) -> None:
     """Reject a grid whose largest product is past the harness's product cap."""
     for tid in theorems:
-        largest = order(harness.PAIR_PRODUCTS[tid], max_g, max_h)
+        largest = order(harness.CHECKS[tid].product, max_g, max_h)
         if largest > harness.HARNESS_MAX_PRODUCT_N:
             raise GraphError(
                 f"{flag} {max_g} {max_h} gives {tid} products of {largest} vertices, "
@@ -229,14 +229,16 @@ def _check_grid(flag: str, max_g: int, max_h: int, theorems: list[str]) -> None:
 
 
 def _t_values(text: str) -> list[int]:
+    """Every t of ``--t-values``, each checked against T15's range now."""
     values = []
     for token in text.split(","):
         try:
             t = int(token)
         except ValueError:
             t = None
-        if t is None or t < 1:
-            raise GraphError(f"--t-values needs comma-separated integers t >= 1, got {token!r}")
+        if t is None or not 1 <= t <= harness.T15_MAX_T:
+            raise GraphError(f"--t-values needs comma-separated integers "
+                             f"1 <= t <= {harness.T15_MAX_T}, got {token!r}")
         values.append(t)
     return values
 

@@ -1,11 +1,13 @@
 """Claim-by-claim verification over graph corpora, with JSONL emission.
 
-Each registered check (T1..T15) turns one instance into one or more
-``TheoremCheckResult`` rows.  A row records one elementary relation:
+Each check (T1..T15) is registered in ``CHECKS`` by ``@_theorem``, beside
+its definition, with the kind of instance it takes and the relation its rows
+assert.  It turns one instance into one or more ``TheoremCheckResult`` rows,
+and a row records one elementary relation, judged by ``_verdict``:
 
 * bound checks (T1-T5, T8, T9, T14) claim ``lhs <= rhs``; verdict ``holds``
   when strict, ``equality`` when tight, ``violated`` otherwise;
-* exact-value checks (T6, T7, T10, T12, T15) claim ``lhs == rhs``; verdict
+* exact-value checks (T6, T7, T10-T12, T15) claim ``lhs == rhs``; verdict
   ``equality`` on success;
 * biconditional checks (T13) compare two 0/1 sides and report ``holds``;
 * instances failing a check's hypothesis become ``skipped`` rows, and checks
@@ -18,11 +20,10 @@ and is re-verified before emission.
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from multiprocessing import get_context
 
@@ -30,6 +31,7 @@ from . import solvers
 from .constructions import tree_opp
 from .formats import parse_graph6, to_graph6
 from .graph import (
+    ISOMORPHISM_MAX_N,
     Graph,
     GraphError,
     check_enumerable,
@@ -51,23 +53,18 @@ from .transforms import every_edge_on_triangle, has_even_cycle
 
 HARNESS_MAX_PRODUCT_N = 24
 TREE_SOLVER_CONFIRM_N = 12
-# Entries in one run's factor memo: every distinct factor of a 5x5 pair grid
-# (1,099 graphs) fits, so the cyclic inner loop of pair_grid never evicts.
+# Entries in one run's factor memo, the lru_cache of pair factors' GraphFacts
+# by graph: every distinct factor of a 5x5 pair grid (1,099 graphs) fits, so
+# the cyclic inner loop of pair_grid never evicts.
 FACTOR_FACTS_MAX = 2048
+# the largest t T15 takes: the isomorphism test must take C(4t+2)
+T15_MAX_T = (ISOMORPHISM_MAX_N - 2) // 4
 
 HOLDS = "holds"
 EQUALITY = "equality"
 VIOLATED = "violated"
 REPORT_ONLY = "report_only"
 SKIPPED = "skipped"
-
-
-# relation each theorem's rows assert between lhs and rhs
-_RELATION = {
-    "T1": "le", "T2": "le", "T3": "le", "T4": "le", "T5": "le",
-    "T6": "eq", "T7": "eq", "T8": "le", "T9": "le", "T10": "eq",
-    "T11": "eq", "T12": "eq", "T13": "iff", "T14": "le", "T15": "eq",
-}
 
 
 @dataclass
@@ -119,32 +116,6 @@ class GraphFacts(solvers.GraphFacts):
         return self.connected and diameter(self.g) <= 2
 
 
-class FactorFacts:
-    """The ``GraphFacts`` of the pair factors seen in one run, by graph.
-
-    Pair corpora repeat each factor across many pairs, so its p_o and chi2
-    are solved once per run rather than once per pair.  At most
-    ``FACTOR_FACTS_MAX`` entries are held; the least recently used goes first.
-    """
-
-    def __init__(self):
-        self._facts: OrderedDict[Graph, GraphFacts] = OrderedDict()
-        self._max = FACTOR_FACTS_MAX
-
-    def __call__(self, g: Graph) -> GraphFacts:
-        facts = self._facts.get(g)
-        if facts is not None:
-            self._facts.move_to_end(g)
-            return facts
-        facts = self._facts[g] = GraphFacts(g)
-        if len(self._facts) > self._max:
-            self._facts.popitem(last=False)
-        return facts
-
-    def __len__(self) -> int:
-        return len(self._facts)
-
-
 # ---------------------------------------------------------------------------
 # Witness certificates
 
@@ -179,19 +150,15 @@ _CERT_KINDS = {
 }
 
 
-def _witness(*parts) -> Callable[[], dict]:
-    """A witness built only when called: its certificates in the order given,
+def _witness(parts: tuple) -> dict:
+    """The witness of a violated row: its certificates in the order given,
     each part either a ``(facts, invariant name)`` pair or a finished
     certificate."""
-
-    def build() -> dict:
-        return {"certificates": [
-            part if isinstance(part, dict)
-            else _cert(_CERT_KINDS[part[1]], part[0].g6, getattr(part[0], part[1])[1])
-            for part in parts
-        ]}
-
-    return build
+    return {"certificates": [
+        part if isinstance(part, dict)
+        else _cert(_CERT_KINDS[part[1]], part[0].g6, getattr(part[0], part[1])[1])
+        for part in parts
+    ]}
 
 
 def _fits(g: Graph, cert: dict) -> bool:
@@ -215,10 +182,7 @@ def reverify_violation(row: TheoremCheckResult) -> None:
         raise ValueError("only violated rows carry a reverifiable witness")
     if row.witness is None:
         raise ValueError("violated row without witness")
-    relation = _RELATION[row.theorem]
-    if relation == "le" and row.lhs <= row.rhs:
-        raise ValueError("violated row whose relation holds")
-    if relation in ("eq", "iff") and row.lhs == row.rhs:
+    if _verdict(CHECKS[row.theorem].relation, row.lhs, row.rhs) != VIOLATED:
         raise ValueError("violated row whose relation holds")
     for cert in row.witness.get("certificates", []):
         kind = cert["kind"]
@@ -239,19 +203,47 @@ def reverify_violation(row: TheoremCheckResult) -> None:
             raise ValueError(f"certificate of kind {kind!r} failed verification")
 
 
-def _bound_row(theorem, instance, lhs, rhs, witness_fn) -> TheoremCheckResult:
-    """Row asserting lhs <= rhs."""
-    if lhs > rhs:
-        return TheoremCheckResult(theorem, instance, VIOLATED, lhs, rhs, witness_fn())
-    verdict = EQUALITY if lhs == rhs else HOLDS
-    return TheoremCheckResult(theorem, instance, verdict, lhs, rhs)
+# ---------------------------------------------------------------------------
+# The registry and the verdict rule
 
 
-def _exact_row(theorem, instance, lhs, rhs, witness_fn) -> TheoremCheckResult:
-    """Row asserting lhs == rhs."""
-    if lhs != rhs:
-        return TheoremCheckResult(theorem, instance, VIOLATED, lhs, rhs, witness_fn())
-    return TheoremCheckResult(theorem, instance, EQUALITY, lhs, rhs)
+# every check by its theorem id, each registered by @_theorem beside it
+CHECKS: dict[str, Callable[..., list[TheoremCheckResult]]] = {}
+
+
+def _theorem(tid: str, kind: str, relation: str, product: str | None = None):
+    """Register the decorated function as the check of theorem ``tid``.
+
+    ``kind`` is the instance it takes (``single``: one graph's facts,
+    ``pair``: two factors' facts, ``param``: an integer), ``relation`` what
+    its rows assert between lhs and rhs (``le``, ``eq`` or ``iff``), and a
+    pair theorem's ``product`` its name in ``products.PRODUCTS``.  They are
+    kept as attributes of the function, so a wrapper made with
+    ``functools.wraps`` carries them too.
+    """
+
+    def register(check):
+        check.kind, check.relation, check.product = kind, relation, product
+        CHECKS[tid] = check
+        return check
+
+    return register
+
+
+def _verdict(relation: str, lhs: int, rhs: int) -> str:
+    """``le`` holds when strict and is an equality when tight; ``eq`` is an
+    equality; ``iff``, between two 0/1 flags, holds.  Otherwise violated."""
+    if lhs == rhs:
+        return HOLDS if relation == "iff" else EQUALITY
+    return HOLDS if relation == "le" and lhs < rhs else VIOLATED
+
+
+def _row(tid, instance, lhs, rhs, witness_parts: tuple) -> TheoremCheckResult:
+    """Row of theorem ``tid`` on lhs and rhs; a violated one carries the
+    witness built from ``witness_parts``."""
+    verdict = _verdict(CHECKS[tid].relation, lhs, rhs)
+    witness = _witness(witness_parts) if verdict == VIOLATED else None
+    return TheoremCheckResult(tid, instance, verdict, lhs, rhs, witness)
 
 
 def _skipped(theorem, instance) -> TheoremCheckResult:
@@ -262,32 +254,35 @@ def _skipped(theorem, instance) -> TheoremCheckResult:
 # Single-graph checks
 
 
+@_theorem("T1", "single", "le")
 def check_T1(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """n <= p_o * rho_o and p_o <= n - rho_o + 1."""
     po, rho_o = facts.p_o[0], facts.rho_o[0]
-    witness = _witness((facts, "p_o"), (facts, "rho_o"))
+    witness = ((facts, "p_o"), (facts, "rho_o"))
     return [
-        _bound_row("T1", facts.g6, facts.g.n, po * rho_o, witness),
-        _bound_row("T1", facts.g6, po, facts.g.n - rho_o + 1, witness),
+        _row("T1", facts.g6, facts.g.n, po * rho_o, witness),
+        _row("T1", facts.g6, po, facts.g.n - rho_o + 1, witness),
     ]
 
 
+@_theorem("T2", "single", "le")
 def check_T2(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """chi2 <= 2 * p_o and p_o <= chi2."""
     po, chi2 = facts.p_o[0], facts.chi2[0]
-    witness = _witness((facts, "p_o"), (facts, "chi2"))
+    witness = ((facts, "p_o"), (facts, "chi2"))
     return [
-        _bound_row("T2", facts.g6, chi2, 2 * po, witness),
-        _bound_row("T2", facts.g6, po, chi2, witness),
+        _row("T2", facts.g6, chi2, 2 * po, witness),
+        _row("T2", facts.g6, po, chi2, witness),
     ]
 
 
+@_theorem("T3", "single", "le")
 def check_T3(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """max degree <= p_o."""
     hub = max(range(facts.g.n), key=lambda v: (facts.g.degree(v), -v))
-    witness = _witness((facts, "p_o"), {"kind": "degree_witness", "graph6": facts.g6,
-                                        "vertex": hub, "degree": facts.maxdeg})
-    return [_bound_row("T3", facts.g6, facts.maxdeg, facts.p_o[0], witness)]
+    witness = ((facts, "p_o"), {"kind": "degree_witness", "graph6": facts.g6,
+                                "vertex": hub, "degree": facts.maxdeg})
+    return [_row("T3", facts.g6, facts.maxdeg, facts.p_o[0], witness)]
 
 
 def has_matching_partition_structure(g: Graph, labeling: VertexLabeling, part_size: int) -> bool:
@@ -310,6 +305,7 @@ def has_matching_partition_structure(g: Graph, labeling: VertexLabeling, part_si
     return True
 
 
+@_theorem("T8", "single", "le")
 def check_T8(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """Degree-density lower bound, in integer-exact squared form:
     2m - n <= p_o (p_o - 1) rho_o, with equality exactly on the matching family."""
@@ -319,23 +315,20 @@ def check_T8(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]
     lhs = 2 * facts.g.m - facts.g.n
     rhs = po * (po - 1) * rho_o
     parts = ((facts, "p_o"), (facts, "rho_o"))
-    if lhs > rhs:
-        return [TheoremCheckResult("T8", facts.g6, VIOLATED, lhs, rhs, _witness(*parts)())]
-    if lhs == rhs:
-        rows = [TheoremCheckResult("T8", facts.g6, EQUALITY, lhs, rhs)]
-        if not has_matching_partition_structure(facts.g, po_lab, rho_o):
-            # equality is supposed to force the matching structure; flag row
-            # compares the required flag (1) against the observed one (0)
-            wit = _witness(*parts, _value_cert("matching_partition_structure", 0))()
-            rows.append(TheoremCheckResult("T8", facts.g6, VIOLATED, 1, 0, wit))
-        return rows
-    return [TheoremCheckResult("T8", facts.g6, HOLDS, lhs, rhs)]
+    row = _row("T8", facts.g6, lhs, rhs, parts)
+    if row.verdict != EQUALITY or has_matching_partition_structure(facts.g, po_lab, rho_o):
+        return [row]
+    # equality is supposed to force the matching structure; the flag row
+    # compares the required flag (1) against the observed one (0)
+    flag = (*parts, _value_cert("matching_partition_structure", 0))
+    return [row, _row("T8", facts.g6, 1, 0, flag)]
 
 
 _C4 = cycle(4)
 _TWO_P2 = disjoint_union(from_edge_list(2, [(0, 1)]), from_edge_list(2, [(0, 1)]))
 
 
+@_theorem("T9", "single", "le")
 def check_T9(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """p_o(G) + p_o(co-G) >= n, except the two 4-vertex graphs where the sum
     is n - 1 (reported, not asserted)."""
@@ -347,10 +340,11 @@ def check_T9(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]
     if excluded:
         # the two excluded graphs sit exactly one below the bound
         return [TheoremCheckResult("T9", facts.g6, REPORT_ONLY, facts.g.n - 1, total)]
-    witness = _witness((facts, "p_o"), (co, "p_o"))
-    return [_bound_row("T9", facts.g6, facts.g.n, total, witness)]
+    witness = ((facts, "p_o"), (co, "p_o"))
+    return [_row("T9", facts.g6, facts.g.n, total, witness)]
 
 
+@_theorem("T10", "single", "eq")
 def check_T10(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """Trees: the constructed partition is a valid OPP on exactly max-degree
     classes; for small trees the solver confirms p_o = max degree."""
@@ -361,13 +355,14 @@ def check_T10(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult
         # not a theorem violation: the constructor itself is broken
         raise RuntimeError(f"tree labeling construction failed on {facts.g6}")
     if facts.g.n <= options.tree_confirm_n:
-        witness = _witness((facts, "p_o"), _cert("opp_labeling", facts.g6, labeling))
-        return [_exact_row("T10", facts.g6, facts.p_o[0], facts.maxdeg, witness)]
+        witness = ((facts, "p_o"), _cert("opp_labeling", facts.g6, labeling))
+        return [_row("T10", facts.g6, facts.p_o[0], facts.maxdeg, witness)]
     # too large for the exact solver: the valid construction certifies
     # p_o <= max degree, reported as holding without the solver equality
     return [TheoremCheckResult("T10", facts.g6, HOLDS, labeling.k, facts.maxdeg)]
 
 
+@_theorem("T11", "single", "eq")
 def check_T11(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """Even-cycle-free graphs: report chi(N(g)) against omega(N(g)).
 
@@ -378,46 +373,43 @@ def check_T11(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult
         return [_skipped("T11", facts.g6)]
     chi_n, omega_n = facts.p_o[0], facts.omega_N[0]
     if is_tree(facts.g) or options.strict:
-        witness = _witness((facts, "p_o"), (facts, "omega_N"))
-        return [_exact_row("T11", facts.g6, chi_n, omega_n, witness)]
+        witness = ((facts, "p_o"), (facts, "omega_N"))
+        return [_row("T11", facts.g6, chi_n, omega_n, witness)]
     return [TheoremCheckResult("T11", facts.g6, REPORT_ONLY, chi_n, omega_n)]
 
 
+@_theorem("T12", "single", "eq")
 def check_T12(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """Bipartite complement forces chi(N(g)) = omega(N(g))."""
     if not is_bipartite(complement(facts.g)):
         return [_skipped("T12", facts.g6)]
-    witness = _witness((facts, "p_o"), (facts, "omega_N"))
-    return [_exact_row("T12", facts.g6, facts.p_o[0], facts.omega_N[0], witness)]
+    witness = ((facts, "p_o"), (facts, "omega_N"))
+    return [_row("T12", facts.g6, facts.p_o[0], facts.omega_N[0], witness)]
 
 
+@_theorem("T13", "single", "iff")
 def check_T13(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """For n >= 3: rho_o = 1 iff (diameter <= 2 and every edge on a triangle),
     and the same condition is equivalent to p_o = n."""
     if facts.g.n < 3:
         return [_skipped("T13", facts.g6)]
     condition = int(facts.diameter_le_2 and every_edge_on_triangle(facts.g))
-    rows = []
-    for lhs, name in ((int(facts.rho_o[0] == 1), "rho_o"),
-                      (int(facts.p_o[0] == facts.g.n), "p_o")):
-        if lhs != condition:
-            rows.append(TheoremCheckResult("T13", facts.g6, VIOLATED, lhs,
-                                           condition, _witness((facts, name))()))
-        else:
-            rows.append(TheoremCheckResult("T13", facts.g6, HOLDS, lhs, condition))
-    return rows
+    return [_row("T13", facts.g6, lhs, condition, ((facts, name),))
+            for lhs, name in ((int(facts.rho_o[0] == 1), "rho_o"),
+                              (int(facts.p_o[0] == facts.g.n), "p_o"))]
 
 
+@_theorem("T14", "single", "le")
 def check_T14(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """rho <= gamma always; rho_o <= gamma_t when there is no isolated vertex."""
-    closed_witness = _witness((facts, "rho"), (facts, "gamma"))
-    rows = [_bound_row("T14", facts.g6, facts.rho[0], facts.gamma[0], closed_witness)]
+    closed_witness = ((facts, "rho"), (facts, "gamma"))
+    rows = [_row("T14", facts.g6, facts.rho[0], facts.gamma[0], closed_witness)]
     try:
         gamma_t = facts.gamma_t[0]
     except solvers.UndefinedInvariantError:
         return rows + [_skipped("T14", facts.g6)]
-    open_witness = _witness((facts, "rho_o"), (facts, "gamma_t"))
-    rows.append(_bound_row("T14", facts.g6, facts.rho_o[0], gamma_t, open_witness))
+    open_witness = ((facts, "rho_o"), (facts, "gamma_t"))
+    rows.append(_row("T14", facts.g6, facts.rho_o[0], gamma_t, open_witness))
     return rows
 
 
@@ -425,14 +417,10 @@ def check_T14(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult
 # Pair checks
 
 
-# the product each pair theorem is about, by its name in ``products.PRODUCTS``
-PAIR_PRODUCTS = {"T4": "cart", "T5": "direct", "T6": "lex", "T7": "corona"}
-
-
 def _product_facts(tid: str, fg: GraphFacts, fh: GraphFacts) -> GraphFacts:
     """Fresh facts of the product theorem ``tid`` is about, refused past the
     harness cap."""
-    prod, _ = PRODUCTS[PAIR_PRODUCTS[tid]](fg.g, fh.g)
+    prod, _ = PRODUCTS[CHECKS[tid].product](fg.g, fh.g)
     if prod.n > HARNESS_MAX_PRODUCT_N:
         raise GraphError(
             f"harness product instances cap at {HARNESS_MAX_PRODUCT_N} vertices, got {prod.n}"
@@ -440,33 +428,36 @@ def _product_facts(tid: str, fg: GraphFacts, fh: GraphFacts) -> GraphFacts:
     return GraphFacts(prod)
 
 
+@_theorem("T4", "pair", "le", product="cart")
 def check_T4(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """Cartesian product: max factor p_o <= p_o(prod) <= min mixed products."""
     fp = _product_facts("T4", fg, fh)
     instance = [fg.g6, fh.g6]
-    witness = _witness((fp, "p_o"), (fg, "p_o"), (fh, "p_o"))
+    witness = ((fp, "p_o"), (fg, "p_o"), (fh, "p_o"))
     po_g, po_h, po_p = fg.p_o[0], fh.p_o[0], fp.p_o[0]
     upper = min(po_g * fh.chi2[0], fg.chi2[0] * po_h)
     return [
-        _bound_row("T4", instance, max(po_g, po_h), po_p, witness),
-        _bound_row("T4", instance, po_p, upper, witness),
+        _row("T4", instance, max(po_g, po_h), po_p, witness),
+        _row("T4", instance, po_p, upper, witness),
     ]
 
 
+@_theorem("T5", "pair", "le", product="direct")
 def check_T5(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """Direct product of graphs with edges: max factor p_o <= p_o(prod) <= product."""
     instance = [fg.g6, fh.g6]
     if fg.g.m == 0 or fh.g.m == 0:
         return [_skipped("T5", instance)]
     fp = _product_facts("T5", fg, fh)
-    witness = _witness((fp, "p_o"), (fg, "p_o"), (fh, "p_o"))
+    witness = ((fp, "p_o"), (fg, "p_o"), (fh, "p_o"))
     po_g, po_h, po_p = fg.p_o[0], fh.p_o[0], fp.p_o[0]
     return [
-        _bound_row("T5", instance, max(po_g, po_h), po_p, witness),
-        _bound_row("T5", instance, po_p, po_g * po_h, witness),
+        _row("T5", instance, max(po_g, po_h), po_p, witness),
+        _row("T5", instance, po_p, po_g * po_h, witness),
     ]
 
 
+@_theorem("T6", "pair", "eq", product="lex")
 def check_T6(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """Lexicographic product formula:
     p_o(G o H) = chi2(G)|V(H)| - i_H (chi2(G) - p_o(G)) for connected G, n >= 2."""
@@ -477,25 +468,27 @@ def check_T6(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[Theore
     i_h = isolated_vertex_count(fh.g)
     chi2_g = fg.chi2[0]
     predicted = chi2_g * fh.g.n - i_h * (chi2_g - fg.p_o[0])
-    witness = _witness((fp, "p_o"), (fg, "chi2"), (fg, "p_o"),
-                       _value_cert("isolated_vertices_of_second_factor", i_h))
-    return [_exact_row("T6", instance, fp.p_o[0], predicted, witness)]
+    witness = ((fp, "p_o"), (fg, "chi2"), (fg, "p_o"),
+               _value_cert("isolated_vertices_of_second_factor", i_h))
+    return [_row("T6", instance, fp.p_o[0], predicted, witness)]
 
 
+@_theorem("T7", "pair", "eq", product="corona")
 def check_T7(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """Corona formula: p_o(G . H) = max(p_o(G), |V(H)| + max degree of G)."""
     fp = _product_facts("T7", fg, fh)
     instance = [fg.g6, fh.g6]
     predicted = max(fg.p_o[0], fh.g.n + fg.maxdeg)
-    witness = _witness((fp, "p_o"), (fg, "p_o"),
-                       _value_cert("second_factor_order_plus_max_degree", fh.g.n + fg.maxdeg))
-    return [_exact_row("T7", instance, fp.p_o[0], predicted, witness)]
+    witness = ((fp, "p_o"), (fg, "p_o"),
+               _value_cert("second_factor_order_plus_max_degree", fh.g.n + fg.maxdeg))
+    return [_row("T7", instance, fp.p_o[0], predicted, witness)]
 
 
 # ---------------------------------------------------------------------------
 # Parameterized check
 
 
+@_theorem("T15", "param", "eq")
 def check_T15(t: int, options: RunOptions) -> list[TheoremCheckResult]:
     """two_step(cycle(4t+2)) is two disjoint copies of cycle(2t+1).
 
@@ -504,8 +497,8 @@ def check_T15(t: int, options: RunOptions) -> list[TheoremCheckResult]:
     (chi is always 3; omega is 3 for t = 1, where the cycles are triangles,
     and 2 for t >= 2).
     """
-    if t < 1:
-        raise GraphError("need t >= 1")
+    if not 1 <= t <= T15_MAX_T:
+        raise GraphError(f"T15 needs 1 <= t <= {T15_MAX_T}, got t={t}")
     facts = GraphFacts(cycle(4 * t + 2))
     target = disjoint_union(cycle(2 * t + 1), cycle(2 * t + 1))
     iso = is_isomorphic(facts.two_step, target)
@@ -514,34 +507,23 @@ def check_T15(t: int, options: RunOptions) -> list[TheoremCheckResult]:
     chi_n, omega_n = facts.p_o[0], facts.omega_N[0]
     chi_target = solvers.chromatic_number(target)[0]
     omega_target = solvers.max_independent_set(complement(target))[0]
-    witness = _witness((facts, "p_o"), (facts, "omega_N"),
-                       _value_cert("isomorphic_to_two_odd_cycles", int(iso)))
+    witness = ((facts, "p_o"), (facts, "omega_N"),
+               _value_cert("isomorphic_to_two_odd_cycles", int(iso)))
     return [
-        _exact_row("T15", facts.g6, int(iso), 1, witness),
-        _exact_row("T15", facts.g6, chi_n, chi_target, witness),
-        _exact_row("T15", facts.g6, omega_n, omega_target, witness),
+        _row("T15", facts.g6, int(iso), 1, witness),
+        _row("T15", facts.g6, chi_n, chi_target, witness),
+        _row("T15", facts.g6, omega_n, omega_target, witness),
     ]
 
 
-SINGLE_CHECKS = {
-    "T1": check_T1, "T2": check_T2, "T3": check_T3, "T8": check_T8,
-    "T9": check_T9, "T10": check_T10, "T11": check_T11, "T12": check_T12,
-    "T13": check_T13, "T14": check_T14,
-}
-PAIR_CHECKS = {"T4": check_T4, "T5": check_T5, "T6": check_T6, "T7": check_T7}
-PARAM_CHECKS = {"T15": check_T15}
-CHECKS = {"single": SINGLE_CHECKS, "pair": PAIR_CHECKS, "param": PARAM_CHECKS}
-
-
 def theorem_kind(theorems: Iterable[str]) -> str:
-    """The one key of ``CHECKS`` that holds every id in ``theorems``: a run
-    takes one kind of instance."""
+    """The one instance kind of every check in ``theorems``: a run takes one
+    kind of instance."""
     kinds = set()
     for tid in theorems:
-        kind = next((kind for kind, checks in CHECKS.items() if tid in checks), None)
-        if kind is None:
+        if tid not in CHECKS:
             raise GraphError(f"unknown theorem id {tid!r}")
-        kinds.add(kind)
+        kinds.add(CHECKS[tid].kind)
     if len(kinds) != 1:
         raise GraphError("a run needs theorems of one kind: single-graph, pair or parameter")
     return kinds.pop()
@@ -554,32 +536,26 @@ Instance = Graph | tuple[Graph, Graph] | int
 
 
 def evaluate_instance(theorems: tuple[str, ...], instance: Instance,
-                      options: RunOptions, factors: FactorFacts,
+                      options: RunOptions, factors: Callable[[Graph], GraphFacts],
                       ) -> list[TheoremCheckResult]:
     """Rows of the selected checks on one instance; pair factors come from
     the run's ``factors`` memo, everything else is solved afresh."""
-    rows: list[TheoremCheckResult] = []
     if isinstance(instance, Graph):
-        facts = GraphFacts(instance)
-        for tid in theorems:
-            rows.extend(SINGLE_CHECKS[tid](facts, options))
+        args = (GraphFacts(instance),)
     elif isinstance(instance, tuple):
-        fg, fh = factors(instance[0]), factors(instance[1])
-        for tid in theorems:
-            rows.extend(PAIR_CHECKS[tid](fg, fh, options))
+        args = (factors(instance[0]), factors(instance[1]))
     else:
-        for tid in theorems:
-            rows.extend(PARAM_CHECKS[tid](int(instance), options))
-    return rows
+        args = (int(instance),)
+    return [row for tid in theorems for row in CHECKS[tid](*args, options)]
 
 
 # each pool worker's own factor memo, made by _start_worker and gone with it
-_worker_factors: FactorFacts | None = None
+_worker_factors: Callable[[Graph], GraphFacts] | None = None
 
 
 def _start_worker() -> None:
     global _worker_factors
-    _worker_factors = FactorFacts()
+    _worker_factors = lru_cache(maxsize=FACTOR_FACTS_MAX)(GraphFacts)
 
 
 def _pool_eval(task):
@@ -610,17 +586,19 @@ def run_corpus(theorems: Iterable[str], instances: Iterable[Instance], *,
     Violated rows are re-verified before they are yielded.  With jobs > 1 the
     instances are evaluated by a worker pool; emission order is still the
     corpus order, so output is deterministic either way.  Facts about pair
-    factors are shared within the call through one ``FactorFacts`` (one per
+    factors are shared within the call through one factor memo (one per
     worker under a pool), and none outlive it.
     """
     theorems = tuple(theorems)
     theorem_kind(theorems)
+    if jobs < 1:
+        raise GraphError(f"run_corpus needs jobs >= 1, got jobs={jobs}")
     options = options or RunOptions()
     failure: list[BaseException] = []
     with (get_context("fork").Pool(jobs, initializer=_start_worker) if jobs > 1
           else nullcontext()) as pool:
         if pool is None:
-            factors = FactorFacts()
+            factors = lru_cache(maxsize=FACTOR_FACTS_MAX)(GraphFacts)
             batches = (evaluate_instance(theorems, instance, options, factors)
                        for instance in instances)
         else:

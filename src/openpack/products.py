@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, iter_bits
-
-PRODUCT_MAX_VERTICES = 4096
+from .graph import MAX_VERTICES, Graph, GraphError, iter_bits
 
 
 @dataclass(frozen=True)
@@ -73,8 +71,8 @@ def order(op: str, g_n: int, h_n: int) -> int:
 
 
 def _check_size(layout: ProductVertexMap | CoronaLayout) -> None:
-    if layout.n > PRODUCT_MAX_VERTICES:
-        raise GraphError(f"product would have {layout.n} vertices, cap is {PRODUCT_MAX_VERTICES}")
+    if layout.n > MAX_VERTICES:
+        raise GraphError(f"product would have {layout.n} vertices, cap is {MAX_VERTICES}")
 
 
 def _product(g: Graph, h: Graph, across, within) -> tuple[Graph, ProductVertexMap]:

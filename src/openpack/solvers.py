@@ -496,7 +496,6 @@ class InvariantReport:
 def full_report(g: Graph, with_certificates: bool = True) -> InvariantReport:
     """Every invariant of ``INVARIANTS`` with its certificate, from one
     ``GraphFacts``; gamma_t is left out when g has an isolated vertex."""
-    _require_within_cap(g)
     facts = GraphFacts(g)
     values = {"n": g.n, "m": g.m, "Delta": max_degree(g), "delta": min_degree(g)}
     certificates = {}

@@ -88,6 +88,9 @@ class TestInputErrors:
          "cannot write {tmp}/no-dir/rows.jsonl"),
         (("product", "--op", "cart", "Bw", "Bw", "--layout-out", "{tmp}/no-dir/layout.json"), None,
          "cannot write {tmp}/no-dir/layout.json"),
+        # run_corpus owns the worker count: fewer than one job is refused, not run serially
+        (("verify", "--theorem", "T1", "--all-n", "3", "--jobs", "0"), None, "jobs=0"),
+        (("verify", "--theorem", "T1", "--all-n", "3", "--jobs", "-5"), None, "jobs=-5"),
     ]
 
     @pytest.mark.parametrize("argv, stdin, named", CASES,
@@ -259,6 +262,56 @@ class TestCertificateBytes:
     def test_random_graphs(self, tmp_path, what):
         graphs = [random_graph(9, 0.4, seed) for seed in range(3)]
         assert self.certify_digest(tmp_path, what, graphs) == self.RANDOM9[what]
+
+
+class TestVerifyBytes:
+    """The exact rows of ``verify`` on small corpora, pinned by SHA-256 of each
+    theorem's lines in order, with the run's exit status."""
+
+    # name: (verify arguments, exit status, {theorem: digest of its lines})
+    RUNS = {
+        "single-upto5": (("T1,T2,T3,T8,T9,T10,T11,T12,T13,T14", "--all-upto", "5"), 0, {
+            "T1": "c5befcbfbf253d7f2c5911c5ef20b0e1e4d413d5c2031c2cbe89597ff28e0cc9",
+            "T2": "855c9b3e7ee04f0ee7f6be9e0c226f15819c5581d2cbfb7bb284c141abcdbbf3",
+            "T3": "2a28c3e3ed5b9d264f440bd7756ba9d6181592cd0c2c5bd9dbf162683e52f505",
+            "T8": "64c1ad4a112f5582bb57bd53890ecc6ddd26e12895718b12765d468abcbbddab",
+            "T9": "1535579fdf3eb1489fdbcbeee2760c41f027c543c0f9b24fab884d4a4e800bd0",
+            "T10": "cbf541900b2becafa22360f9c42bfdc80df6ef1f6b91defc2367f555811dfa1d",
+            "T11": "aae59304c32c46d0b75f4a39a31013bdf5f8c804c9c634b1440e8d9549f63af9",
+            "T12": "08578fe622ebbcaaff6c6738351de350ee169b1b48666c2d1cd1bb3d8c6306c5",
+            "T13": "111367a3767558b14eb8a7720cc5f687083ceaf99c7a17deb0c75ac42c6c7344",
+            "T14": "69d673f789a53bb5633798493f4b9e2eab7c63778b39679c0fdc421e51a14888",
+        }),
+        # 12 violated T11 rows: the even-cycle-free equality fails
+        "strict-upto5": (("T11,T12", "--all-upto", "5", "--strict"), 1, {
+            "T11": "cdbef050eaacc554c3b84664276eb681fc1518247e015d0544f6088ada4e117d",
+            "T12": "08578fe622ebbcaaff6c6738351de350ee169b1b48666c2d1cd1bb3d8c6306c5",
+        }),
+        # 20 violated T7 rows: the corona formula's counterexamples
+        "pair-grid-3-3": (("T4,T5,T6,T7", "--pair-grid", "3", "3"), 1, {
+            "T4": "44ee0d9368f773865388923ca6715a915fac3916542c8139782f478b35796c27",
+            "T5": "1b1b2fc36f740abb77f310d55badbe898861b0972f5ff7cdfc816314a4d68f3c",
+            "T6": "81298d1004ccd4f057c95976dbb1da6c88cfdd4677dc1703ddd4feb839d39b7d",
+            "T7": "9abf726793beb7bbeaa8ebc83fe11039440976a8bc5dc9dbab2610c55aa55b11",
+        }),
+        "lex-grid-4-3": (("T6", "--lex-grid", "4", "3"), 0, {
+            "T6": "5534469ab1ed48d3c8dc3bec2e0fee4d586fb2380fee69db351fb7c71ba5b9e9",
+        }),
+        "t-values-1-3": (("T15", "--t-values", "1,2,3"), 0, {
+            "T15": "68e30b3ee60dfc34aa0d99aa00b4ffb9b6af63fe6083b8a57b3b6a2d75256a11",
+        }),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_rows_pinned(self, name):
+        (theorems, *corpus), status, expected = self.RUNS[name]
+        code, out = run_cli("verify", "--theorem", theorems, *corpus)
+        lines: dict[str, list[str]] = {}
+        for line in out.splitlines(keepends=True):
+            lines.setdefault(json.loads(line)["theorem"], []).append(line)
+        digests = {tid: hashlib.sha256("".join(rows).encode("ascii")).hexdigest()
+                   for tid, rows in lines.items()}
+        assert (code, digests) == (status, expected)
 
 
 class TestTransform:
@@ -441,8 +494,9 @@ class TestVerify:
         theorem, *corpus = argv
         expect_input_error(("verify", "--theorem", theorem, *corpus), named)
 
+    # t = 4 would need the isomorphism test on C(18), past its 16 vertices
     @pytest.mark.parametrize("values, named", [
-        ("1,0", "'0'"), ("1,x", "'x'"), ("1,", "''"), ("-2", "'-2'"),
+        ("1,0", "'0'"), ("1,x", "'x'"), ("1,", "''"), ("-2", "'-2'"), ("1,4", "'4'"),
     ])
     def test_bad_t_values_rejected_before_output(self, values, named):
         expect_input_error(("verify", "--theorem", "T15", "--t-values", values), f"got {named}")

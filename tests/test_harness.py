@@ -1,5 +1,7 @@
 import json
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -440,6 +442,35 @@ class TestRunner:
         assert all(g.m == g.n - 1 for g in trees)
 
 
+class TestRegistry:
+    """Each theorem is registered once, beside its check, and everything that
+    names the theorems agrees with the registry."""
+
+    def test_every_check_registered(self):
+        defined = {name for name in vars(harness) if name.startswith("check_T")}
+        assert defined == {f"check_{tid}" for tid in harness.CHECKS}
+        assert all(check is getattr(harness, f"check_{tid}")
+                   for tid, check in harness.CHECKS.items())
+
+    def test_ids_are_t1_to_t15(self):
+        assert sorted(harness.CHECKS, key=lambda t: int(t[1:])) == [
+            f"T{i}" for i in range(1, 16)]
+
+    def test_readme_table_lists_the_registered_ids(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## The claim registry", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"^\| (T\d+) +\|", section, flags=re.MULTILINE)
+        assert sorted(listed) == sorted(harness.CHECKS) and len(listed) == len(set(listed))
+
+    @pytest.mark.parametrize("relation, lhs, rhs, verdict", [
+        ("le", 1, 2, HOLDS), ("le", 2, 2, EQUALITY), ("le", 3, 2, VIOLATED),
+        ("eq", 1, 2, VIOLATED), ("eq", 2, 2, EQUALITY), ("eq", 3, 2, VIOLATED),
+        ("iff", 0, 1, VIOLATED), ("iff", 1, 1, HOLDS), ("iff", 1, 0, VIOLATED),
+    ])
+    def test_verdict(self, relation, lhs, rhs, verdict):
+        assert harness._verdict(relation, lhs, rhs) == verdict
+
+
 class TestFactorFacts:
     @staticmethod
     def count_builds(monkeypatch) -> list[Graph]:
@@ -469,20 +500,21 @@ class TestFactorFacts:
     def test_bound_holds_and_rows_unchanged(self, monkeypatch):
         pairs = list(harness.pair_grid(3, 3))
         expected = [r.to_json() for r in run_corpus(["T4", "T7"], pairs)]
-        sizes = []
+        infos = []
+        evaluate = harness.evaluate_instance
 
-        class Recording(harness.FactorFacts):
-            def __call__(self, g):
-                facts = super().__call__(g)
-                sizes.append(len(self))
-                return facts
+        def recording(theorems, instance, options, factors):
+            rows = evaluate(theorems, instance, options, factors)
+            infos.append(factors.cache_info())
+            return rows
 
         monkeypatch.setattr(harness, "FACTOR_FACTS_MAX", 4)
-        monkeypatch.setattr(harness, "FactorFacts", Recording)
+        monkeypatch.setattr(harness, "evaluate_instance", recording)
         rows = [r.to_json() for r in run_corpus(["T4", "T7"], pairs)]
         assert rows == expected
         assert any(json.loads(r)["verdict"] == VIOLATED for r in rows)
-        assert max(sizes) == 4
+        assert {info.maxsize for info in infos} == {4}
+        assert max(info.currsize for info in infos) == 4
 
     def test_each_run_starts_empty(self, monkeypatch):
         pairs = list(harness.pair_grid(2, 2))

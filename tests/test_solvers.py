@@ -351,6 +351,9 @@ class TestCaps:
         big = random_graph(65, 0.05, 1)
         with pytest.raises(SolverCapError):
             chromatic_number(big)
+        # full_report leaves the cap to its first solve, which checks before any work
+        with pytest.raises(SolverCapError, match="instance has 65 vertices, exact solvers cap at 64"):
+            full_report(big)
 
     def test_env_cap_lowers(self, monkeypatch):
         monkeypatch.setenv("OPENPACK_MAX_N", "5")
