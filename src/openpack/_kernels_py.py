@@ -29,6 +29,8 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+from .graph import _components, iter_bits
+
 BACKEND = "python"
 
 
@@ -154,31 +156,10 @@ def _color_with_k(n, adj, levels, k, clique):
     return None
 
 
-def _components(n: int, adj: list[int]) -> list[int]:
-    """Vertex masks of the connected components, by lowest vertex."""
-    comps = []
-    rest = (1 << n) - 1
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            fresh = adj[v] & ~comp
-            comp |= fresh
-            frontier |= fresh
-        comps.append(comp)
-        rest &= ~comp
-    return comps
-
-
 def _induced(adj: list[int], mask: int) -> tuple[int, list[int]]:
     """Subgraph induced by one component, relabeled 0..|mask|-1 in vertex
     order."""
-    verts = []
-    m = mask
-    while m:
-        verts.append((m & -m).bit_length() - 1)
-        m &= m - 1
+    verts = list(iter_bits(mask))
     index = {v: i for i, v in enumerate(verts)}
     sub = []
     for v in verts:
@@ -213,7 +194,7 @@ def _chromatic(n, adj):
     lb = len(clique)
     if lb == ub:
         return ub, greedy_colors
-    comps = _components(n, adj)
+    comps = _components(adj)
     if len(comps) > 1:
         for comp in comps:
             if comp.bit_count() > lb:

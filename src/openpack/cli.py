@@ -64,6 +64,8 @@ def _input_graphs(args) -> list[Graph]:
 
 
 def cmd_gen(args) -> int:
+    if getattr(args, "count", 1) < 1:
+        raise GraphError(f"--count needs COUNT >= 1, got COUNT={args.count}")
     for g in _generate_family(args):
         print(to_graph6(g))
     return 0
@@ -243,24 +245,34 @@ def _t_values(text: str) -> list[int]:
     return values
 
 
+# the corpus flags each instance kind reads
+CORPUS_FLAGS = {
+    "single": ("all_n", "all_upto", "g6_file", "random_trees", "filter"),
+    "pair": ("pair_grid", "lex_grid"),
+    "param": ("t_values",),
+}
+
+
 def cmd_verify(args) -> int:
     theorems = [t.strip() for t in args.theorem.split(",") if t.strip()]
     kind = harness.theorem_kind(theorems)
 
     # every corpus is checked here, before the first row is written
+    for flag in chain.from_iterable(CORPUS_FLAGS.values()):
+        if getattr(args, flag) is not None and flag not in CORPUS_FLAGS[kind]:
+            raise GraphError(f"--{flag.replace('_', '-')} does not apply to {','.join(theorems)}")
     if kind == "single":
         instances = _single_corpus(args)
         for name in args.filter or []:
             instances = filter(harness.CORPUS_FILTERS[name], instances)
     elif kind == "pair":
-        if args.lex_grid:
-            _check_grid("--lex-grid", *args.lex_grid, theorems)
-            instances = harness.lex_grid(*args.lex_grid)
-        elif args.pair_grid:
-            _check_grid("--pair-grid", *args.pair_grid, theorems)
-            instances = harness.pair_grid(*args.pair_grid)
-        else:
-            raise GraphError("pair theorems need --pair-grid or --lex-grid")
+        grids = [(flag, size) for flag, size in (("--pair-grid", args.pair_grid),
+                                                 ("--lex-grid", args.lex_grid)) if size]
+        if len(grids) != 1:
+            raise GraphError("pair theorems need exactly one of --pair-grid and --lex-grid")
+        flag, size = grids[0]
+        _check_grid(flag, *size, theorems)
+        instances = (harness.pair_grid if flag == "--pair-grid" else harness.lex_grid)(*size)
     else:
         if not args.t_values:
             raise GraphError("T15 needs --t-values, e.g. --t-values 1,2,3")

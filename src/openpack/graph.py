@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from collections.abc import Iterable, Iterator
 
 MAX_VERTICES = 4096
@@ -213,44 +212,52 @@ def min_degree(g: Graph) -> int:
     return min(mask.bit_count() for mask in g.adj)
 
 
-def _bfs_distances(g: Graph, source: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    adj = g.adj
-    while queue:
-        v = queue.popleft()
-        step = dist[v] + 1
-        mask = adj[v]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            u = low.bit_length() - 1
-            if dist[u] < 0:
-                dist[u] = step
-                queue.append(u)
-    return dist
+def _layers(adj, source: int) -> Iterator[int]:
+    """Yield the masks of the vertices at distance 0, 1, 2, ... from ``source``.
+
+    The next layer is the union of the frontier's rows, less every vertex
+    seen so far.
+    """
+    seen = frontier = 1 << source
+    while frontier:
+        yield frontier
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+
+
+def _components(adj) -> list[int]:
+    """Vertex masks of the connected components, by lowest vertex."""
+    comps = []
+    rest = (1 << len(adj)) - 1
+    while rest:
+        # the layers are disjoint, so their sum is their union
+        comps.append(sum(_layers(adj, (rest & -rest).bit_length() - 1)))
+        rest ^= comps[-1]
+    return comps
 
 
 def is_connected(g: Graph) -> bool:
-    return min(_bfs_distances(g, 0)) >= 0
+    return sum(_layers(g.adj, 0)) == (1 << g.n) - 1
 
 
 def is_bipartite(g: Graph) -> bool:
-    side = [-1] * g.n
-    for start in range(g.n):
-        if side[start] >= 0:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in iter_bits(g.adj[v]):
-                if side[u] < 0:
-                    side[u] = 1 - side[v]
-                    queue.append(u)
-                elif side[u] == side[v]:
+    """No edge lies inside a breadth-first layer of any component."""
+    adj = g.adj
+    rest = (1 << g.n) - 1
+    while rest:
+        for layer in _layers(adj, (rest & -rest).bit_length() - 1):
+            rest ^= layer
+            members = layer
+            while members:
+                low = members & -members
+                if adj[low.bit_length() - 1] & layer:
                     return False
+                members ^= low
     return True
 
 
@@ -259,11 +266,10 @@ def is_tree(g: Graph) -> bool:
 
 
 def eccentricity(g: Graph, v: int) -> int:
-    dist = _bfs_distances(g, v)
-    far = max(dist)
-    if min(dist) < 0:
+    layers = list(_layers(g.adj, v))
+    if sum(layers) != (1 << g.n) - 1:
         raise DisconnectedGraphError("infinite distance: graph is disconnected")
-    return far
+    return len(layers) - 1
 
 
 def diameter(g: Graph) -> int:
@@ -328,22 +334,11 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     if sorted(lab_g) != sorted(lab_h):
         return False
 
-    # Map g's vertices in a connectivity-first order so that each placement is
-    # constrained by already-mapped neighbors.
-    order: list[int] = []
-    seen = 0
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        queue = deque([start])
-        seen |= 1 << start
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for u in iter_bits(g.adj[v]):
-                if not seen >> u & 1:
-                    seen |= 1 << u
-                    queue.append(u)
+    # Map g's vertices in a connectivity-first order (components, then their
+    # layers) so that each placement is constrained by already-mapped neighbors.
+    order = [v for comp in _components(g.adj)
+             for layer in _layers(g.adj, (comp & -comp).bit_length() - 1)
+             for v in iter_bits(layer)]
 
     image = [-1] * g.n
     used = 0

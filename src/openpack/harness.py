@@ -37,7 +37,6 @@ from .graph import (
     check_enumerable,
     complement,
     cycle,
-    diameter,
     disjoint_union,
     enumerate_all_graphs,
     from_edge_list,
@@ -113,7 +112,9 @@ class GraphFacts(solvers.GraphFacts):
 
     @cached_property
     def diameter_le_2(self) -> bool:
-        return self.connected and diameter(self.g) <= 2
+        # any two vertices are within distance 2 iff the square, with loops, is complete
+        full = (1 << self.g.n) - 1
+        return all(row | 1 << v == full for v, row in enumerate(self.square.adj))
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +139,8 @@ _CERT_PREDICATES = {
     "total_dominating_set": solvers.is_total_dominating,
     "common_neighbor_clique": solvers.is_common_neighbor_clique,
 }
+# the kinds whose certificate is a labeling; the rest name vertices
+_LABELING_KINDS = ("opp_labeling", "packing_labeling")
 # the certificate kind of each invariant's GraphFacts certificate
 _CERT_KINDS = {
     "p_o": "opp_labeling",
@@ -162,13 +165,23 @@ def _witness(parts: tuple) -> dict:
 
 
 def _fits(g: Graph, cert: dict) -> bool:
-    """Does the certificate label every vertex of g once, or name only vertices of g?
+    """Does the certificate hold the int fields of its kind, and label every
+    vertex of g once or name only vertices of g?
 
-    The predicates look only at bits below n, so they cannot tell."""
-    if "labels" in cert:
-        return len(cert["labels"]) == g.n
-    vertices = cert["vertices"] if "vertices" in cert else [cert["vertex"]]
-    return all(0 <= v < g.n for v in vertices)
+    JSON's true and false are not ints here.  The predicates look only at
+    bits below n, so they cannot tell."""
+    kind = cert["kind"]
+    if kind in _LABELING_KINDS:
+        members, other = cert.get("labels"), cert.get("k")
+    elif kind == "degree_witness":
+        members, other = [cert.get("vertex")], cert.get("degree")
+    else:  # a set names its vertices and nothing else
+        members, other = cert.get("vertices"), 0
+    if type(members) is not list or any(type(x) is not int for x in [other, *members]):
+        return False
+    if kind in _LABELING_KINDS:
+        return len(members) == g.n
+    return all(0 <= v < g.n for v in members)
 
 
 def reverify_violation(row: TheoremCheckResult) -> None:
@@ -196,8 +209,8 @@ def reverify_violation(row: TheoremCheckResult) -> None:
         if kind == "degree_witness":
             ok = g.degree(cert["vertex"]) == cert["degree"]
         else:
-            witness = (VertexLabeling(tuple(cert["labels"]), cert["k"]) if "labels" in cert
-                       else VertexSet.of(cert["vertices"]))
+            witness = (VertexLabeling(tuple(cert["labels"]), cert["k"])
+                       if kind in _LABELING_KINDS else VertexSet.of(cert["vertices"]))
             ok = _CERT_PREDICATES[kind](g, witness)
         if not ok:
             raise ValueError(f"certificate of kind {kind!r} failed verification")
@@ -525,7 +538,8 @@ def theorem_kind(theorems: Iterable[str]) -> str:
             raise GraphError(f"unknown theorem id {tid!r}")
         kinds.add(CHECKS[tid].kind)
     if len(kinds) != 1:
-        raise GraphError("a run needs theorems of one kind: single-graph, pair or parameter")
+        none = "" if kinds else "no theorem selected: "
+        raise GraphError(f"{none}a run needs theorems of one kind: single-graph, pair or parameter")
     return kinds.pop()
 
 

@@ -91,6 +91,20 @@ class TestInputErrors:
         # run_corpus owns the worker count: fewer than one job is refused, not run serially
         (("verify", "--theorem", "T1", "--all-n", "3", "--jobs", "0"), None, "jobs=0"),
         (("verify", "--theorem", "T1", "--all-n", "3", "--jobs", "-5"), None, "jobs=-5"),
+        # a count below one is refused, not an empty run
+        (("gen", "random", "--n", "5", "--p", "0.5", "--seed", "1", "--count", "0"), None,
+         "COUNT=0"),
+        (("gen", "tree-random", "--n", "5", "--seed", "1", "--count", "-3"), None, "COUNT=-3"),
+        # a corpus flag the theorems do not read is refused, not ignored
+        (("verify", "--theorem", "T4", "--pair-grid", "3", "3", "--filter", "connected"), None,
+         "--filter does not apply to T4"),
+        (("verify", "--theorem", "T1", "--all-n", "3", "--pair-grid", "2", "2"), None,
+         "--pair-grid does not apply to T1"),
+        (("verify", "--theorem", "T6", "--lex-grid", "3", "2", "--pair-grid", "2", "2"), None,
+         "--pair-grid and --lex-grid"),
+        (("verify", "--theorem", "T15", "--t-values", "1", "--all-n", "3", "--filter", "tree"),
+         None, "--all-n does not apply to T15"),
+        (("verify", "--theorem", "", "--all-n", "3"), None, "no theorem selected"),
     ]
 
     @pytest.mark.parametrize("argv, stdin, named", CASES,

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import graphs
@@ -20,6 +21,7 @@ from openpack.graph import (
     is_connected,
     is_isomorphic,
     is_tree,
+    iter_bits,
     max_degree,
     min_degree,
     path,
@@ -27,6 +29,7 @@ from openpack.graph import (
     random_tree,
     star,
 )
+from openpack.graph import _components, _layers
 
 
 class TestConstruction:
@@ -268,7 +271,42 @@ class TestProperties:
     @given(graphs(max_n=7))
     @settings(max_examples=60)
     def test_bfs_matches_oracle(self, g):
-        from openpack.graph import _bfs_distances
-
         for v in range(g.n):
-            assert oracles.bfs_distances(g, v) == _bfs_distances(g, v)
+            dist = [-1] * g.n
+            for d, layer in enumerate(_layers(g.adj, v)):
+                for u in iter_bits(layer):
+                    dist[u] = d
+            assert oracles.bfs_distances(g, v) == dist
+
+
+@st.composite
+def sparse_graphs(draw, max_n: int = 30):
+    """Disjoint unions of up to four sparse pieces, relabeled at random, so
+    that components, bipartite or not, interleave in vertex order."""
+    n = draw(st.integers(1, max_n))
+    label = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+    edges = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        ends = st.integers(lo, hi - 1)
+        pairs = draw(st.lists(st.tuples(ends, ends), max_size=2 * (hi - lo)))
+        edges += [(label[u], label[v]) for u, v in pairs if u != v]
+    return from_edge_list(n, edges)
+
+
+class TestTraversalAgainstNetworkx:
+    """The one layer traversal answers what networkx's own searches do."""
+
+    @given(sparse_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_connectivity_bipartiteness_components(self, g):
+        networkx = pytest.importorskip("networkx")
+        nxg = networkx.Graph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edges())
+        assert is_connected(g) == networkx.is_connected(nxg)
+        assert is_bipartite(g) == networkx.is_bipartite(nxg)
+        masks = [sum(1 << v for v in comp) for comp in networkx.connected_components(nxg)]
+        assert _components(g.adj) == sorted(masks, key=lambda mask: mask & -mask)
+        if is_connected(g):
+            assert diameter(g) == networkx.diameter(nxg)

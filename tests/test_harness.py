@@ -15,8 +15,10 @@ from openpack.graph import (
     complete,
     complete_bipartite,
     cycle,
+    diameter,
     disjoint_union,
     from_edge_list,
+    is_connected,
     path,
     random_tree,
     star,
@@ -30,6 +32,7 @@ from openpack.harness import (
     GraphFacts,
     RunOptions,
     TheoremCheckResult,
+    all_graphs_upto,
     check_T1,
     check_T2,
     check_T3,
@@ -198,6 +201,11 @@ class TestConditionChecks:
         assert all(r.verdict == HOLDS for r in rows)
         assert rows[0].lhs == 0
 
+    def test_diameter_le_2_read_off_the_square(self):
+        # every graph with n <= 6 (K1 included), against the distance definition
+        for g in all_graphs_upto(6):
+            assert facts(g).diameter_le_2 == (is_connected(g) and diameter(g) <= 2), g.adj
+
     def test_t13_small_skipped(self):
         rows = check_T13(facts(K2), OPTS)
         assert rows[0].verdict == SKIPPED
@@ -333,7 +341,16 @@ class TestWitnesses:
         ("packing_labeling", {"labels": [1, 2, 3, 1], "k": 3}),
         ("opp_labeling", {"labels": [1, 1], "k": 1}),
         ("degree_witness", {"vertex": 5, "degree": 0}),
-    ], ids=["set-beyond-n", "labeling-too-long", "labeling-too-short", "degree-vertex-beyond-n"])
+        # fields of the wrong kind, missing or of the wrong type
+        ("opp_labeling", {"vertices": [0, 1]}),
+        ("packing_set", {"labels": [1, 2, 3], "k": 3}),
+        ("degree_witness", {"vertex": 1}),
+        ("dominating_set", {}),
+        ("open_packing_set", {"vertices": [0, "x"]}),
+        ("packing_set", {"vertices": [True]}),
+    ], ids=["set-beyond-n", "labeling-too-long", "labeling-too-short", "degree-vertex-beyond-n",
+            "labeling-as-set", "set-as-labeling", "degree-missing", "set-missing",
+            "set-non-int", "set-bool-vertex"])
     def test_reverify_rejects_certificates_outside_the_graph(self, kind, fields):
         with pytest.raises(ValueError, match="does not fit its 3-vertex graph"):
             reverify_violation(self._row_with(kind, fields))

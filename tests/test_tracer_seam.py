@@ -56,6 +56,11 @@ def test_tracer_measures_every_layer():
     strong = {name: metrics["with_strong"][name] - report[name]
               for name in ("products.calls", "graph.construct_calls")}
     assert strong == {"products.calls": 1, "graph.construct_calls": 1}
+    # the two verify runs' kernel calls, exactly: the kernel's private
+    # component split must neither add nor hide a traced call
+    verify = {name: everything[name] - metrics["with_strong"][name]
+              for name in ("kernels.chromatic_calls", "kernels.mis_calls")}
+    assert verify == {"kernels.chromatic_calls": 23, "kernels.mis_calls": 8}
     for name in ("harness.facts_built", "kernels.chromatic_calls", "products.calls",
                  "solvers.cert_check_calls", "solvers.domination_calls"):
         assert everything[name] > 0, name
