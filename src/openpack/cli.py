@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Iterator
+from dataclasses import fields
 from itertools import chain
 
 from . import constructions, harness, solvers, transforms
@@ -52,51 +55,49 @@ def _open_out(path_arg: str):
         raise GraphError(f"cannot write {path_arg}: {exc.strerror or exc}") from exc
 
 
+def _graph6_lines(text: str) -> Iterator[Graph]:
+    return (parse_graph6(line) for line in text.splitlines() if line.strip())
+
+
 def _input_graphs(args) -> list[Graph]:
     text = _read_text(args.input)
     if args.format == "edgelist":
         return [parse_edge_list_text(text)]
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]
+    return list(_graph6_lines(text))
 
 
 # ---------------------------------------------------------------------------
 # gen
 
 
+# Every gen family: its builder and the flags it takes, by parameter name, all
+# ints but --p.  A family with --seed also takes --count, the number of graphs,
+# each from the seed after the last one's.
+FAMILIES = {
+    "path": (path, ("n",)),
+    "cycle": (cycle, ("n",)),
+    "complete": (complete, ("n",)),
+    "star": (star, ("n",)),
+    "complete-bipartite": (complete_bipartite, ("a", "b")),
+    "random": (random_graph, ("n", "p", "seed")),
+    "tree-random": (random_tree, ("n", "seed")),
+    "psi": (lambda r, s: constructions.psi_graph(PsiSpec(r, s)), ("r", "s")),
+    "ng": (constructions.ng_extremal, ("k",)),
+    "cart-sharp": (constructions.cart_sharp_instance, ("m", "n")),
+}
+
+
 def cmd_gen(args) -> int:
-    if getattr(args, "count", 1) < 1:
-        raise GraphError(f"--count needs COUNT >= 1, got COUNT={args.count}")
-    for g in _generate_family(args):
-        print(to_graph6(g))
+    build, flags = FAMILIES[args.family]
+    count = getattr(args, "count", 1)
+    if count < 1:
+        raise GraphError(f"--count needs COUNT >= 1, got COUNT={count}")
+    given = {flag: getattr(args, flag) for flag in flags}
+    for i in range(count):
+        if i:
+            given["seed"] += 1
+        print(to_graph6(build(**given)))
     return 0
-
-
-def _generate_family(args):
-    fam = args.family
-    if fam == "path":
-        yield path(args.n)
-    elif fam == "cycle":
-        yield cycle(args.n)
-    elif fam == "complete":
-        yield complete(args.n)
-    elif fam == "complete-bipartite":
-        yield complete_bipartite(args.a, args.b)
-    elif fam == "star":
-        yield star(args.n)
-    elif fam == "random":
-        for i in range(args.count):
-            yield random_graph(args.n, args.p, args.seed + i)
-    elif fam == "tree-random":
-        for i in range(args.count):
-            yield random_tree(args.n, args.seed + i)
-    elif fam == "psi":
-        yield constructions.psi_graph(PsiSpec(args.r, args.s))
-    elif fam == "ng":
-        yield constructions.ng_extremal(args.k)
-    elif fam == "cart-sharp":
-        yield constructions.cart_sharp_instance(args.m, args.n)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(fam)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +203,7 @@ def _single_corpus(args):
     if args.all_upto is not None:
         parts.append(harness.all_graphs_upto(args.all_upto))
     if args.g6_file:
-        text = _read_text(args.g6_file)
-        parts.append(parse_graph6(line) for line in text.splitlines() if line.strip())
+        parts.append(_graph6_lines(_read_text(args.g6_file)))
     if args.random_trees:
         n_lo, n_hi, count, seed = args.random_trees
         if not 1 <= n_lo <= n_hi or count < 1:
@@ -278,7 +278,13 @@ def cmd_verify(args) -> int:
             raise GraphError("T15 needs --t-values, e.g. --t-values 1,2,3")
         instances = _t_values(args.t_values)
 
-    options = harness.RunOptions(strict=args.strict, tree_confirm_n=args.tree_confirm_n)
+    # a run option is refused unless a selected theorem reads it
+    given = {option.name: getattr(args, option.name) for option in fields(harness.RunOptions)
+             if getattr(args, option.name) is not None}
+    for name in given:
+        if not any(name in harness.CHECKS[tid].options for tid in theorems):
+            raise GraphError(f"--{name.replace('_', '-')} does not apply to {','.join(theorems)}")
+    options = harness.RunOptions(**given)
     out = _open_out(args.out) if args.out else sys.stdout
     rows = harness.run_corpus(theorems, instances, jobs=args.jobs, options=options)
 
@@ -310,36 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="emit family graphs as graph6")
     gen_sub = gen.add_subparsers(dest="family", required=True)
-    for fam in ("path", "cycle", "complete", "star"):
-        p = gen_sub.add_parser(fam)
-        p.add_argument("--n", type=int, required=True)
+    for family, (_, flags) in FAMILIES.items():
+        p = gen_sub.add_parser(family)
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=float if flag == "p" else int, required=True)
+        if "seed" in flags:
+            p.add_argument("--count", type=int, default=1)
         p.set_defaults(func=cmd_gen)
-    p = gen_sub.add_parser("complete-bipartite")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.set_defaults(func=cmd_gen)
-    p = gen_sub.add_parser("random")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
-    p.set_defaults(func=cmd_gen)
-    p = gen_sub.add_parser("tree-random")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
-    p.set_defaults(func=cmd_gen)
-    p = gen_sub.add_parser("psi")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.set_defaults(func=cmd_gen)
-    p = gen_sub.add_parser("ng")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_gen)
-    p = gen_sub.add_parser("cart-sharp")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_gen)
 
     inv = sub.add_parser("invariant", help="compute invariants of input graphs")
     inv.add_argument("--what", choices=sorted(solvers.INVARIANTS) + ["all"], default="all")
@@ -388,11 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--t-values", default=None)
     ver.add_argument("--filter", action="append",
                      choices=sorted(harness.CORPUS_FILTERS))
-    ver.add_argument("--strict", action="store_true",
+    ver.add_argument("--strict", action="store_true", default=None,
                      help="assert the even-cycle-free equality instead of reporting it")
     ver.add_argument("--jobs", type=int, default=1)
-    ver.add_argument("--tree-confirm-n", type=int,
-                     default=harness.TREE_SOLVER_CONFIRM_N)
+    ver.add_argument("--tree-confirm-n", type=int, default=None)
     ver.add_argument("--out", default=None, help="write JSONL rows to a file")
     ver.add_argument("--summary", action="store_true",
                      help="print a per-theorem verdict table to stderr")
@@ -406,10 +388,17 @@ def main(argv=None) -> int:
     status 2, as argparse's own errors do; a violated row in status 1."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except INPUT_ERRORS as exc:
         print(f"openpack {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head -1``): end quietly, with
+        # stdout on devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 if __name__ == "__main__":

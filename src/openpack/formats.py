@@ -39,6 +39,8 @@ def to_graph6(g: Graph) -> str:
 
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 record (optionally prefixed with the ``>>graph6<<`` header)."""
+    if type(line) is not str:
+        raise FormatError(f"a graph6 record is a string, got {line!r}")
     s = line.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]

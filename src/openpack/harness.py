@@ -121,98 +121,81 @@ class GraphFacts(solvers.GraphFacts):
 # Witness certificates
 
 
-def _cert(kind: str, g6: str, cert: VertexSet | VertexLabeling) -> dict:
-    return {"kind": kind, "graph6": g6, **cert.to_json_obj()}
+def _degree_claim(obj: dict, g: Graph) -> tuple[int, int]:
+    claim = obj.get("vertex"), obj.get("degree")
+    if any(type(x) is not int for x in claim) or not 0 <= claim[0] < g.n:
+        raise ValueError(f"vertex must be an int in 0..{g.n - 1} and degree an int")
+    return claim
+
+
+def _recorded(obj: dict, g: None) -> None:
+    if type(obj.get("name")) is not str or type(obj.get("value")) is not int:
+        raise ValueError("name must be a string and value an int")
+
+
+# Every certificate kind a witness may hold: the invariant whose predicate in
+# _PREDICATES it passes (a value only records a number), its JSON fields besides
+# "kind", and their reader on its graph, which raises ValueError unless they fit.
+CERT_KINDS = {
+    "opp_labeling": ("p_o", ("graph6", "labels", "k"), VertexLabeling.from_json_obj),
+    "packing_labeling": ("chi2", ("graph6", "labels", "k"), VertexLabeling.from_json_obj),
+    "open_packing_set": ("rho_o", ("graph6", "vertices"), VertexSet.from_json_obj),
+    "packing_set": ("rho", ("graph6", "vertices"), VertexSet.from_json_obj),
+    "dominating_set": ("gamma", ("graph6", "vertices"), VertexSet.from_json_obj),
+    "total_dominating_set": ("gamma_t", ("graph6", "vertices"), VertexSet.from_json_obj),
+    "common_neighbor_clique": ("omega_N", ("graph6", "vertices"), VertexSet.from_json_obj),
+    "degree_witness": ("Delta", ("graph6", "vertex", "degree"), _degree_claim),
+    "value": (None, ("name", "value"), _recorded),
+}
+_KIND_OF = {invariant: kind for kind, (invariant, _, _) in CERT_KINDS.items()}
+# the solvers' predicates and the max degree's, as values the tracer rebinds
+_PREDICATES = {**solvers.PREDICATES, "Delta": lambda g, claim: g.degree(claim[0]) == claim[1]}
+
+
+def _cert(name: str, g6: str, fields: dict) -> dict:
+    return {"kind": _KIND_OF[name], "graph6": g6, **fields}
 
 
 def _value_cert(name: str, value: int) -> dict:
-    return {"kind": "value", "name": name, "value": value}
-
-
-# the solver predicate that defines each certificate kind on the graph it names
-_CERT_PREDICATES = {
-    "opp_labeling": solvers.is_opp,
-    "packing_labeling": solvers.is_packing_partition,
-    "open_packing_set": solvers.is_open_packing,
-    "packing_set": solvers.is_packing,
-    "dominating_set": solvers.is_dominating,
-    "total_dominating_set": solvers.is_total_dominating,
-    "common_neighbor_clique": solvers.is_common_neighbor_clique,
-}
-# the kinds whose certificate is a labeling; the rest name vertices
-_LABELING_KINDS = ("opp_labeling", "packing_labeling")
-# the certificate kind of each invariant's GraphFacts certificate
-_CERT_KINDS = {
-    "p_o": "opp_labeling",
-    "chi2": "packing_labeling",
-    "rho_o": "open_packing_set",
-    "rho": "packing_set",
-    "gamma": "dominating_set",
-    "gamma_t": "total_dominating_set",
-    "omega_N": "common_neighbor_clique",
-}
+    return {"kind": _KIND_OF[None], "name": name, "value": value}
 
 
 def _witness(parts: tuple) -> dict:
-    """The witness of a violated row: its certificates in the order given,
-    each part either a ``(facts, invariant name)`` pair or a finished
-    certificate."""
+    """The witness of a violated row: its certificates in the order given, each
+    part a ``(facts, invariant name)`` pair or a finished certificate."""
     return {"certificates": [
         part if isinstance(part, dict)
-        else _cert(_CERT_KINDS[part[1]], part[0].g6, getattr(part[0], part[1])[1])
+        else _cert(part[1], part[0].g6, getattr(part[0], part[1])[1].to_json_obj())
         for part in parts
     ]}
 
 
-def _fits(g: Graph, cert: dict) -> bool:
-    """Does the certificate hold the int fields of its kind, and label every
-    vertex of g once or name only vertices of g?
-
-    JSON's true and false are not ints here.  The predicates look only at
-    bits below n, so they cannot tell."""
-    kind = cert["kind"]
-    if kind in _LABELING_KINDS:
-        members, other = cert.get("labels"), cert.get("k")
-    elif kind == "degree_witness":
-        members, other = [cert.get("vertex")], cert.get("degree")
-    else:  # a set names its vertices and nothing else
-        members, other = cert.get("vertices"), 0
-    if type(members) is not list or any(type(x) is not int for x in [other, *members]):
-        return False
-    if kind in _LABELING_KINDS:
-        return len(members) == g.n
-    return all(0 <= v < g.n for v in members)
-
-
 def reverify_violation(row: TheoremCheckResult) -> None:
-    """Check a violated row is self-consistent before it is emitted.
-
-    The relation must actually fail on the recorded lhs/rhs, and every
-    attached certificate must verify under its defining predicate on the
-    graph it names.  Raises on any inconsistency.
-    """
+    """Check a violated row is self-consistent before it is emitted: its
+    relation fails on lhs and rhs, and its witness is a non-empty list of
+    certificates of kinds in ``CERT_KINDS`` that fit and verify on the graph
+    each names.  Raises ValueError on anything else."""
     if row.verdict != VIOLATED:
         raise ValueError("only violated rows carry a reverifiable witness")
-    if row.witness is None:
-        raise ValueError("violated row without witness")
+    if type(row.theorem) is not str or row.theorem not in CHECKS:
+        raise ValueError(f"unknown theorem id {row.theorem!r}")
     if _verdict(CHECKS[row.theorem].relation, row.lhs, row.rhs) != VIOLATED:
         raise ValueError("violated row whose relation holds")
-    for cert in row.witness.get("certificates", []):
-        kind = cert["kind"]
-        if kind == "value":
-            continue
-        g = parse_graph6(cert["graph6"])
-        if kind not in _CERT_PREDICATES and kind != "degree_witness":
+    certificates = row.witness.get("certificates") if type(row.witness) is dict else None
+    if type(certificates) is not list or not certificates:
+        raise ValueError("violated row without a non-empty list of certificates")
+    for cert in certificates:
+        kind = cert.get("kind") if type(cert) is dict else None
+        if type(kind) is not str or kind not in CERT_KINDS:
             raise ValueError(f"unknown certificate kind {kind!r}")
-        if not _fits(g, cert):
-            raise ValueError(f"certificate of kind {kind!r} does not fit its {g.n}-vertex graph")
-        if kind == "degree_witness":
-            ok = g.degree(cert["vertex"]) == cert["degree"]
-        else:
-            witness = (VertexLabeling(tuple(cert["labels"]), cert["k"])
-                       if kind in _LABELING_KINDS else VertexSet.of(cert["vertices"]))
-            ok = _CERT_PREDICATES[kind](g, witness)
-        if not ok:
+        invariant, fields, read = CERT_KINDS[kind]
+        g = parse_graph6(cert.get("graph6")) if "graph6" in fields else None
+        try:
+            claim = read(cert, g)
+        except ValueError as exc:
+            where = f"its {g.n}-vertex graph" if g else "its kind"
+            raise ValueError(f"certificate of kind {kind!r} does not fit {where}: {exc}") from None
+        if invariant and not _PREDICATES[invariant](g, claim):
             raise ValueError(f"certificate of kind {kind!r} failed verification")
 
 
@@ -224,19 +207,21 @@ def reverify_violation(row: TheoremCheckResult) -> None:
 CHECKS: dict[str, Callable[..., list[TheoremCheckResult]]] = {}
 
 
-def _theorem(tid: str, kind: str, relation: str, product: str | None = None):
+def _theorem(tid: str, kind: str, relation: str, product: str | None = None,
+             options: tuple[str, ...] = ()):
     """Register the decorated function as the check of theorem ``tid``.
 
     ``kind`` is the instance it takes (``single``: one graph's facts,
     ``pair``: two factors' facts, ``param``: an integer), ``relation`` what
-    its rows assert between lhs and rhs (``le``, ``eq`` or ``iff``), and a
-    pair theorem's ``product`` its name in ``products.PRODUCTS``.  They are
-    kept as attributes of the function, so a wrapper made with
-    ``functools.wraps`` carries them too.
+    its rows assert between lhs and rhs (``le``, ``eq`` or ``iff``), a pair
+    theorem's ``product`` its name in ``products.PRODUCTS``, and ``options``
+    the ``RunOptions`` fields it reads.  They are kept as attributes of the
+    function, so a wrapper made with ``functools.wraps`` carries them too.
     """
 
     def register(check):
         check.kind, check.relation, check.product = kind, relation, product
+        check.options = options
         CHECKS[tid] = check
         return check
 
@@ -293,8 +278,7 @@ def check_T2(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]
 def check_T3(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """max degree <= p_o."""
     hub = max(range(facts.g.n), key=lambda v: (facts.g.degree(v), -v))
-    witness = ((facts, "p_o"), {"kind": "degree_witness", "graph6": facts.g6,
-                                "vertex": hub, "degree": facts.maxdeg})
+    witness = ((facts, "p_o"), _cert("Delta", facts.g6, {"vertex": hub, "degree": facts.maxdeg}))
     return [_row("T3", facts.g6, facts.maxdeg, facts.p_o[0], witness)]
 
 
@@ -357,7 +341,7 @@ def check_T9(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]
     return [_row("T9", facts.g6, facts.g.n, total, witness)]
 
 
-@_theorem("T10", "single", "eq")
+@_theorem("T10", "single", "eq", options=("tree_confirm_n",))
 def check_T10(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """Trees: the constructed partition is a valid OPP on exactly max-degree
     classes; for small trees the solver confirms p_o = max degree."""
@@ -368,14 +352,14 @@ def check_T10(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult
         # not a theorem violation: the constructor itself is broken
         raise RuntimeError(f"tree labeling construction failed on {facts.g6}")
     if facts.g.n <= options.tree_confirm_n:
-        witness = ((facts, "p_o"), _cert("opp_labeling", facts.g6, labeling))
+        witness = ((facts, "p_o"), _cert("p_o", facts.g6, labeling.to_json_obj()))
         return [_row("T10", facts.g6, facts.p_o[0], facts.maxdeg, witness)]
     # too large for the exact solver: the valid construction certifies
     # p_o <= max degree, reported as holding without the solver equality
     return [TheoremCheckResult("T10", facts.g6, HOLDS, labeling.k, facts.maxdeg)]
 
 
-@_theorem("T11", "single", "eq")
+@_theorem("T11", "single", "eq", options=("strict",))
 def check_T11(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """Even-cycle-free graphs: report chi(N(g)) against omega(N(g)).
 

@@ -12,8 +12,8 @@ maximum independent set) applied to the neighborhood transforms, which one
 
 The public solver functions return the same pairs from a fresh
 ``GraphFacts``.  No solver returns a bare number: each checks its certificate
-once, against the predicate that defines the invariant on the input graph, by
-explicit code that raises ``CertificateError``.
+once, against the invariant's predicate in ``PREDICATES``, which defines it on
+the input graph, by explicit code that raises ``CertificateError``.
 """
 
 from __future__ import annotations
@@ -91,6 +91,14 @@ class VertexSet:
         return {"vertices": self.members()}
 
     @staticmethod
+    def from_json_obj(obj: dict, g: Graph) -> "VertexSet":
+        """The set ``to_json_obj`` wrote, of vertices of g; ValueError otherwise."""
+        vertices = obj.get("vertices")
+        if type(vertices) is not list or any(type(v) is not int or not 0 <= v < g.n for v in vertices):
+            raise ValueError(f"vertices must be a list of ints in 0..{g.n - 1}")
+        return VertexSet.of(vertices)
+
+    @staticmethod
     def of(vertices) -> "VertexSet":
         return VertexSet(sum(1 << v for v in set(vertices)))
 
@@ -105,11 +113,20 @@ class VertexLabeling:
     def __post_init__(self):
         if self.k < 1 or not self.labels:
             raise ValueError("labeling needs at least one label and one vertex")
-        if set(self.labels) != set(range(1, self.k + 1)):
+        if self.k > len(self.labels) or set(self.labels) != set(range(1, self.k + 1)):
             raise ValueError(f"labels must use every value in 1..{self.k}")
 
     def to_json_obj(self) -> dict:
         return {"labels": list(self.labels), "k": self.k}
+
+    @staticmethod
+    def from_json_obj(obj: dict, g: Graph) -> "VertexLabeling":
+        """The labeling ``to_json_obj`` wrote, of every vertex of g; ValueError otherwise."""
+        labels, k = obj.get("labels"), obj.get("k")
+        if type(labels) is not list or len(labels) != g.n or any(
+                type(x) is not int for x in [k, *labels]):
+            raise ValueError(f"labels must be {g.n} ints and k an int")
+        return VertexLabeling(tuple(labels), k)
 
     def classes(self) -> list[int]:
         """Class bit masks, indexed by label - 1."""
@@ -356,10 +373,11 @@ def is_total_dominating(g: Graph, s) -> bool:
     return all(adj & mask for adj in g.adj)
 
 
-def _certified_cover(g: Graph, cover: list[int], covers) -> tuple[int, VertexSet]:
+def _kernel_cover(g: Graph, cover: list[int]) -> tuple[int, VertexSet]:
+    """Least cover of g by ``cover``, checked only for its shape, as the kernels' are."""
     size, mask = _min_cover(g.n, cover)
-    _check(mask.bit_count() == size and not mask >> g.n and covers(g, mask),
-           "search result is not a cover of the claimed size")
+    _check(mask.bit_count() == size and not mask >> g.n,
+           "search result has the wrong size or bits beyond n")
     return size, VertexSet(mask)
 
 
@@ -367,7 +385,18 @@ def _certified_cover(g: Graph, cover: list[int], covers) -> tuple[int, VertexSet
 # One cache per graph
 
 
-INVARIANTS = ("chi", "p_o", "chi2", "rho", "rho_o", "gamma", "gamma_t", "omega_N")
+# each invariant's defining predicate, by report name, as values the tracer rebinds
+PREDICATES = {
+    "chi": _is_proper_coloring,
+    "p_o": is_opp,
+    "chi2": is_packing_partition,
+    "rho": is_packing,
+    "rho_o": is_open_packing,
+    "gamma": is_dominating,
+    "gamma_t": is_total_dominating,
+    "omega_N": is_common_neighbor_clique,
+}
+INVARIANTS = tuple(PREDICATES)
 
 
 class GraphFacts:
@@ -375,12 +404,16 @@ class GraphFacts:
 
     The two transforms the kernels run on, ``two_step`` and ``square``, are
     built at most once each.  Every name in ``INVARIANTS`` is a
-    ``(value, certificate)`` pair whose certificate has passed the predicate
-    that defines the invariant on g.
+    ``(value, certificate)`` pair whose certificate has passed the invariant's
+    predicate in ``PREDICATES`` on g.
     """
 
     def __init__(self, g: Graph):
         self.g = g
+
+    def _checked(self, name: str, pair: tuple) -> tuple:
+        _check(PREDICATES[name](self.g, pair[1]), f"the {name} certificate fails its predicate")
+        return pair
 
     @cached_property
     def two_step(self) -> Graph:
@@ -392,40 +425,29 @@ class GraphFacts:
 
     @cached_property
     def chi(self) -> tuple[int, VertexLabeling]:
-        k, labeling = _kernel_coloring(self.g)
-        _check(_is_proper_coloring(self.g, labeling), "kernel coloring is not proper")
-        return k, labeling
+        return self._checked("chi", _kernel_coloring(self.g))
 
     @cached_property
     def p_o(self) -> tuple[int, VertexLabeling]:
-        k, labeling = _kernel_coloring(self.two_step)
-        _check(is_opp(self.g, labeling), "kernel coloring is not an open packing partition")
-        return k, labeling
+        return self._checked("p_o", _kernel_coloring(self.two_step))
 
     @cached_property
     def chi2(self) -> tuple[int, VertexLabeling]:
-        k, labeling = _kernel_coloring(self.square)
-        _check(is_packing_partition(self.g, labeling),
-               "kernel coloring is not a packing partition")
-        return k, labeling
+        return self._checked("chi2", _kernel_coloring(self.square))
 
     @cached_property
     def rho(self) -> tuple[int, VertexSet]:
-        size, cert = _kernel_independent_set(self.square)
-        _check(is_packing(self.g, cert), "kernel set is not a packing")
-        return size, cert
+        return self._checked("rho", _kernel_independent_set(self.square))
 
     @cached_property
     def rho_o(self) -> tuple[int, VertexSet]:
-        size, cert = _kernel_independent_set(self.two_step)
-        _check(is_open_packing(self.g, cert), "kernel set is not an open packing")
-        return size, cert
+        return self._checked("rho_o", _kernel_independent_set(self.two_step))
 
     @cached_property
     def gamma(self) -> tuple[int, VertexSet]:
         g = self.g
         _require_within_cap(g)
-        return _certified_cover(g, [g.adj[v] | 1 << v for v in range(g.n)], is_dominating)
+        return self._checked("gamma", _kernel_cover(g, [g.adj[v] | 1 << v for v in range(g.n)]))
 
     @cached_property
     def gamma_t(self) -> tuple[int, VertexSet]:
@@ -435,14 +457,11 @@ class GraphFacts:
             raise UndefinedInvariantError(
                 "total domination is undefined on graphs with isolated vertices"
             )
-        return _certified_cover(g, list(g.adj), is_total_dominating)
+        return self._checked("gamma_t", _kernel_cover(g, list(g.adj)))
 
     @cached_property
     def omega_N(self) -> tuple[int, VertexSet]:
-        size, cert = _kernel_independent_set(complement(self.two_step))
-        _check(is_common_neighbor_clique(self.g, cert),
-               "kernel set is not a common-neighbor clique")
-        return size, cert
+        return self._checked("omega_N", _kernel_independent_set(complement(self.two_step)))
 
 
 def chromatic_number(g: Graph) -> tuple[int, VertexLabeling]:

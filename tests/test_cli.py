@@ -105,6 +105,11 @@ class TestInputErrors:
         (("verify", "--theorem", "T15", "--t-values", "1", "--all-n", "3", "--filter", "tree"),
          None, "--all-n does not apply to T15"),
         (("verify", "--theorem", "", "--all-n", "3"), None, "no theorem selected"),
+        # a run option no selected theorem reads is refused, not ignored
+        (("verify", "--theorem", "T4", "--pair-grid", "2", "2", "--strict",
+          "--tree-confirm-n", "3"), None, "--strict does not apply to T4"),
+        (("verify", "--theorem", "T1,T11", "--all-n", "3", "--tree-confirm-n", "3"), None,
+         "--tree-confirm-n does not apply to T1,T11"),
     ]
 
     @pytest.mark.parametrize("argv, stdin, named", CASES,
@@ -138,6 +143,22 @@ class TestInputErrors:
                               env=env, capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "openpack enumerate: error: enumeration needs 1 <= n <= 7, got n=9\n"
+
+    @pytest.mark.parametrize("argv", [("enumerate", "--n", "6"),
+                                      ("verify", "--theorem", "T1", "--all-n", "5")])
+    def test_reader_closing_early_ends_quietly(self, argv):
+        # as in `openpack enumerate --n 6 | head -1`: status 128 + SIGPIPE, empty stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(openpack.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "openpack.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == ""
+        finally:
+            proc.kill()
+            proc.stderr.close()
 
     def test_certificate_error_still_raised(self, monkeypatch):
         # a wrong certificate is a bug, not an input error: it keeps its traceback

@@ -4,9 +4,10 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import run_python
-from openpack import harness
+from conftest import graphs, run_python
+from openpack import harness, solvers
 from openpack.constructions import PsiSpec, ng_extremal, psi_graph
 from openpack.formats import to_graph6
 from openpack.graph import (
@@ -359,6 +360,41 @@ class TestWitnesses:
         with pytest.raises(ValueError, match="unknown certificate kind"):
             reverify_violation(self._row_with("mystery_set", {"vertices": [0]}))
 
+    G6 = to_graph6(path(3))
+    # witnesses that are not a non-empty list of well-formed certificates
+    MALFORMED = [
+        ({"certificates": [{"graph6": G6, "vertices": [0]}]}, "unknown certificate kind"),
+        ({"certificates": [{"kind": ["packing_set"], "graph6": G6}]}, "unknown certificate kind"),
+        ({"certificates": [{"kind": "packing_set", "vertices": [0]}]}, "graph6 record"),
+        ({"certificates": [{"kind": "packing_set", "graph6": 5, "vertices": [0]}]},
+         "graph6 record"),
+        ({"certificates": "abc"}, "list of certificates"),
+        ({"certificates": [5]}, "unknown certificate kind"),
+        ("abc", "list of certificates"),
+        ({"certificates": [{"kind": "value"}]}, "does not fit"),
+        ({"certificates": [{"kind": "value", "name": "x", "value": True}]}, "does not fit"),
+        ({"certificates": []}, "list of certificates"),
+        ({}, "list of certificates"),
+        # k far past the vertex count is refused before a range of k is built
+        ({"certificates": [{"kind": "opp_labeling", "graph6": G6, "labels": [1, 1, 2],
+                            "k": 10 ** 12}]}, "does not fit"),
+    ]
+
+    @pytest.mark.parametrize("witness,match", MALFORMED, ids=[
+        "no-kind", "unhashable-kind", "no-graph6", "int-graph6", "string-certificates",
+        "int-certificate", "string-witness", "value-without-fields", "value-bool",
+        "no-certificates", "empty-witness", "huge-k"])
+    def test_reverify_rejects_malformed_witnesses(self, witness, match):
+        row = TheoremCheckResult("T3", self.G6, VIOLATED, 5, 4, witness)
+        with pytest.raises(ValueError, match=match):
+            reverify_violation(row)
+
+    def test_reverify_rejects_unknown_theorem(self):
+        row = self._row_with("packing_set", {"vertices": [0]})
+        row.theorem = "T99"
+        with pytest.raises(ValueError, match="unknown theorem id"):
+            reverify_violation(row)
+
     def test_reverify_requires_witness(self):
         row = TheoremCheckResult("T3", "A_", VIOLATED, 5, 4, None)
         with pytest.raises(ValueError):
@@ -368,6 +404,52 @@ class TestWitnesses:
         row = TheoremCheckResult("T3", "A_", HOLDS, 1, 2, None)
         with pytest.raises(ValueError):
             reverify_violation(row)
+
+
+class TestCertKinds:
+    """Each certificate kind is stated once, in ``harness.CERT_KINDS``, and
+    what names the kinds agrees with it."""
+
+    def test_invariant_kinds_cover_the_solver_invariants(self):
+        invariants = {invariant for invariant, _, _ in harness.CERT_KINDS.values()}
+        assert invariants - {"Delta", None} == set(solvers.INVARIANTS) - {"chi"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(1, 8))
+    def test_written_certificates_read_back(self, g):
+        # every invariant kind's checked certificate, as a witness writes it,
+        # has exactly its kind's fields and passes the reverifier
+        fg = facts(g)
+        parts = []
+        for kind, (invariant, fields, _) in harness.CERT_KINDS.items():
+            if invariant not in solvers.INVARIANTS:
+                continue
+            try:
+                getattr(fg, invariant)
+            except solvers.UndefinedInvariantError:  # gamma_t with an isolated vertex
+                continue
+            cert, = harness._witness(((fg, invariant),))["certificates"]
+            assert cert["kind"] == kind and set(cert) == {"kind", *fields}
+            parts.append((fg, invariant))
+        reverify_violation(TheoremCheckResult(
+            "T3", fg.g6, VIOLATED, 5, 4, harness._witness(tuple(parts))))
+
+    def test_readme_table_lists_each_kind(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Certificate kinds", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| `?([\w-]+)`? \| (.+?) \| (.+?) \|$", section,
+                          flags=re.MULTILINE)
+        table = {}
+        for kind, invariant, fields, predicate in rows:
+            table[kind] = (None if invariant == "-" else invariant,
+                           tuple(re.findall(r"`(\w+)`", fields)), predicate)
+        assert len(rows) == len(table)
+        assert {kind: row[:2] for kind, row in table.items()} == {
+            kind: (invariant, fields)
+            for kind, (invariant, fields, _) in harness.CERT_KINDS.items()}
+        assert all(predicate == f"`{solvers.PREDICATES[invariant].__name__}`"
+                   for invariant, _, predicate in table.values()
+                   if invariant in solvers.PREDICATES)
 
 
 class TestRunner:
