@@ -16,7 +16,6 @@ from .graph import (
     cycle,
     from_edge_list,
     iter_bits,
-    max_degree,
 )
 from .products import cartesian
 from .solvers import VertexLabeling
@@ -32,15 +31,16 @@ def tree_opp(t: Graph) -> VertexLabeling:
     """
     if t.n < 2:
         raise GraphError(f"tree labeling needs at least two vertices, got n={t.n}")
-    if t.m != t.n - 1:
+    adj = t.adj
+    degs = [mask.bit_count() for mask in adj]
+    if sum(degs) != 2 * (t.n - 1):
         raise GraphError("input is not a tree")
-    delta = max_degree(t)
-    root = min(v for v in range(t.n) if t.degree(v) == delta)
+    delta = max(degs)
+    root = degs.index(delta)
     labels = [0] * t.n
     labels[root] = 1
     parent = [-1] * t.n
     parent[root] = root
-    adj = t.adj
     queue: deque[int] = deque()
     for c, u in enumerate(iter_bits(adj[root]), start=1):
         labels[u] = c

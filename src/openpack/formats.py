@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError, from_edge_list, pair_order
+from .graph import Graph, GraphError, _trusted, from_edge_list, pair_order
 
 GRAPH6_MAX_N = 62
 _HEADER = ">>graph6<<"
@@ -73,7 +73,7 @@ def parse_graph6(line: str) -> Graph:
         if bits >> (len(pairs) - 1 - t) & 1:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    return Graph(n, adj)
+    return _trusted(n, adj)
 
 
 def to_edge_list_text(g: Graph) -> str:

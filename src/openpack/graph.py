@@ -22,6 +22,8 @@ class DisconnectedGraphError(GraphError):
 def _check_order(n: int) -> None:
     if n < 1:
         raise GraphError(f"a graph needs at least one vertex, got n={n}")
+    if n > MAX_VERTICES:
+        raise GraphError(f"at most {MAX_VERTICES} vertices supported, got {n}")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -44,22 +46,7 @@ class Graph:
 
     def __init__(self, n: int, adj: Iterable[int]):
         adj = tuple(adj)
-        _check_order(n)
-        if n > MAX_VERTICES:
-            raise GraphError(f"at most {MAX_VERTICES} vertices supported, got {n}")
-        if len(adj) != n:
-            raise GraphError(f"expected {n} adjacency masks, got {len(adj)}")
-        full = (1 << n) - 1
-        for v, mask in enumerate(adj):
-            if mask < 0 or mask & ~full:
-                raise GraphError(f"adjacency of {v} mentions a vertex outside 0..{n - 1}")
-            if mask >> v & 1:
-                raise GraphError(f"loop at vertex {v}")
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                if not adj[low.bit_length() - 1] >> v & 1:
-                    raise GraphError(f"edge {v}-{low.bit_length() - 1} is not symmetric")
+        _validate(n, adj)
         self.n = n
         self.adj = adj
 
@@ -93,8 +80,39 @@ class Graph:
         return (Graph, (self.n, self.adj))
 
 
+def _validate(n: int, adj: tuple[int, ...]) -> None:
+    """Refuse ``adj`` unless it is a simple undirected graph on ``0..n-1``:
+    n rows, each in range, without a loop, and every edge stated both ways."""
+    _check_order(n)
+    if len(adj) != n:
+        raise GraphError(f"expected {n} adjacency masks, got {len(adj)}")
+    full = (1 << n) - 1
+    for v, mask in enumerate(adj):
+        if mask < 0 or mask & ~full:
+            raise GraphError(f"adjacency of {v} mentions a vertex outside 0..{n - 1}")
+        if mask >> v & 1:
+            raise GraphError(f"loop at vertex {v}")
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            if not adj[low.bit_length() - 1] >> v & 1:
+                raise GraphError(f"edge {v}-{low.bit_length() - 1} is not symmetric")
+
+
+def _trusted(n: int, adj: Iterable[int]) -> Graph:
+    """A graph whose rows are valid by the way they were built: only the order
+    is checked.  ``tests/test_trusted_builders.py`` holds every caller to
+    ``_validate``."""
+    _check_order(n)
+    g = object.__new__(Graph)
+    g.n = n
+    g.adj = tuple(adj)
+    return g
+
+
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from (u, v) pairs; duplicates collapse, loops are rejected."""
+    _check_order(n)  # before the rows are allocated: n comes from outside
     adj = [0] * n
     for u, v in edges:
         if u == v:
@@ -103,7 +121,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"edge ({u},{v}) out of range for n={n}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, adj)
+    return _trusted(n, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +141,7 @@ def cycle(n: int) -> Graph:
 def complete(n: int) -> Graph:
     _check_order(n)
     full = (1 << n) - 1
-    return Graph(n, [full ^ (1 << v) for v in range(n)])
+    return _trusted(n, [full ^ (1 << v) for v in range(n)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -133,7 +151,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     n = a + b
     left = (1 << a) - 1
     right = ((1 << n) - 1) ^ left
-    return Graph(n, [right if v < a else left for v in range(n)])
+    return _trusted(n, [right if v < a else left for v in range(n)])
 
 
 def star(n: int) -> Graph:
@@ -159,31 +177,35 @@ def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree via a random Pruefer sequence."""
     _check_order(n)
     if n == 1:
-        return Graph(1, (0,))
-    if n == 2:
-        return from_edge_list(2, [(0, 1)])
+        return _trusted(1, (0,))
     rng = random.Random(seed)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    return tree_from_pruefer(n, seq)
+    return tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)])
 
 
 def tree_from_pruefer(n: int, seq: list[int]) -> Graph:
+    """The labeled tree of a Pruefer sequence; each edge joins the smallest
+    leaf left to the next entry, and the last two leaves end it."""
     if len(seq) != n - 2:
         raise GraphError(f"Pruefer sequence for n={n} must have length {n - 2}")
     deg = [1] * n
     for x in seq:
+        if not 0 <= x < n:
+            raise GraphError(f"Pruefer entry {x} is outside 0..{n - 1} for n={n}")
         deg[x] += 1
     leaves = [v for v in range(n) if deg[v] == 1]
     heapq.heapify(leaves)
-    edges = []
+    adj = [0] * n
     for x in seq:
         leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
+        adj[leaf] |= 1 << x
+        adj[x] |= 1 << leaf
         deg[x] -= 1
         if deg[x] == 1:
             heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return from_edge_list(n, edges)
+    u, v = heapq.heappop(leaves), heapq.heappop(leaves)
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
+    return _trusted(n, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +214,12 @@ def tree_from_pruefer(n: int, seq: list[int]) -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, [(full ^ g.adj[v]) & ~(1 << v) for v in range(g.n)])
+    return _trusted(g.n, [(full ^ g.adj[v]) & ~(1 << v) for v in range(g.n)])
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     adj = list(g.adj) + [mask << g.n for mask in h.adj]
-    return Graph(g.n + h.n, adj)
+    return _trusted(g.n + h.n, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +334,7 @@ def _enumerate(n: int) -> Iterator[Graph]:
             if code >> t & 1:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-        yield Graph(n, adj)
+        yield _trusted(n, adj)
 
 
 def _refinement_labels(g: Graph) -> list[tuple[int, tuple[int, ...]]]:

@@ -93,6 +93,12 @@ class RunOptions:
     strict: bool = False
     tree_confirm_n: int = TREE_SOLVER_CONFIRM_N
 
+    def __post_init__(self):
+        # a negative bound would silently turn every T10 equality row into holds
+        if self.tree_confirm_n < 0:
+            raise GraphError(f"RunOptions needs tree_confirm_n >= 0, "
+                             f"got tree_confirm_n={self.tree_confirm_n}")
+
 
 class GraphFacts(solvers.GraphFacts):
     """The solver facts of one graph, and what else the checks ask of it,

@@ -8,7 +8,7 @@ packing of ``g``.
 
 from __future__ import annotations
 
-from .graph import Graph, iter_bits
+from .graph import Graph, _trusted, iter_bits
 
 
 def _compose(outer, inner) -> list[int]:
@@ -29,7 +29,7 @@ def two_step(g: Graph) -> Graph:
 
     The row of v is the union of the neighborhoods of v's neighbors, less v.
     """
-    return Graph(g.n, _compose(g.adj, g.adj))
+    return _trusted(g.n, _compose(g.adj, g.adj))
 
 
 def closed_neighborhood_graph(g: Graph) -> Graph:
@@ -39,7 +39,7 @@ def closed_neighborhood_graph(g: Graph) -> Graph:
     v's closed neighborhood, less v.
     """
     closed = [mask | 1 << v for v, mask in enumerate(g.adj)]
-    return Graph(g.n, _compose(closed, closed))
+    return _trusted(g.n, _compose(closed, closed))
 
 
 # The closed neighborhood graph coincides with the square of g.

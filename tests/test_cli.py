@@ -91,6 +91,9 @@ class TestInputErrors:
         # run_corpus owns the worker count: fewer than one job is refused, not run serially
         (("verify", "--theorem", "T1", "--all-n", "3", "--jobs", "0"), None, "jobs=0"),
         (("verify", "--theorem", "T1", "--all-n", "3", "--jobs", "-5"), None, "jobs=-5"),
+        # a negative confirmation bound is refused, not turned into unconfirmed rows
+        (("verify", "--theorem", "T10", "--all-n", "4", "--tree-confirm-n", "-3"), None,
+         "tree_confirm_n=-3"),
         # a count below one is refused, not an empty run
         (("gen", "random", "--n", "5", "--p", "0.5", "--seed", "1", "--count", "0"), None,
          "COUNT=0"),
