@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from .graph import (
     Graph,
     GraphError,
+    _check_order,
+    _trusted,
     complete,
     cycle,
     from_edge_list,
@@ -96,6 +98,7 @@ def psi_graph(spec: PsiSpec) -> Graph:
     Part i occupies indices [i*s, (i+1)*s); the cross matchings join equal
     offsets, the internal matching pairs consecutive offsets (2t, 2t+1).
     """
+    _check_order(spec.n)
     r, s = spec.r, spec.s
     edges = []
     for i in range(r):
@@ -115,9 +118,10 @@ def ng_extremal(k: int) -> Graph:
     if k < 3:
         raise GraphError(f"family starts at k=3, got k={k}")
     n = 2 * k
+    _check_order(n)
     evens = sum(1 << v for v in range(0, n, 2))
     odds = sum(1 << v for v in range(1, n, 2))
-    return Graph(n, [odds if v % 2 == 0 else evens for v in range(n)])
+    return _trusted(n, [odds if v % 2 == 0 else evens for v in range(n)])
 
 
 def cart_sharp_instance(m: int, n: int) -> Graph:

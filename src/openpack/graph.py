@@ -77,7 +77,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
     def __reduce__(self):
-        return (Graph, (self.n, self.adj))
+        return (_trusted, (self.n, self.adj))
 
 
 def _validate(n: int, adj: tuple[int, ...]) -> None:
@@ -129,12 +129,14 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def path(n: int) -> Graph:
+    _check_order(n)
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"a cycle needs at least 3 vertices, got n={n}")
+    _check_order(n)
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -149,6 +151,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     if a < 0 or b < 0:
         raise GraphError(f"K_{{a,b}} needs sides of size >= 0, got a={a} b={b}")
     n = a + b
+    _check_order(n)
     left = (1 << a) - 1
     right = ((1 << n) - 1) ^ left
     return _trusted(n, [right if v < a else left for v in range(n)])
@@ -162,6 +165,7 @@ def star(n: int) -> Graph:
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), deterministic for a given seed."""
+    _check_order(n)
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"edge probability must be in [0,1], got {p}")
     rng = random.Random(seed)

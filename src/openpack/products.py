@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import MAX_VERTICES, Graph, GraphError, iter_bits
+from .graph import MAX_VERTICES, Graph, GraphError, _trusted, iter_bits
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def _product(g: Graph, h: Graph, across, within) -> tuple[Graph, ProductVertexMa
         base = a * h.n
         for b in range(h.n):
             adj.append(across[b] * spread | within[b] << base)
-    return Graph(layout.n, adj), layout
+    return _trusted(layout.n, adj), layout
 
 
 def cartesian(g: Graph, h: Graph) -> tuple[Graph, ProductVertexMap]:
@@ -135,7 +135,7 @@ def corona(g: Graph, h: Graph) -> tuple[Graph, CoronaLayout]:
         adj[i] |= h_full << start
         for b in range(h.n):
             adj[start + b] = (h.adj[b] << start) | (1 << i)
-    return Graph(layout.n, adj), layout
+    return _trusted(layout.n, adj), layout
 
 
 def isolated_vertex_count(h: Graph) -> int:

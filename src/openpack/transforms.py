@@ -8,7 +8,7 @@ packing of ``g``.
 
 from __future__ import annotations
 
-from .graph import Graph, _trusted, iter_bits
+from .graph import Graph, _layers, _trusted, iter_bits
 
 
 def _compose(outer, inner) -> list[int]:
@@ -50,98 +50,57 @@ def every_edge_on_triangle(g: Graph) -> bool:
     return all(g.adj[u] & g.adj[v] for u, v in g.edges())
 
 
-def _blocks(g: Graph) -> list[tuple[int, int]]:
-    """(vertex count, edge count) of every biconnected block, bridges included."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    out: list[tuple[int, int]] = []
-    edge_stack: list[tuple[int, int]] = []
-    timer = 0
-
-    for root in range(g.n):
-        if disc[root] >= 0:
-            continue
-        # Iterative DFS; each frame is [vertex, parent, iterator over neighbors].
-        stack = [(root, -1, iter_bits(g.adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for u in it:
-                if disc[u] < 0:
-                    edge_stack.append((v, u))
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    stack.append((u, v, iter_bits(g.adj[u])))
-                    advanced = True
-                    break
-                if u != parent and disc[u] < disc[v]:
-                    edge_stack.append((v, u))
-                    low[v] = min(low[v], disc[u])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    verts = set()
-                    nedges = 0
-                    while edge_stack:
-                        a, b = edge_stack.pop()
-                        verts.update((a, b))
-                        nedges += 1
-                        if (a, b) == (pv, v):
-                            break
-                    out.append((len(verts), nedges))
-    return out
-
-
 def has_even_cycle(g: Graph) -> bool:
     """True iff g contains a cycle of even length.
 
-    A graph has no even cycle exactly when every biconnected block is a single
-    edge or a single odd cycle; any other block contains two cycles through a
-    shared path, and of the three cycle lengths so formed one is always even.
+    Each non-tree edge of a breadth-first forest closes one fundamental
+    cycle, odd exactly when the edge joins two vertices of one layer.  Every
+    cycle of g is a union of fundamental cycles, so g has no even cycle iff
+    they are all odd and no two share a tree edge: two cycles through a
+    shared path form three, and one of the three is always even.
     """
-    for nverts, nedges in _blocks(g):
-        if nedges == 1:
-            continue
-        if nedges != nverts or nverts % 2 == 0:
-            return True
+    adj = g.adj
+    parent = [0] * g.n
+    on_cycle = 0  # vertices whose edge to their parent lies on a cycle found so far
+    rest = (1 << g.n) - 1
+    while rest:
+        above = 0
+        for layer in _layers(adj, (rest & -rest).bit_length() - 1):
+            rest ^= layer
+            for v in iter_bits(layer):
+                up = adj[v] & above
+                if up & (up - 1):  # a second edge up to the previous layer
+                    return True
+                parent[v] = up.bit_length() - 1
+                for u in iter_bits(adj[v] & layer & ((1 << v) - 1)):
+                    # u and v share a layer: climb both to their common ancestor
+                    a, b = u, v
+                    while a != b:
+                        if (on_cycle >> a | on_cycle >> b) & 1:
+                            return True
+                        on_cycle |= 1 << a | 1 << b
+                        a, b = parent[a], parent[b]
+            above = layer
     return False
 
 
 def is_chordal(g: Graph) -> bool:
-    """Maximum-cardinality search followed by perfect-elimination verification."""
+    """Maximum-cardinality search: g is chordal iff, as each vertex is
+    numbered, its numbered neighbors form a clique (the reverse of the search
+    order is then a perfect elimination order)."""
     n = g.n
     weight = [0] * n
     numbered = 0
-    visit: list[int] = []
     for _ in range(n):
         best, best_w = -1, -1
         for v in range(n):
             if not numbered >> v & 1 and weight[v] > best_w:
                 best, best_w = v, weight[v]
+        earlier = g.adj[best] & numbered
+        for u in iter_bits(earlier):
+            if earlier & ~g.adj[u] & ~(1 << u):
+                return False
         numbered |= 1 << best
-        visit.append(best)
-        for u in iter_bits(g.adj[best]):
-            if not numbered >> u & 1:
-                weight[u] += 1
-    order = visit[::-1]  # candidate perfect elimination order
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    for v in range(n):
-        later = [u for u in iter_bits(g.adj[v]) if pos[u] > pos[v]]
-        if not later:
-            continue
-        p = min(later, key=lambda u: pos[u])
-        rest = 0
-        for u in later:
-            if u != p:
-                rest |= 1 << u
-        if rest & ~g.adj[p]:
-            return False
+        for u in iter_bits(g.adj[best] & ~numbered):
+            weight[u] += 1
     return True

@@ -123,6 +123,20 @@ class TestInputErrors:
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         expect_input_error(argv, named.replace("{tmp}", str(tmp_path)))
 
+    # an order above the cap is refused before the first edge is drawn or built
+    LARGE_ORDERS = [
+        (("gen", "path", "--n", "100000000"), "100000000"),
+        (("gen", "cycle", "--n", "100000000"), "100000000"),
+        (("gen", "complete-bipartite", "--a", "100000000", "--b", "1"), "100000001"),
+        (("gen", "random", "--n", "100000", "--p", "0.5", "--seed", "1"), "100000"),
+        (("gen", "psi", "--r", "600", "--s", "8"), "4800"),
+        (("gen", "ng", "--k", "100000"), "200000"),
+    ]
+
+    @pytest.mark.parametrize("argv, named", LARGE_ORDERS, ids=[c[0][1] for c in LARGE_ORDERS])
+    def test_large_order_refused_before_building(self, search_deadline, argv, named):
+        expect_input_error(argv, f"at most 4096 vertices supported, got {named}")
+
     def test_table_covers_every_command(self):
         def commands(parser):
             return next(a for a in parser._actions

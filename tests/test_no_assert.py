@@ -1,6 +1,7 @@
 """Checks on the source tree: the library checks its certificates with
-explicit code, never with ``assert``, which ``python -O`` strips, and the CLI
-exits the process only from its ``__main__`` block."""
+explicit code, never with ``assert``, which ``python -O`` strips; the CLI
+exits the process only from its ``__main__`` block; and the package builds
+its own graphs through ``graph._trusted``, never the validating ``Graph``."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,15 @@ def test_cli_exits_only_under_main():
              and "SystemExit" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
              and id(node) not in guarded]
     assert exits == [], f"cli.py raises SystemExit outside __main__ on lines {exits}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_validating_construction(path):
+    """``Graph(n, adj)`` validates rows that come from outside; a graph the
+    package builds itself is valid by construction and goes through
+    ``graph._trusted``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) == "Graph"
+                  or getattr(node.func, "attr", None) == "Graph")]
+    assert lines == [], f"{path.name} calls Graph(...) on lines {lines}"

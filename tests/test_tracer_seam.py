@@ -52,10 +52,11 @@ def test_tracer_measures_every_layer():
     assert report["transforms.calls"] == 2
     assert report["kernels.chromatic_calls"] == 3
     assert report["kernels.mis_calls"] == 3
-    # one strong product is one products call that constructs one graph
+    # one strong product is one products call; it builds its graph trusted,
+    # so it never runs the validating constructor
     strong = {name: metrics["with_strong"][name] - report[name]
               for name in ("products.calls", "graph.construct_calls")}
-    assert strong == {"products.calls": 1, "graph.construct_calls": 1}
+    assert strong == {"products.calls": 1, "graph.construct_calls": 0}
     # the two verify runs' kernel calls, exactly: the kernel's private
     # component split must neither add nor hide a traced call
     verify = {name: everything[name] - metrics["with_strong"][name]

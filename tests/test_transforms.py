@@ -1,4 +1,6 @@
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import graphs, graphs_with_subset
@@ -190,3 +192,117 @@ class TestChordal:
         for n in range(1, 7):
             for g in enumerate_all_graphs(n):
                 assert is_chordal(g) == oracles.brute_is_chordal(g)
+
+
+@st.composite
+def sparse_graphs(draw, max_n: int = 40):
+    """Up to 1.5 edges per vertex, so that forests, cacti and chordless
+    cycles all turn up."""
+    n = draw(st.integers(1, max_n))
+    ends = st.integers(0, n - 1)
+    size = draw(st.integers(0, 3 * n // 2))
+    pairs = draw(st.lists(st.tuples(ends, ends), min_size=size, max_size=size))
+    return from_edge_list(n, [(u, v) for u, v in pairs if u != v])
+
+
+@st.composite
+def cacti(draw, max_n: int = 40):
+    """A randomly relabeled cactus of odd and even cycles and bridges over
+    several components, and the same cactus with one chord added to a cycle
+    of length >= 4 (None if it has none): a theta graph, which always has an
+    even cycle."""
+    n, edges, long_cycles = 0, [], []
+    for _ in range(draw(st.integers(1, 4))):
+        n += 1  # the component's first vertex
+        first = n - 1
+        for size in draw(st.lists(st.sampled_from([2, 3, 3, 4, 5, 5, 6, 7]), max_size=5)):
+            if n + size - 1 > max_n:
+                break
+            ring = [draw(st.integers(first, n - 1)), *range(n, n + size - 1)]
+            n += size - 1
+            edges += [(ring[i], ring[i + 1]) for i in range(size - 1)]
+            if size > 2:
+                edges.append((ring[-1], ring[0]))
+            if size > 3:
+                long_cycles.append(ring)
+    label = draw(st.permutations(range(n)))
+    chorded = None
+    if long_cycles:
+        ring = draw(st.sampled_from(long_cycles))
+        i = draw(st.integers(0, len(ring) - 3))
+        j = draw(st.integers(i + 2, len(ring) - 1 if i else len(ring) - 2))
+        chorded = from_edge_list(n, [(label[u], label[v]) for u, v in [*edges, (ring[i], ring[j])]])
+    return from_edge_list(n, [(label[u], label[v]) for u, v in edges]), chorded
+
+
+@st.composite
+def chordal_fill_ins(draw, max_n: int = 40):
+    """A sparse graph filled in along a random elimination order, which makes
+    it chordal, then possibly one edge more or less."""
+    g = draw(sparse_graphs(max_n))
+    adj = list(g.adj)
+    for v in draw(st.permutations(range(g.n))):
+        later = adj[v]
+        for u in iter_bits(later):
+            adj[u] |= later & ~(1 << u)
+        for u in iter_bits(later):
+            adj[u] &= ~(1 << v)
+    # row v now holds v's neighbors at its elimination, fill edges included
+    edges = sorted({(min(u, v), max(u, v)) for v in range(g.n) for u in iter_bits(adj[v])})
+    change = draw(st.sampled_from(["none", "add", "drop"]))
+    if change == "drop" and edges:
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    elif change == "add" and g.n > 1:
+        u, v = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+        edges.append((u, v))
+    return from_edge_list(g.n, edges)
+
+
+def to_networkx(g):
+    networkx = pytest.importorskip("networkx")
+    nxg = networkx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    return networkx, nxg
+
+
+def networkx_has_even_cycle(g) -> bool:
+    """Some biconnected block is neither a single edge nor an odd cycle."""
+    networkx, nxg = to_networkx(g)
+    for block in networkx.biconnected_components(nxg):
+        edges = nxg.subgraph(block).number_of_edges()
+        if len(block) > 2 and (edges != len(block) or len(block) % 2 == 0):
+            return True
+    return False
+
+
+def networkx_is_chordal(g) -> bool:
+    networkx, nxg = to_networkx(g)
+    return networkx.is_chordal(nxg)
+
+
+class TestAgainstNetworkx:
+    """The layer-forest even-cycle test and the one-pass chordality test
+    agree with networkx past the exhaustive range."""
+
+    @given(sparse_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_graphs(self, g):
+        assert has_even_cycle(g) == networkx_has_even_cycle(g)
+        assert is_chordal(g) == networkx_is_chordal(g)
+
+    @given(cacti())
+    @settings(max_examples=300, deadline=None)
+    def test_cacti_with_and_without_a_chord(self, case):
+        cactus, chorded = case
+        assert has_even_cycle(cactus) == networkx_has_even_cycle(cactus)
+        assert is_chordal(cactus) == networkx_is_chordal(cactus)
+        if chorded is not None:
+            assert has_even_cycle(chorded) and networkx_has_even_cycle(chorded)
+            assert is_chordal(chorded) == networkx_is_chordal(chorded)
+
+    @given(chordal_fill_ins())
+    @settings(max_examples=300, deadline=None)
+    def test_chordal_fill_ins(self, g):
+        assert is_chordal(g) == networkx_is_chordal(g)
+        assert has_even_cycle(g) == networkx_has_even_cycle(g)

@@ -4,8 +4,10 @@
 are valid by construction skip the per-edge walk through ``graph._trusted``;
 these tests hold every one of them to the same validator, ``graph._validate``,
 and check that each still refuses a bad order with the usual message.
+Unpickling rebuilds a graph the same way.
 """
 
+import pickle
 import re
 
 import pytest
@@ -13,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
+from openpack import graph
+from openpack.constructions import ng_extremal
 from openpack.formats import parse_graph6, to_graph6
 from openpack.graph import (
     MAX_VERTICES,
@@ -28,6 +32,7 @@ from openpack.graph import (
     random_tree,
     tree_from_pruefer,
 )
+from openpack.products import cartesian, corona, direct, lexicographic, strong
 from openpack.transforms import square, two_step
 
 
@@ -100,6 +105,31 @@ class TestTrustedBuildersPassTheValidator:
     def test_complete_families(self, a, b):
         valid(complete(a))
         valid(complete_bipartite(a, b))
+
+    @pytest.mark.parametrize("product", [cartesian, direct, strong, lexicographic, corona],
+                             ids=lambda product: product.__name__)
+    @settings(max_examples=100)
+    @given(graphs(max_n=6), graphs(max_n=6))
+    def test_products(self, product, g, h):
+        p, layout = product(g, h)
+        assert valid(p).n == layout.n
+
+    @pytest.mark.parametrize("k", [3, 4, 7, 20])
+    def test_ng_extremal(self, k):
+        assert valid(ng_extremal(k)).m == k * k
+
+
+class TestPickle:
+    @settings(max_examples=100)
+    @given(graphs(max_n=10))
+    def test_round_trip_skips_the_validator(self, g):
+        def refuse(n, adj):
+            raise AssertionError("unpickling ran the validator")
+
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(graph, "_validate", refuse)
+            back = pickle.loads(pickle.dumps(g))
+        assert back == g and valid(back).adj == g.adj
 
 
 LOW = "a graph needs at least one vertex, got n="
