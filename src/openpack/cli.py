@@ -56,7 +56,14 @@ def _open_out(path_arg: str):
 
 
 def _graph6_lines(text: str) -> Iterator[Graph]:
-    return (parse_graph6(line) for line in text.splitlines() if line.strip())
+    """One graph per non-blank line; a bad record is named by its line number, from 1."""
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                g = parse_graph6(line)
+            except FormatError as exc:
+                raise FormatError(f"line {number}: {exc}") from exc
+            yield g
 
 
 def _input_graphs(args) -> list[Graph]:

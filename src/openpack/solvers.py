@@ -24,7 +24,7 @@ from functools import cached_property
 
 from . import _kernels_py as _kernel
 from .graph import Graph, complement, iter_bits, max_degree, min_degree
-from .transforms import closed_neighborhood_graph, two_step
+from .transforms import _compose, closed_neighborhood_graph, two_step
 
 HARD_MAX_N = 64
 
@@ -279,9 +279,12 @@ def _min_cover(n: int, cover: list[int]) -> tuple[int, int]:
     * packing: uncovered vertices with pairwise disjoint covers, taken greedily
       by ascending cover size, each need their own pick.  For closed covers
       they form a 2-packing (rho <= gamma), for open covers an open packing
-      (rho_o <= gamma_t), the T14 bounds;
-    * residual gain: the fewest t whose t largest residual gains
-      ``|cover[u] & uncovered|`` add up to |uncovered|.
+      (rho_o <= gamma_t), the T14 bounds.  ``levels`` masks the vertices of
+      each cover size, smallest first, and ``block[v]`` is v plus every vertex
+      whose cover meets v's (its square row, or two-step row for open covers).
+      Each step takes the lowest vertex of the first level meeting ``free``
+      and clears its block, so the scan ends within ``room`` steps; its first
+      vertex is the branching one.
 
     ``best`` changes only on a strictly smaller cover, and a pruned subtree
     holds none, so the bounds change the running time, never the result.  Two
@@ -318,7 +321,8 @@ def _min_cover(n: int, cover: list[int]) -> tuple[int, int]:
     max_cover = max(sizes)
     if -(-n // max_cover) >= count:  # the greedy cover meets the static bound
         return count, chosen
-    by_size = [(1 << v, cover[v]) for v in sorted(range(n), key=sizes.__getitem__)]
+    levels = _kernel._degree_levels(n, cover)[::-1]
+    block = [row | 1 << v for v, row in enumerate(_compose(cover, cover))]
 
     def extend(uncovered: int, size: int, mask: int) -> None:
         if not uncovered:
@@ -341,18 +345,18 @@ def _min_cover(n: int, cover: list[int]) -> tuple[int, int]:
         if expanded.get(uncovered, n) <= size:
             return
         expanded[uncovered] = size
-        packed, hit = 0, 0
-        for bit, cv in by_size:
-            if uncovered & bit and not cv & hit:
+        free, packed = uncovered, 0
+        for level in levels:
+            low = level & free
+            while low:
+                v = (low & -low).bit_length() - 1
                 if not packed:  # the most constrained uncovered vertex
-                    options = cv
+                    options = cover[v]
                 packed += 1
                 if packed >= room:
                     return
-                hit |= cv
-        gains = sorted([(cv & uncovered).bit_count() for cv in cover], reverse=True)
-        if sum(gains[:room - 1]) < left:
-            return
+                free &= ~block[v]
+                low = level & free
         for u in iter_bits(options):
             extend(uncovered & ~cover[u], size + 1, mask | 1 << u)
 

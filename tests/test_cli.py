@@ -113,6 +113,10 @@ class TestInputErrors:
           "--tree-confirm-n", "3"), None, "--strict does not apply to T4"),
         (("verify", "--theorem", "T1,T11", "--all-n", "3", "--tree-confirm-n", "3"), None,
          "--tree-confirm-n does not apply to T1,T11"),
+        # a bad graph6 record is named by its line, counting blank lines, from 1
+        (("verify", "--theorem", "T14", "--g6-file", "-"), "\nzz\nA_\n",
+         "error: line 2: graph6 payload for n=59 needs 286 characters, got 1"),
+        (("invariant",), "A_\n\nB\n", "error: line 3: graph6 payload for n=3"),
     ]
 
     @pytest.mark.parametrize("argv, stdin, named", CASES,

@@ -8,7 +8,9 @@ the branching rule, child order and greedy seed are those of the search with
 the static bound alone, so every (size, mask) must stay byte-identical to
 ``oracles.reference_min_cover``.  A SHA-256 of the covers of the 40-56 vertex
 medium graphs, recorded before the last-pick scan and the transposition table,
-pins the bytes there too.
+pins the bytes there too.  A second one, recorded while the residual-gain bound
+was still in place, pins the 60-64 vertex products and random graphs on which
+the packing scan changes the pruning most.
 """
 
 import hashlib
@@ -20,8 +22,9 @@ from hypothesis import strategies as st
 import oracles
 from conftest import graphs
 from openpack import solvers
-from openpack.graph import Graph, random_graph, random_tree
+from openpack.graph import Graph, cycle, path, random_graph, random_tree
 from openpack.harness import all_graphs_upto
+from openpack.products import cartesian, direct
 from openpack.solvers import domination_number, total_domination_number
 
 pytestmark = pytest.mark.usefixtures("search_deadline")
@@ -83,4 +86,19 @@ class TestMediumCoverBytes:
                     g = random_graph(n, p, seed)
                     for cover in covers(g):
                         sha.update(repr(solvers._min_cover(g.n, cover)).encode() + b"\n")
+        assert sha.hexdigest() == self.DIGEST
+
+
+class TestHardCoverBytes:
+    # SHA-256 of the 10 (size, mask) pairs on C8 cart C8, P8 cart P8, C7 direct C9,
+    # G(64, 0.16, 1) and G(60, 0.12, 2)
+    DIGEST = "4f74c7d5e2a130c5ef8a6ceb092fa8ed6e42c7de031c6cfbea525f33d3fc4868"
+
+    def test_products_and_dense_random_graphs(self):
+        sha = hashlib.sha256()
+        for g in (cartesian(cycle(8), cycle(8))[0], cartesian(path(8), path(8))[0],
+                  direct(cycle(7), cycle(9))[0], random_graph(64, 0.16, 1),
+                  random_graph(60, 0.12, 2)):
+            for cover in covers(g):
+                sha.update(repr(solvers._min_cover(g.n, cover)).encode() + b"\n")
         assert sha.hexdigest() == self.DIGEST
