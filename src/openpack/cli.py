@@ -12,7 +12,14 @@ from itertools import chain
 
 from . import constructions, harness, solvers, transforms
 from .constructions import PsiSpec
-from .formats import FormatError, check_graph6_order, parse_edge_list_text, parse_graph6, to_graph6
+from .formats import (
+    FormatError,
+    _graph6_record,
+    check_graph6_order,
+    parse_edge_list_text,
+    parse_graph6,
+    to_graph6,
+)
 from .graph import (
     Graph,
     GraphError,
@@ -56,14 +63,17 @@ def _open_out(path_arg: str):
 
 
 def _graph6_lines(text: str) -> Iterator[Graph]:
-    """One graph per non-blank line; a bad record is named by its line number, from 1."""
-    for number, line in enumerate(text.splitlines(), 1):
+    """One graph per non-blank line, decoded as it is asked for.  Every record
+    is checked now, so a bad one, named by its line number from 1, is refused
+    before the first graph is used."""
+    lines = text.splitlines()
+    for number, line in enumerate(lines, 1):
         if line.strip():
             try:
-                g = parse_graph6(line)
+                _graph6_record(line)
             except FormatError as exc:
                 raise FormatError(f"line {number}: {exc}") from exc
-            yield g
+    return (parse_graph6(line) for line in lines if line.strip())
 
 
 def _input_graphs(args) -> list[Graph]:

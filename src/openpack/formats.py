@@ -37,8 +37,9 @@ def to_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 record (optionally prefixed with the ``>>graph6<<`` header)."""
+def _graph6_record(line: str) -> tuple[int, str]:
+    """The order and payload of one graph6 record (optionally prefixed with the
+    ``>>graph6<<`` header), its size byte, length and alphabet checked."""
     if type(line) is not str:
         raise FormatError(f"a graph6 record is a string, got {line!r}")
     s = line.strip()
@@ -54,20 +55,26 @@ def parse_graph6(line: str) -> Graph:
     n = first - 63
     if n == 0:
         raise FormatError("graph6 record encodes a 0-vertex graph; n >= 1 required")
-    pairs = pair_order(n)
-    want = (len(pairs) + 5) // 6
+    want = (n * (n - 1) // 2 + 5) // 6
     payload = s[1:]
     if len(payload) != want:
         raise FormatError(
             f"graph6 payload for n={n} needs {want} characters, got {len(payload)}"
         )
+    if payload and not "?" <= min(payload) <= max(payload) <= "~":
+        stray = next(ch for ch in payload if not "?" <= ch <= "~")
+        raise FormatError(f"stray character {stray!r} in graph6 payload")
+    return n, payload
+
+
+def parse_graph6(line: str) -> Graph:
+    """Decode one graph6 record (optionally prefixed with the ``>>graph6<<`` header)."""
+    n, payload = _graph6_record(line)
+    pairs = pair_order(n)
     bits = 0
     for ch in payload:
-        value = ord(ch) - 63
-        if not 0 <= value <= 63:
-            raise FormatError(f"stray character {ch!r} in graph6 payload")
-        bits = bits << 6 | value
-    bits >>= 6 * want - len(pairs)
+        bits = bits << 6 | ord(ch) - 63
+    bits >>= 6 * len(payload) - len(pairs)
     adj = [0] * n
     for t, (u, v) in enumerate(pairs):
         if bits >> (len(pairs) - 1 - t) & 1:

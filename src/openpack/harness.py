@@ -28,6 +28,7 @@ from itertools import chain
 from multiprocessing import get_context
 
 from . import solvers
+from ._kernels_py import memo_scope
 from .constructions import tree_opp
 from .formats import parse_graph6, to_graph6
 from .graph import (
@@ -558,6 +559,9 @@ _worker_factors: Callable[[Graph], GraphFacts] | None = None
 
 
 def _start_worker() -> None:
+    """Give a pool worker its factor memo.  The worker is forked inside
+    run_corpus's kernel memo scope and never leaves it, so its kernel memo,
+    like its factor memo, lives as long as the worker."""
     global _worker_factors
     _worker_factors = lru_cache(maxsize=FACTOR_FACTS_MAX)(GraphFacts)
 
@@ -590,8 +594,11 @@ def run_corpus(theorems: Iterable[str], instances: Iterable[Instance], *,
     Violated rows are re-verified before they are yielded.  With jobs > 1 the
     instances are evaluated by a worker pool; emission order is still the
     corpus order, so output is deterministic either way.  Facts about pair
-    factors are shared within the call through one factor memo (one per
-    worker under a pool), and none outlive it.
+    factors are shared within the call through one factor memo, and kernel
+    results through one kernel memo (``_kernels_py.memo_scope``, at most
+    ``MEMO_MAX`` entries); under a pool each worker has its own of both.
+    Neither outlives the call: both go when the rows are exhausted, when the
+    generator is closed early, or when the run raises.
     """
     theorems = tuple(theorems)
     theorem_kind(theorems)
@@ -599,8 +606,8 @@ def run_corpus(theorems: Iterable[str], instances: Iterable[Instance], *,
         raise GraphError(f"run_corpus needs jobs >= 1, got jobs={jobs}")
     options = options or RunOptions()
     failure: list[BaseException] = []
-    with (get_context("fork").Pool(jobs, initializer=_start_worker) if jobs > 1
-          else nullcontext()) as pool:
+    with memo_scope(), (get_context("fork").Pool(jobs, initializer=_start_worker)
+                        if jobs > 1 else nullcontext()) as pool:
         if pool is None:
             factors = lru_cache(maxsize=FACTOR_FACTS_MAX)(GraphFacts)
             batches = (evaluate_instance(theorems, instance, options, factors)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import _kernels_py as _kernel
+from ._kernels_py import memo_scope
 from .graph import Graph, complement, iter_bits, max_degree, min_degree
 from .transforms import _compose, closed_neighborhood_graph, two_step
 
@@ -152,7 +153,7 @@ def _check(ok: bool, message: str) -> None:
 def _kernel_coloring(g: Graph) -> tuple[int, VertexLabeling]:
     """Kernel coloring of g, checked only for its shape: one label per vertex, onto 1..k."""
     _require_within_cap(g)
-    k, colors = _kernel.chromatic_number(g.n, list(g.adj))
+    k, colors = _kernel.chromatic_number(g.n, g.adj)
     try:
         labeling = VertexLabeling(tuple(colors), k)
     except ValueError as exc:
@@ -164,7 +165,7 @@ def _kernel_coloring(g: Graph) -> tuple[int, VertexLabeling]:
 def _kernel_independent_set(g: Graph) -> tuple[int, VertexSet]:
     """Kernel set of g, checked only for its shape: the claimed size, no bits beyond n."""
     _require_within_cap(g)
-    size, mask = _kernel.max_independent_set(g.n, list(g.adj))
+    size, mask = _kernel.max_independent_set(g.n, g.adj)
     _check(mask.bit_count() == size and not mask >> g.n,
            "kernel set has the wrong size or bits beyond n")
     return size, VertexSet(mask)
@@ -461,7 +462,7 @@ class GraphFacts:
             raise UndefinedInvariantError(
                 "total domination is undefined on graphs with isolated vertices"
             )
-        return self._checked("gamma_t", _kernel_cover(g, list(g.adj)))
+        return self._checked("gamma_t", _kernel_cover(g, g.adj))
 
     @cached_property
     def omega_N(self) -> tuple[int, VertexSet]:
@@ -518,13 +519,19 @@ class InvariantReport:
 
 def full_report(g: Graph, with_certificates: bool = True) -> InvariantReport:
     """Every invariant of ``INVARIANTS`` with its certificate, from one
-    ``GraphFacts``; gamma_t is left out when g has an isolated vertex."""
+    ``GraphFacts``; gamma_t is left out when g has an isolated vertex.
+
+    The solves share one kernel memo (``_kernels_py.memo_scope``) for the
+    call: when the p_o driver bounds its search by the clique number of the
+    two-step graph, omega_N reuses that search instead of running it again.
+    """
     facts = GraphFacts(g)
     values = {"n": g.n, "m": g.m, "Delta": max_degree(g), "delta": min_degree(g)}
     certificates = {}
-    for name in INVARIANTS:
-        try:
-            values[name], certificates[name] = getattr(facts, name)
-        except UndefinedInvariantError:  # gamma_t with an isolated vertex
-            continue
+    with memo_scope():
+        for name in INVARIANTS:
+            try:
+                values[name], certificates[name] = getattr(facts, name)
+            except UndefinedInvariantError:  # gamma_t with an isolated vertex
+                continue
     return InvariantReport(values, certificates if with_certificates else {})

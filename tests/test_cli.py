@@ -117,6 +117,9 @@ class TestInputErrors:
         (("verify", "--theorem", "T14", "--g6-file", "-"), "\nzz\nA_\n",
          "error: line 2: graph6 payload for n=59 needs 286 characters, got 1"),
         (("invariant",), "A_\n\nB\n", "error: line 3: graph6 payload for n=3"),
+        # every record is checked before the first row, so a bad one writes no row
+        (("verify", "--theorem", "T14", "--g6-file", "-", "--out", "{tmp}/rows.jsonl"),
+         "A_\nzz\n", "error: line 2: graph6 payload for n=59 needs 286 characters, got 1"),
     ]
 
     @pytest.mark.parametrize("argv, stdin, named", CASES,
@@ -126,6 +129,8 @@ class TestInputErrors:
         (tmp_path / "nonascii.g6").write_bytes(b"B\xc3\n")
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         expect_input_error(argv, named.replace("{tmp}", str(tmp_path)))
+        if "--out" in argv:  # refused input leaves no output file
+            assert not Path(argv[argv.index("--out") + 1]).exists()
 
     # an order above the cap is refused before the first edge is drawn or built
     LARGE_ORDERS = [
