@@ -23,6 +23,7 @@ from .formats import (
 from .graph import (
     Graph,
     GraphError,
+    _from_code,
     complete,
     complete_bipartite,
     cycle,
@@ -63,17 +64,17 @@ def _open_out(path_arg: str):
 
 
 def _graph6_lines(text: str) -> Iterator[Graph]:
-    """One graph per non-blank line, decoded as it is asked for.  Every record
-    is checked now, so a bad one, named by its line number from 1, is refused
-    before the first graph is used."""
-    lines = text.splitlines()
-    for number, line in enumerate(lines, 1):
+    """One graph per non-blank line, built as it is asked for.  Every record
+    is checked now, once, and its code kept, so a bad one, named by its line
+    number from 1, is refused before the first graph is used."""
+    records = []
+    for number, line in enumerate(text.splitlines(), 1):
         if line.strip():
             try:
-                _graph6_record(line)
+                records.append(_graph6_record(line))
             except FormatError as exc:
                 raise FormatError(f"line {number}: {exc}") from exc
-    return (parse_graph6(line) for line in lines if line.strip())
+    return (_from_code(n, code) for n, code in records)
 
 
 def _input_graphs(args) -> list[Graph]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError, _trusted, from_edge_list, pair_order
+from .graph import Graph, GraphError, _code, _from_code, from_edge_list
 
 GRAPH6_MAX_N = 62
 _HEADER = ">>graph6<<"
@@ -19,26 +19,19 @@ def check_graph6_order(n: int) -> None:
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode as a graph6 record: size byte, then upper-triangle bits packed
-    six per character at offset 63, final sextet zero-padded."""
+    """Encode g as a graph6 record: the size byte, then the bits of g's code
+    (``graph._from_code``) in order, six per character at offset 63, most
+    significant bit first."""
     check_graph6_order(g.n)
-    out = [chr(63 + g.n)]
-    acc = 0
-    nbits = 0
-    for u, v in pair_order(g.n):
-        acc = acc << 1 | (g.adj[v] >> u & 1)
-        nbits += 1
-        if nbits == 6:
-            out.append(chr(63 + acc))
-            acc = 0
-            nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(out)
+    pairs = g.n * (g.n - 1) // 2
+    # bit t of the code at position t; five zeros pad the last character
+    bits = f"{_code(g):0{pairs}b}"[::-1] + "00000"
+    return chr(63 + g.n) + "".join(
+        chr(63 + int(bits[i:i + 6], 2)) for i in range(0, pairs, 6))
 
 
-def _graph6_record(line: str) -> tuple[int, str]:
-    """The order and payload of one graph6 record (optionally prefixed with the
+def _graph6_record(line: str) -> tuple[int, int]:
+    """The order and code of one graph6 record (optionally prefixed with the
     ``>>graph6<<`` header), its size byte, length and alphabet checked."""
     if type(line) is not str:
         raise FormatError(f"a graph6 record is a string, got {line!r}")
@@ -55,7 +48,8 @@ def _graph6_record(line: str) -> tuple[int, str]:
     n = first - 63
     if n == 0:
         raise FormatError("graph6 record encodes a 0-vertex graph; n >= 1 required")
-    want = (n * (n - 1) // 2 + 5) // 6
+    pairs = n * (n - 1) // 2
+    want = (pairs + 5) // 6
     payload = s[1:]
     if len(payload) != want:
         raise FormatError(
@@ -64,23 +58,16 @@ def _graph6_record(line: str) -> tuple[int, str]:
     if payload and not "?" <= min(payload) <= max(payload) <= "~":
         stray = next(ch for ch in payload if not "?" <= ch <= "~")
         raise FormatError(f"stray character {stray!r} in graph6 payload")
-    return n, payload
+    bits = 0
+    for ch in payload:
+        bits = bits << 6 | ord(ch) - 63
+    # the first bit written is bit 0 of the code; the padding is dropped
+    return n, int(f"{bits >> 6 * want - pairs:0{pairs}b}"[::-1], 2)
 
 
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 record (optionally prefixed with the ``>>graph6<<`` header)."""
-    n, payload = _graph6_record(line)
-    pairs = pair_order(n)
-    bits = 0
-    for ch in payload:
-        bits = bits << 6 | ord(ch) - 63
-    bits >>= 6 * len(payload) - len(pairs)
-    adj = [0] * n
-    for t, (u, v) in enumerate(pairs):
-        if bits >> (len(pairs) - 1 - t) & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return _trusted(n, adj)
+    return _from_code(*_graph6_record(line))
 
 
 def to_edge_list_text(g: Graph) -> str:

@@ -1,4 +1,5 @@
-"""Immutable bit-mask graphs: construction, named families, invariants, enumeration."""
+"""Immutable bit-mask graphs: construction, named families, invariants, and
+enumeration by upper-triangle code (``_from_code``), which graph6 shares."""
 
 from __future__ import annotations
 
@@ -303,12 +304,7 @@ def diameter(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration and isomorphism
-
-
-def pair_order(n: int) -> list[tuple[int, int]]:
-    """The fixed (u, v) pair order used by enumeration and the graph6 codec."""
-    return [(u, v) for v in range(1, n) for u in range(v)]
+# Codes, exhaustive enumeration and isomorphism
 
 
 def check_enumerable(name: str, n: int, least: int = 1) -> None:
@@ -319,26 +315,36 @@ def check_enumerable(name: str, n: int, least: int = 1) -> None:
         )
 
 
+def _from_code(n: int, code: int) -> Graph:
+    """The graph on n vertices whose code is ``code``: edge (u, v) with u < v
+    is bit v(v-1)/2 + u, so column v of the upper triangle is v consecutive
+    bits.  Enumeration counts codes up and graph6 writes their bits in order."""
+    adj = [0] * n
+    for v in range(1, n):
+        column = code & ((1 << v) - 1)
+        code >>= v
+        adj[v] = column
+        while column:
+            low = column & -column
+            adj[low.bit_length() - 1] |= 1 << v
+            column ^= low
+    return _trusted(n, adj)
+
+
+def _code(g: Graph) -> int:
+    """The inverse of ``_from_code``: g's columns, highest first, shifted in."""
+    code = 0
+    for v in range(g.n - 1, 0, -1):
+        code = code << v | g.adj[v] & ((1 << v) - 1)
+    return code
+
+
 def enumerate_all_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled simple graph on n vertices, exactly once, deterministic order.
-
-    Graph ``code`` has edge (u, v) iff bit t of ``code`` is set, where t is the
-    position of (u, v) in ``pair_order(n)``.  ``n`` is checked at the call,
-    before the first graph is asked for.
-    """
+    """Every labeled simple graph on n vertices, exactly once, in the order of
+    their codes (``_from_code``).  ``n`` is checked at the call, before the
+    first graph is asked for."""
     check_enumerable("n", n)
-    return _enumerate(n)
-
-
-def _enumerate(n: int) -> Iterator[Graph]:
-    pairs = pair_order(n)
-    for code in range(1 << len(pairs)):
-        adj = [0] * n
-        for t, (u, v) in enumerate(pairs):
-            if code >> t & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        yield _trusted(n, adj)
+    return (_from_code(n, code) for code in range(1 << n * (n - 1) // 2))
 
 
 def _refinement_labels(g: Graph) -> list[tuple[int, tuple[int, ...]]]:

@@ -150,32 +150,14 @@ def _check(ok: bool, message: str) -> None:
         raise CertificateError(message)
 
 
-def _kernel_coloring(g: Graph) -> tuple[int, VertexLabeling]:
-    """Kernel coloring of g, checked only for its shape: one label per vertex, onto 1..k."""
-    _require_within_cap(g)
-    k, colors = _kernel.chromatic_number(g.n, g.adj)
-    try:
-        labeling = VertexLabeling(tuple(colors), k)
-    except ValueError as exc:
-        raise CertificateError(f"kernel coloring does not use exactly 1..{k}") from exc
-    _check(len(colors) == g.n, "kernel coloring does not label every vertex once")
-    return k, labeling
-
-
-def _kernel_independent_set(g: Graph) -> tuple[int, VertexSet]:
-    """Kernel set of g, checked only for its shape: the claimed size, no bits beyond n."""
+def max_independent_set(g: Graph) -> tuple[int, VertexSet]:
+    """Maximum independent set size and one witness set."""
     _require_within_cap(g)
     size, mask = _kernel.max_independent_set(g.n, g.adj)
     _check(mask.bit_count() == size and not mask >> g.n,
            "kernel set has the wrong size or bits beyond n")
+    _check(_is_independent(g, mask), "kernel set is not independent")
     return size, VertexSet(mask)
-
-
-def max_independent_set(g: Graph) -> tuple[int, VertexSet]:
-    """Maximum independent set size and one witness set."""
-    size, cert = _kernel_independent_set(g)
-    _check(_is_independent(g, cert.bits), "kernel set is not independent")
-    return size, cert
 
 
 def _is_proper_coloring(g: Graph, labeling: VertexLabeling) -> bool:
@@ -378,14 +360,6 @@ def is_total_dominating(g: Graph, s) -> bool:
     return all(adj & mask for adj in g.adj)
 
 
-def _kernel_cover(g: Graph, cover: list[int]) -> tuple[int, VertexSet]:
-    """Least cover of g by ``cover``, checked only for its shape, as the kernels' are."""
-    size, mask = _min_cover(g.n, cover)
-    _check(mask.bit_count() == size and not mask >> g.n,
-           "search result has the wrong size or bits beyond n")
-    return size, VertexSet(mask)
-
-
 # ---------------------------------------------------------------------------
 # One cache per graph
 
@@ -402,23 +376,45 @@ PREDICATES = {
     "omega_N": is_common_neighbor_clique,
 }
 INVARIANTS = tuple(PREDICATES)
+_LABELINGS = frozenset({"chi", "p_o", "chi2"})  # the rest are certified by a vertex set
 
 
 class GraphFacts:
     """The exact invariants of one graph, each solved and checked at most once.
 
     The two transforms the kernels run on, ``two_step`` and ``square``, are
-    built at most once each.  Every name in ``INVARIANTS`` is a
-    ``(value, certificate)`` pair whose certificate has passed the invariant's
-    predicate in ``PREDICATES`` on g.
+    built at most once each, and the solver cap is checked at most once.  Every
+    name in ``INVARIANTS`` is a ``(value, certificate)`` pair whose certificate
+    has passed the invariant's predicate in ``PREDICATES`` on g.
     """
 
     def __init__(self, g: Graph):
         self.g = g
 
-    def _checked(self, name: str, pair: tuple) -> tuple:
-        _check(PREDICATES[name](self.g, pair[1]), f"the {name} certificate fails its predicate")
-        return pair
+    @cached_property
+    def _within_cap(self) -> None:
+        """Refuses g past the solver cap; every search runs on n = g.n rows."""
+        _require_within_cap(self.g)
+
+    def _solved(self, name: str, search, rows) -> tuple:
+        """``search(n, rows)``, its result checked for the shape of ``name``'s
+        certificate, then against ``name``'s predicate on g."""
+        self._within_cap
+        n = self.g.n
+        size, found = search(n, rows)
+        if name in _LABELINGS:
+            try:
+                cert = VertexLabeling(tuple(found), size)
+            except ValueError as exc:
+                raise CertificateError(f"kernel coloring does not use exactly 1..{size}") from exc
+            _check(len(found) == n, "kernel coloring does not label every vertex once")
+        else:
+            what = "search result" if name in ("gamma", "gamma_t") else "kernel set"
+            _check(found.bit_count() == size and not found >> n,
+                   f"{what} has the wrong size or bits beyond n")
+            cert = VertexSet(found)
+        _check(PREDICATES[name](self.g, cert), f"the {name} certificate fails its predicate")
+        return size, cert
 
     @cached_property
     def two_step(self) -> Graph:
@@ -430,43 +426,41 @@ class GraphFacts:
 
     @cached_property
     def chi(self) -> tuple[int, VertexLabeling]:
-        return self._checked("chi", _kernel_coloring(self.g))
+        return self._solved("chi", _kernel.chromatic_number, self.g.adj)
 
     @cached_property
     def p_o(self) -> tuple[int, VertexLabeling]:
-        return self._checked("p_o", _kernel_coloring(self.two_step))
+        return self._solved("p_o", _kernel.chromatic_number, self.two_step.adj)
 
     @cached_property
     def chi2(self) -> tuple[int, VertexLabeling]:
-        return self._checked("chi2", _kernel_coloring(self.square))
+        return self._solved("chi2", _kernel.chromatic_number, self.square.adj)
 
     @cached_property
     def rho(self) -> tuple[int, VertexSet]:
-        return self._checked("rho", _kernel_independent_set(self.square))
+        return self._solved("rho", _kernel.max_independent_set, self.square.adj)
 
     @cached_property
     def rho_o(self) -> tuple[int, VertexSet]:
-        return self._checked("rho_o", _kernel_independent_set(self.two_step))
+        return self._solved("rho_o", _kernel.max_independent_set, self.two_step.adj)
 
     @cached_property
     def gamma(self) -> tuple[int, VertexSet]:
-        g = self.g
-        _require_within_cap(g)
-        return self._checked("gamma", _kernel_cover(g, [g.adj[v] | 1 << v for v in range(g.n)]))
+        closed = [row | 1 << v for v, row in enumerate(self.g.adj)]
+        return self._solved("gamma", _min_cover, closed)
 
     @cached_property
     def gamma_t(self) -> tuple[int, VertexSet]:
-        g = self.g
-        _require_within_cap(g)
-        if any(mask == 0 for mask in g.adj):
+        self._within_cap
+        if any(mask == 0 for mask in self.g.adj):
             raise UndefinedInvariantError(
                 "total domination is undefined on graphs with isolated vertices"
             )
-        return self._checked("gamma_t", _kernel_cover(g, g.adj))
+        return self._solved("gamma_t", _min_cover, self.g.adj)
 
     @cached_property
     def omega_N(self) -> tuple[int, VertexSet]:
-        return self._checked("omega_N", _kernel_independent_set(complement(self.two_step)))
+        return self._solved("omega_N", _kernel.max_independent_set, complement(self.two_step).adj)
 
 
 def chromatic_number(g: Graph) -> tuple[int, VertexLabeling]:

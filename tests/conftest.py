@@ -10,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 import openpack
-from openpack.graph import Graph, pair_order
+from openpack.graph import _from_code
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
@@ -68,13 +68,7 @@ def run_python(code: str, *flags: str, timeout: float = 60) -> subprocess.Comple
 def graphs(draw, min_n: int = 1, max_n: int = 8):
     n = draw(st.integers(min_n, max_n))
     nbits = n * (n - 1) // 2
-    code = draw(st.integers(0, (1 << nbits) - 1))
-    adj = [0] * n
-    for t, (u, v) in enumerate(pair_order(n)):
-        if code >> t & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return Graph(n, adj)
+    return _from_code(n, draw(st.integers(0, (1 << nbits) - 1)))
 
 
 @st.composite

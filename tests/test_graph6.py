@@ -1,7 +1,12 @@
+import contextlib
+import io
+import json
+
 import pytest
 
 networkx = pytest.importorskip("networkx")
 
+from openpack import cli, formats
 from openpack.formats import (
     FormatError,
     parse_edge_list_text,
@@ -11,6 +16,8 @@ from openpack.formats import (
 )
 from openpack.graph import (
     Graph,
+    _code,
+    _from_code,
     complete,
     cycle,
     enumerate_all_graphs,
@@ -35,6 +42,43 @@ class TestKnownEncodings:
         assert parse_graph6(">>graph6<<A_") == from_edge_list(2, [(0, 1)])
 
 
+class TestCode:
+    """The one upper-triangle layout: edge (u, v) with u < v is bit v(v-1)/2 + u."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_definition(self, n):
+        pairs = [(u, v) for v in range(1, n) for u in range(v)]
+        for code in range(1 << len(pairs)):
+            g = _from_code(n, code)
+            edges = {(u, v) for t, (u, v) in enumerate(pairs) if code >> t & 1}
+            assert set(g.edges()) == edges
+            assert _code(g) == code
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_enumeration_counts_codes_up(self, n):
+        codes = [_code(g) for g in enumerate_all_graphs(n)]
+        assert codes == list(range(1 << n * (n - 1) // 2))
+
+    def test_verify_checks_each_record_once(self, monkeypatch):
+        calls = []
+
+        def counted(line):
+            calls.append(line)
+            return record(line)
+
+        record = formats._graph6_record
+        # cli binds the name too, and parse_graph6 reaches it through formats
+        monkeypatch.setattr(formats, "_graph6_record", counted)
+        monkeypatch.setattr(cli, "_graph6_record", counted)
+        lines = [to_graph6(g) for g in (path(3), cycle(4), complete(5))]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["verify", "--theorem", "T1", "--g6-file", "-"]) == 0
+        rows = [json.loads(row) for row in out.getvalue().splitlines()]
+        assert list(dict.fromkeys(row["instance"] for row in rows)) == lines
+        assert calls == lines
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_exhaustive_small(self, n):
@@ -42,17 +86,9 @@ class TestRoundTrip:
             assert parse_graph6(to_graph6(g)) == g
 
     def test_sampled_n7(self):
-        from openpack.graph import pair_order
-
-        pairs = pair_order(7)
         count = 0
-        for code in range(0, 1 << len(pairs), 101):
-            adj = [0] * 7
-            for t, (u, v) in enumerate(pairs):
-                if code >> t & 1:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-            g = Graph(7, adj)
+        for code in range(0, 1 << 21, 101):
+            g = _from_code(7, code)
             assert parse_graph6(to_graph6(g)) == g
             count += 1
         assert count > 20000

@@ -378,6 +378,15 @@ class TestCaps:
         with pytest.raises(SolverCapError, match="must be a positive integer"):
             chromatic_number(cycle(5))
 
+    def test_one_report_reads_the_cap_once(self, monkeypatch):
+        from openpack import solvers
+
+        reads = []
+        cap = solvers.solver_cap
+        monkeypatch.setattr(solvers, "solver_cap", lambda: reads.append(1) or cap())
+        assert len(full_report(cycle(6)).values) == 12  # every invariant, gamma_t too
+        assert len(reads) == 1
+
 
 class TestCertificateChecks:
     # kernels that return a wrong certificate for any graph with an edge

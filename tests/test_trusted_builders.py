@@ -96,6 +96,12 @@ class TestTrustedBuildersPassTheValidator:
     def test_square(self, g):
         valid(square(g))
 
+    @settings(max_examples=200)
+    @given(st.integers(1, 40).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))))
+    def test_from_code(self, case):
+        valid(graph._from_code(*case))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_enumerate_all_graphs(self, n):
         for g in enumerate_all_graphs(n):
