@@ -1,29 +1,28 @@
-"""Command-line interface: gen, invariant, transform, product, tree-opp, verify, enumerate."""
+"""Command-line interface: gen, invariant, transform, product, tree-opp, verify, enumerate.
+Every line it reads or writes goes through ``openpack.formats``."""
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from collections.abc import Iterator
 from dataclasses import fields
 from itertools import chain
 
 from . import constructions, harness, solvers, transforms
 from .constructions import PsiSpec
 from .formats import (
+    JSON_LINE,
     FormatError,
-    _graph6_record,
     check_graph6_order,
     parse_edge_list_text,
     parse_graph6,
+    parse_graph6_lines,
     to_graph6,
 )
 from .graph import (
     Graph,
     GraphError,
-    _from_code,
     complete,
     complete_bipartite,
     cycle,
@@ -37,10 +36,6 @@ from .products import PRODUCTS, order
 
 # openpack's errors for input it cannot take; anything else raised is a bug
 INPUT_ERRORS = (GraphError, solvers.SolverCapError, solvers.UndefinedInvariantError)
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _read_text(path_arg: str) -> str:
@@ -63,25 +58,11 @@ def _open_out(path_arg: str):
         raise GraphError(f"cannot write {path_arg}: {exc.strerror or exc}") from exc
 
 
-def _graph6_lines(text: str) -> Iterator[Graph]:
-    """One graph per non-blank line, built as it is asked for.  Every record
-    is checked now, once, and its code kept, so a bad one, named by its line
-    number from 1, is refused before the first graph is used."""
-    records = []
-    for number, line in enumerate(text.splitlines(), 1):
-        if line.strip():
-            try:
-                records.append(_graph6_record(line))
-            except FormatError as exc:
-                raise FormatError(f"line {number}: {exc}") from exc
-    return (_from_code(n, code) for n, code in records)
-
-
 def _input_graphs(args) -> list[Graph]:
     text = _read_text(args.input)
     if args.format == "edgelist":
         return [parse_edge_list_text(text)]
-    return list(_graph6_lines(text))
+    return list(parse_graph6_lines(text))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +119,7 @@ def cmd_invariant(args) -> int:
             record["certificates"] = {
                 name: cert.to_json_obj() for name, cert in certificates.items()
             }
-        print(_dump(record))
+        print(JSON_LINE.encode(record))
     return 0
 
 
@@ -163,7 +144,7 @@ def cmd_transform(args) -> int:
             print(to_graph6(TRANSFORMS[args.op](g)))
         else:
             value = PREDICATES[args.op](g)
-            print(_dump({"graph6": to_graph6(g), "op": args.op, "value": value}))
+            print(JSON_LINE.encode({"graph6": to_graph6(g), "op": args.op, "value": value}))
     return 0
 
 
@@ -178,7 +159,7 @@ def cmd_product(args) -> int:
     prod, layout = PRODUCTS[args.op](g, h)
     if args.layout_out:
         with _open_out(args.layout_out) as fh:
-            fh.write(_dump(layout.to_json_obj()) + "\n")
+            fh.write(JSON_LINE.encode(layout.to_json_obj()) + "\n")
     print(to_graph6(prod))
     return 0
 
@@ -190,7 +171,7 @@ def cmd_product(args) -> int:
 def cmd_tree_opp(args) -> int:
     for g in _input_graphs(args):
         labeling = constructions.tree_opp(g)
-        print(_dump({
+        print(JSON_LINE.encode({
             "graph6": to_graph6(g),
             "labels": list(labeling.labels),
             "classes": labeling.k,
@@ -221,7 +202,7 @@ def _single_corpus(args):
     if args.all_upto is not None:
         parts.append(harness.all_graphs_upto(args.all_upto))
     if args.g6_file:
-        parts.append(_graph6_lines(_read_text(args.g6_file)))
+        parts.append(parse_graph6_lines(_read_text(args.g6_file)))
     if args.random_trees:
         n_lo, n_hi, count, seed = args.random_trees
         if not 1 <= n_lo <= n_hi or count < 1:

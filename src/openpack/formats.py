@@ -1,11 +1,19 @@
-"""Text codecs: graph6 (n <= 62) and the plain edge-list format."""
+"""Every line openpack reads or writes: JSON lines, graph6 records (n <= 62)
+and files of them, and the plain edge-list format."""
 
 from __future__ import annotations
+
+import json
+from collections.abc import Iterator
 
 from .graph import Graph, GraphError, _code, _from_code, from_edge_list
 
 GRAPH6_MAX_N = 62
 _HEADER = ">>graph6<<"
+
+# The one JSON-line rule: keys sorted, no spaces.  One encoder serves every
+# line; ``JSON_LINE.encode(obj)`` is ``json.dumps`` with the same arguments.
+JSON_LINE = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class FormatError(GraphError):
@@ -68,6 +76,20 @@ def _graph6_record(line: str) -> tuple[int, int]:
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 record (optionally prefixed with the ``>>graph6<<`` header)."""
     return _from_code(*_graph6_record(line))
+
+
+def parse_graph6_lines(text: str) -> Iterator[Graph]:
+    """One graph per non-blank line, built as it is asked for.  Every record
+    is checked now, once, and its code kept, so a bad one, named by its line
+    number from 1, is refused before the first graph is used."""
+    records = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                records.append(_graph6_record(line))
+            except FormatError as exc:
+                raise FormatError(f"line {number}: {exc}") from exc
+    return (_from_code(n, code) for n, code in records)
 
 
 def to_edge_list_text(g: Graph) -> str:

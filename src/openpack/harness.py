@@ -1,4 +1,4 @@
-"""Claim-by-claim verification over graph corpora, with JSONL emission.
+"""Claim-by-claim verification over graph corpora, one ``formats.JSON_LINE`` line per row.
 
 Each check (T1..T15) is registered in ``CHECKS`` by ``@_theorem``, beside
 its definition, with the kind of instance it takes and the relation its rows
@@ -19,7 +19,6 @@ and is re-verified before emission.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from multiprocessing import get_context
 from . import solvers
 from ._kernels_py import memo_scope
 from .constructions import tree_opp
-from .formats import parse_graph6, to_graph6
+from .formats import JSON_LINE, parse_graph6, to_graph6
 from .graph import (
     ISOMORPHISM_MAX_N,
     Graph,
@@ -40,7 +39,6 @@ from .graph import (
     cycle,
     disjoint_union,
     enumerate_all_graphs,
-    from_edge_list,
     is_bipartite,
     is_connected,
     is_isomorphic,
@@ -86,7 +84,7 @@ class TheoremCheckResult:
         }
         if self.witness is not None:
             obj["witness"] = self.witness
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return JSON_LINE.encode(obj)
 
 
 @dataclass
@@ -328,20 +326,14 @@ def check_T8(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]
     return [row, _row("T8", facts.g6, 1, 0, flag)]
 
 
-_C4 = cycle(4)
-_TWO_P2 = disjoint_union(from_edge_list(2, [(0, 1)]), from_edge_list(2, [(0, 1)]))
-
-
 @_theorem("T9", "single", "le")
 def check_T9(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """p_o(G) + p_o(co-G) >= n, except the two 4-vertex graphs where the sum
     is n - 1 (reported, not asserted)."""
     co = GraphFacts(complement(facts.g))
     total = facts.p_o[0] + co.p_o[0]
-    excluded = facts.g.n == 4 and (
-        is_isomorphic(facts.g, _C4) or is_isomorphic(facts.g, _TWO_P2)
-    )
-    if excluded:
+    # C4 and 2K2 are the only 2- and 1-regular 4-vertex graphs: 2d edges, max degree d
+    if facts.g.n == 4 and facts.maxdeg in (1, 2) and facts.g.m == 2 * facts.maxdeg:
         # the two excluded graphs sit exactly one below the bound
         return [TheoremCheckResult("T9", facts.g6, REPORT_ONLY, facts.g.n - 1, total)]
     witness = ((facts, "p_o"), (co, "p_o"))
@@ -522,12 +514,14 @@ def check_T15(t: int, options: RunOptions) -> list[TheoremCheckResult]:
 
 def theorem_kind(theorems: Iterable[str]) -> str:
     """The one instance kind of every check in ``theorems``: a run takes one
-    kind of instance."""
-    kinds = set()
+    kind of instance, and each theorem once."""
+    theorems = list(theorems)
     for tid in theorems:
         if tid not in CHECKS:
             raise GraphError(f"unknown theorem id {tid!r}")
-        kinds.add(CHECKS[tid].kind)
+        if theorems.count(tid) > 1:
+            raise GraphError(f"theorem id {tid!r} given twice")
+    kinds = {CHECKS[tid].kind for tid in theorems}
     if len(kinds) != 1:
         none = "" if kinds else "no theorem selected: "
         raise GraphError(f"{none}a run needs theorems of one kind: single-graph, pair or parameter")

@@ -120,6 +120,9 @@ class TestInputErrors:
         # every record is checked before the first row, so a bad one writes no row
         (("verify", "--theorem", "T14", "--g6-file", "-", "--out", "{tmp}/rows.jsonl"),
          "A_\nzz\n", "error: line 2: graph6 payload for n=59 needs 286 characters, got 1"),
+        # a theorem named twice is refused, not run twice
+        (("verify", "--theorem", "T1,T1", "--all-n", "2", "--summary"), None,
+         "theorem id 'T1' given twice"),
     ]
 
     @pytest.mark.parametrize("argv, stdin, named", CASES,

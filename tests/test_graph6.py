@@ -67,9 +67,8 @@ class TestCode:
             return record(line)
 
         record = formats._graph6_record
-        # cli binds the name too, and parse_graph6 reaches it through formats
+        # parse_graph6_lines and parse_graph6 both reach it through formats
         monkeypatch.setattr(formats, "_graph6_record", counted)
-        monkeypatch.setattr(cli, "_graph6_record", counted)
         lines = [to_graph6(g) for g in (path(3), cycle(4), complete(5))]
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
         with contextlib.redirect_stdout(io.StringIO()) as out:

@@ -18,8 +18,10 @@ from openpack.graph import (
     cycle,
     diameter,
     disjoint_union,
+    enumerate_all_graphs,
     from_edge_list,
     is_connected,
+    is_isomorphic,
     path,
     random_tree,
     star,
@@ -126,6 +128,15 @@ class TestComplementSum:
         relabeled = from_edge_list(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
         row, = check_T9(facts(relabeled), OPTS)
         assert row.verdict == REPORT_ONLY
+
+    def test_excluded_exactly_c4_and_2k2(self):
+        # the degree rule against the isomorphism test on every labeled 4-vertex graph
+        two_k2 = disjoint_union(K2, K2)
+        excluded = [g for g in enumerate_all_graphs(4)
+                    if is_isomorphic(g, cycle(4)) or is_isomorphic(g, two_k2)]
+        reported = [g for g in enumerate_all_graphs(4)
+                    if check_T9(facts(g), OPTS)[0].verdict == REPORT_ONLY]
+        assert reported == excluded and len(excluded) == 6
 
     def test_extremal_family_tight(self):
         row, = check_T9(facts(ng_extremal(3)), OPTS)
@@ -523,6 +534,7 @@ class TestRunner:
 
     @pytest.mark.parametrize("theorems, named", [
         (["T1", "T99"], "'T99'"), (["T1", "T4"], "one kind"), ([], "one kind"),
+        (["T1", "T3", "T1"], "'T1' given twice"),
     ])
     def test_theorem_kind_refuses(self, theorems, named):
         with pytest.raises(GraphError, match=named):

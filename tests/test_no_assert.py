@@ -51,3 +51,33 @@ def test_no_validating_construction(path):
              and (getattr(node.func, "id", None) == "Graph"
                   or getattr(node.func, "attr", None) == "Graph")]
     assert lines == [], f"{path.name} calls Graph(...) on lines {lines}"
+
+
+def _imports(path):
+    """Every import in a source: (module, name) per ``from module import
+    name``, its module ``"."``-prefixed by level, and (module, None) per
+    ``import module``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            yield from ((module, alias.name) for alias in node.names)
+
+
+def test_only_formats_imports_json():
+    """``openpack.formats`` owns the JSON-line rule; every other module writes
+    its lines through ``formats.JSON_LINE``."""
+    importers = [path.name for path in SOURCES
+                 if any(module.split(".")[0] == "json" for module, _ in _imports(path))]
+    assert importers == ["formats.py"]
+
+
+def test_cli_imports_no_private_name():
+    """The CLI reaches the other modules through their public names only."""
+    path = Path(openpack.__file__).parent / "cli.py"
+    private = [(module, name) for module, name in _imports(path)
+               if (module.startswith(".") or module.split(".")[0] == "openpack")
+               and any(part.startswith("_") for part in [*module.split("."), name or ""])]
+    assert private == [], f"cli.py imports private names {private}"
