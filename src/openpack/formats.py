@@ -1,5 +1,8 @@
 """Every line openpack reads or writes: JSON lines, graph6 records (n <= 62)
-and files of them, and the plain edge-list format."""
+and files of them, and the plain edge-list format.
+
+Every JSON line is ``JSON_LINE.encode`` of an object, or, for a ``verify`` row
+of the common shape, the same bytes from ``json_row``'s one f-string."""
 
 from __future__ import annotations
 
@@ -14,6 +17,40 @@ _HEADER = ">>graph6<<"
 # The one JSON-line rule: keys sorted, no spaces.  One encoder serves every
 # line; ``JSON_LINE.encode(obj)`` is ``json.dumps`` with the same arguments.
 JSON_LINE = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _plain(text: str) -> bool:
+    """Does JSON write ``text`` unchanged between its quotes?  ``JSON_LINE``
+    escapes exactly the quote, the backslash and every character outside
+    printable ASCII (space to ``~``)."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def json_row(theorem, instance, verdict, lhs, rhs, witness=None) -> str:
+    """The JSON line of one ``verify`` row, byte for byte ``JSON_LINE.encode``
+    of its dict, with ``witness`` only when it is not None.
+
+    A row without a witness, whose sides are ints or None and whose strings
+    (the instance a name or a list of names) JSON writes unchanged, is one
+    f-string with the keys in sorted order.  Any other row, say a witness, a
+    backslash in a graph6 name or a bool side, goes through ``JSON_LINE``.
+    """
+    if (witness is None and type(theorem) is str and type(verdict) is str
+            and (lhs is None or type(lhs) is int) and (rhs is None or type(rhs) is int)):
+        if type(instance) is str:
+            names, text = instance, f'"{instance}"'
+        elif type(instance) is list and instance and all(type(s) is str for s in instance):
+            names, text = "".join(instance), '["' + '","'.join(instance) + '"]'
+        else:
+            names = None
+        if names is not None and _plain(theorem + verdict + names):
+            return (f'{{"instance":{text},"lhs":{"null" if lhs is None else lhs},'
+                    f'"rhs":{"null" if rhs is None else rhs},'
+                    f'"theorem":"{theorem}","verdict":"{verdict}"}}')
+    obj = {"theorem": theorem, "instance": instance, "verdict": verdict, "lhs": lhs, "rhs": rhs}
+    if witness is not None:
+        obj["witness"] = witness
+    return JSON_LINE.encode(obj)
 
 
 class FormatError(GraphError):

@@ -1,4 +1,8 @@
-"""Claim-by-claim verification over graph corpora, one ``formats.JSON_LINE`` line per row.
+"""Claim-by-claim verification over graph corpora, one JSON line per row.
+
+``TheoremCheckResult.to_json`` writes a row through ``formats.json_row``: one
+f-string for a row without a witness whose names JSON writes unchanged,
+``formats.JSON_LINE`` for any other, with the same bytes either way.
 
 Each check (T1..T15) is registered in ``CHECKS`` by ``@_theorem``, beside
 its definition, with the kind of instance it takes and the relation its rows
@@ -22,14 +26,14 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from multiprocessing import get_context
 
 from . import solvers
 from ._kernels_py import memo_scope
 from .constructions import tree_opp
-from .formats import JSON_LINE, parse_graph6, to_graph6
+from .formats import json_row, parse_graph6, to_graph6
 from .graph import (
     ISOMORPHISM_MAX_N,
     Graph,
@@ -75,16 +79,8 @@ class TheoremCheckResult:
     witness: dict | None = None
 
     def to_json(self) -> str:
-        obj = {
-            "theorem": self.theorem,
-            "instance": self.instance,
-            "verdict": self.verdict,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
-        if self.witness is not None:
-            obj["witness"] = self.witness
-        return JSON_LINE.encode(obj)
+        return json_row(self.theorem, self.instance, self.verdict, self.lhs, self.rhs,
+                        self.witness)
 
 
 @dataclass
@@ -103,19 +99,19 @@ class GraphFacts(solvers.GraphFacts):
     """The solver facts of one graph, and what else the checks ask of it,
     computed lazily and shared by all checks on it."""
 
-    @cached_property
+    @solvers.fact
     def g6(self) -> str:
         return to_graph6(self.g)
 
-    @cached_property
+    @solvers.fact
     def maxdeg(self) -> int:
         return max_degree(self.g)
 
-    @cached_property
+    @solvers.fact
     def connected(self) -> bool:
         return is_connected(self.g)
 
-    @cached_property
+    @solvers.fact
     def diameter_le_2(self) -> bool:
         # any two vertices are within distance 2 iff the square, with loops, is complete
         full = (1 << self.g.n) - 1

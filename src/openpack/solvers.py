@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import _kernels_py as _kernel
 from ._kernels_py import memo_scope
@@ -379,6 +378,27 @@ INVARIANTS = tuple(PREDICATES)
 _LABELINGS = frozenset({"chi", "p_o", "chi2"})  # the rest are certified by a vertex set
 
 
+class fact:
+    """A ``GraphFacts`` attribute computed by the decorated method on its
+    first get and stored in the instance ``__dict__``, which later gets read
+    first, so the method runs at most once per instance; if it raises,
+    nothing is stored.  ``functools.cached_property`` does the same, but on
+    Python 3.11 it takes a lock at every first get."""
+
+    def __init__(self, method):
+        self.method = method
+        self.__doc__ = method.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
+
+
 class GraphFacts:
     """The exact invariants of one graph, each solved and checked at most once.
 
@@ -391,7 +411,7 @@ class GraphFacts:
     def __init__(self, g: Graph):
         self.g = g
 
-    @cached_property
+    @fact
     def _within_cap(self) -> None:
         """Refuses g past the solver cap; every search runs on n = g.n rows."""
         _require_within_cap(self.g)
@@ -416,40 +436,40 @@ class GraphFacts:
         _check(PREDICATES[name](self.g, cert), f"the {name} certificate fails its predicate")
         return size, cert
 
-    @cached_property
+    @fact
     def two_step(self) -> Graph:
         return two_step(self.g)
 
-    @cached_property
+    @fact
     def square(self) -> Graph:
         return closed_neighborhood_graph(self.g)
 
-    @cached_property
+    @fact
     def chi(self) -> tuple[int, VertexLabeling]:
         return self._solved("chi", _kernel.chromatic_number, self.g.adj)
 
-    @cached_property
+    @fact
     def p_o(self) -> tuple[int, VertexLabeling]:
         return self._solved("p_o", _kernel.chromatic_number, self.two_step.adj)
 
-    @cached_property
+    @fact
     def chi2(self) -> tuple[int, VertexLabeling]:
         return self._solved("chi2", _kernel.chromatic_number, self.square.adj)
 
-    @cached_property
+    @fact
     def rho(self) -> tuple[int, VertexSet]:
         return self._solved("rho", _kernel.max_independent_set, self.square.adj)
 
-    @cached_property
+    @fact
     def rho_o(self) -> tuple[int, VertexSet]:
         return self._solved("rho_o", _kernel.max_independent_set, self.two_step.adj)
 
-    @cached_property
+    @fact
     def gamma(self) -> tuple[int, VertexSet]:
         closed = [row | 1 << v for v, row in enumerate(self.g.adj)]
         return self._solved("gamma", _min_cover, closed)
 
-    @cached_property
+    @fact
     def gamma_t(self) -> tuple[int, VertexSet]:
         self._within_cap
         if any(mask == 0 for mask in self.g.adj):
@@ -458,7 +478,7 @@ class GraphFacts:
             )
         return self._solved("gamma_t", _min_cover, self.g.adj)
 
-    @cached_property
+    @fact
     def omega_N(self) -> tuple[int, VertexSet]:
         return self._solved("omega_N", _kernel.max_independent_set, complement(self.two_step).adj)
 

@@ -54,79 +54,86 @@ class TestInputErrors:
     """Every command refuses out-of-range input the same way.  The verify
     cases of ``TestVerify`` go through the same ``expect_input_error``."""
 
-    # (argv, stdin, the text the stderr line must hold)
+    # (test id, argv, stdin, the text the stderr line must hold); each case
+    # names itself, so a case added anywhere leaves every other id as it is
     CASES = [
-        (("gen", "path", "--n", "0"), None, "n=0"),
-        (("gen", "cycle", "--n", "2"), None, "n=2"),
-        (("gen", "complete", "--n", "-1"), None, "n=-1"),
-        (("gen", "complete-bipartite", "--a", "2", "--b", "-1"), None, "a=2 b=-1"),
-        (("gen", "star", "--n", "-2"), None, "n=-2"),
-        (("gen", "random", "--n", "70", "--p", "0.1", "--seed", "1"), None, "n=70"),
-        (("gen", "random", "--n", "5", "--p", "1.5", "--seed", "1"), None, "1.5"),
-        (("gen", "tree-random", "--n", "0", "--seed", "1"), None, "n=0"),
-        (("gen", "psi", "--r", "1", "--s", "3"), None, "r=1"),
-        (("gen", "psi", "--r", "2", "--s", "3"), None, "s=3"),
-        (("gen", "ng", "--k", "2"), None, "k=2"),
-        (("gen", "cart-sharp", "--m", "0", "--n", "3"), None, "m=0"),
-        (("gen", "cart-sharp", "--m", "1", "--n", "2"), None, "n=2"),
-        (("enumerate", "--n", "9"), None, "n=9"),
-        (("enumerate", "--n", "0"), None, "n=0"),
-        (("invariant", "--format", "edgelist"), "63 0\n", "n=63"),
-        (("invariant", "--format", "edgelist"), "3 1\n0 5\n", "(0,5)"),
-        (("transform", "--op", "two-step", "--format", "edgelist"), "63 0\n", "n=63"),
-        (("product", "--op", "cart", G62, G62), None, "n=3844"),
-        (("product", "--op", "corona", G62, "A_"), None, "n=186"),
-        (("tree-opp",), "@\n", "n=1"),
-        (("verify", "--theorem", "T1", "--all-n", "3", "--all-upto", "9"), None, "n=9"),
-        (("verify", "--theorem", "T1", "--all-upto", "8", "--jobs", "2"), None, "n=8"),
-        (("verify", "--theorem", "T6", "--lex-grid", "3", "8", "--jobs", "2"), None, "max_h=8"),
+        ("gen-path", ("gen", "path", "--n", "0"), None, "n=0"),
+        ("gen-cycle", ("gen", "cycle", "--n", "2"), None, "n=2"),
+        ("gen-complete", ("gen", "complete", "--n", "-1"), None, "n=-1"),
+        ("gen-complete-bipartite", ("gen", "complete-bipartite", "--a", "2", "--b", "-1"), None,
+         "a=2 b=-1"),
+        ("gen-star", ("gen", "star", "--n", "-2"), None, "n=-2"),
+        ("gen-random0", ("gen", "random", "--n", "70", "--p", "0.1", "--seed", "1"), None, "n=70"),
+        ("gen-random1", ("gen", "random", "--n", "5", "--p", "1.5", "--seed", "1"), None, "1.5"),
+        ("gen-tree-random0", ("gen", "tree-random", "--n", "0", "--seed", "1"), None, "n=0"),
+        ("gen-psi0", ("gen", "psi", "--r", "1", "--s", "3"), None, "r=1"),
+        ("gen-psi1", ("gen", "psi", "--r", "2", "--s", "3"), None, "s=3"),
+        ("gen-ng", ("gen", "ng", "--k", "2"), None, "k=2"),
+        ("gen-cart-sharp0", ("gen", "cart-sharp", "--m", "0", "--n", "3"), None, "m=0"),
+        ("gen-cart-sharp1", ("gen", "cart-sharp", "--m", "1", "--n", "2"), None, "n=2"),
+        ("enumerate0", ("enumerate", "--n", "9"), None, "n=9"),
+        ("enumerate1", ("enumerate", "--n", "0"), None, "n=0"),
+        ("invariant0", ("invariant", "--format", "edgelist"), "63 0\n", "n=63"),
+        ("invariant1", ("invariant", "--format", "edgelist"), "3 1\n0 5\n", "(0,5)"),
+        ("transform", ("transform", "--op", "two-step", "--format", "edgelist"), "63 0\n",
+         "n=63"),
+        ("product0", ("product", "--op", "cart", G62, G62), None, "n=3844"),
+        ("product1", ("product", "--op", "corona", G62, "A_"), None, "n=186"),
+        ("tree-opp", ("tree-opp",), "@\n", "n=1"),
+        ("verify0", ("verify", "--theorem", "T1", "--all-n", "3", "--all-upto", "9"), None, "n=9"),
+        ("verify1", ("verify", "--theorem", "T1", "--all-upto", "8", "--jobs", "2"), None, "n=8"),
+        ("verify2", ("verify", "--theorem", "T6", "--lex-grid", "3", "8", "--jobs", "2"), None,
+         "max_h=8"),
         # file errors; {tmp} is a fresh directory holding only nonascii.g6
-        (("invariant", "--input", "{tmp}/missing.g6"), None, "cannot read {tmp}/missing.g6"),
-        (("verify", "--theorem", "T1", "--g6-file", "{tmp}/nonascii.g6"), None,
+        ("invariant2", ("invariant", "--input", "{tmp}/missing.g6"), None,
+         "cannot read {tmp}/missing.g6"),
+        ("verify3", ("verify", "--theorem", "T1", "--g6-file", "{tmp}/nonascii.g6"), None,
          "cannot read {tmp}/nonascii.g6: byte 0xc3"),
-        (("verify", "--theorem", "T1", "--all-n", "3", "--out", "{tmp}/no-dir/rows.jsonl"), None,
+        ("verify4", ("verify", "--theorem", "T1", "--all-n", "3",
+                     "--out", "{tmp}/no-dir/rows.jsonl"), None,
          "cannot write {tmp}/no-dir/rows.jsonl"),
-        (("product", "--op", "cart", "Bw", "Bw", "--layout-out", "{tmp}/no-dir/layout.json"), None,
-         "cannot write {tmp}/no-dir/layout.json"),
+        ("product2", ("product", "--op", "cart", "Bw", "Bw", "--layout-out",
+                      "{tmp}/no-dir/layout.json"), None, "cannot write {tmp}/no-dir/layout.json"),
         # run_corpus owns the worker count: fewer than one job is refused, not run serially
-        (("verify", "--theorem", "T1", "--all-n", "3", "--jobs", "0"), None, "jobs=0"),
-        (("verify", "--theorem", "T1", "--all-n", "3", "--jobs", "-5"), None, "jobs=-5"),
+        ("verify5", ("verify", "--theorem", "T1", "--all-n", "3", "--jobs", "0"), None, "jobs=0"),
+        ("verify6", ("verify", "--theorem", "T1", "--all-n", "3", "--jobs", "-5"), None, "jobs=-5"),
         # a negative confirmation bound is refused, not turned into unconfirmed rows
-        (("verify", "--theorem", "T10", "--all-n", "4", "--tree-confirm-n", "-3"), None,
-         "tree_confirm_n=-3"),
+        ("verify7", ("verify", "--theorem", "T10", "--all-n", "4", "--tree-confirm-n", "-3"),
+         None, "tree_confirm_n=-3"),
         # a count below one is refused, not an empty run
-        (("gen", "random", "--n", "5", "--p", "0.5", "--seed", "1", "--count", "0"), None,
-         "COUNT=0"),
-        (("gen", "tree-random", "--n", "5", "--seed", "1", "--count", "-3"), None, "COUNT=-3"),
+        ("gen-random2", ("gen", "random", "--n", "5", "--p", "0.5", "--seed", "1", "--count", "0"),
+         None, "COUNT=0"),
+        ("gen-tree-random1", ("gen", "tree-random", "--n", "5", "--seed", "1", "--count", "-3"),
+         None, "COUNT=-3"),
         # a corpus flag the theorems do not read is refused, not ignored
-        (("verify", "--theorem", "T4", "--pair-grid", "3", "3", "--filter", "connected"), None,
-         "--filter does not apply to T4"),
-        (("verify", "--theorem", "T1", "--all-n", "3", "--pair-grid", "2", "2"), None,
+        ("verify8", ("verify", "--theorem", "T4", "--pair-grid", "3", "3", "--filter", "connected"),
+         None, "--filter does not apply to T4"),
+        ("verify9", ("verify", "--theorem", "T1", "--all-n", "3", "--pair-grid", "2", "2"), None,
          "--pair-grid does not apply to T1"),
-        (("verify", "--theorem", "T6", "--lex-grid", "3", "2", "--pair-grid", "2", "2"), None,
-         "--pair-grid and --lex-grid"),
-        (("verify", "--theorem", "T15", "--t-values", "1", "--all-n", "3", "--filter", "tree"),
-         None, "--all-n does not apply to T15"),
-        (("verify", "--theorem", "", "--all-n", "3"), None, "no theorem selected"),
+        ("verify10", ("verify", "--theorem", "T6", "--lex-grid", "3", "2", "--pair-grid", "2", "2"),
+         None, "--pair-grid and --lex-grid"),
+        ("verify11", ("verify", "--theorem", "T15", "--t-values", "1", "--all-n", "3",
+                      "--filter", "tree"), None, "--all-n does not apply to T15"),
+        ("verify12", ("verify", "--theorem", "", "--all-n", "3"), None, "no theorem selected"),
         # a run option no selected theorem reads is refused, not ignored
-        (("verify", "--theorem", "T4", "--pair-grid", "2", "2", "--strict",
-          "--tree-confirm-n", "3"), None, "--strict does not apply to T4"),
-        (("verify", "--theorem", "T1,T11", "--all-n", "3", "--tree-confirm-n", "3"), None,
-         "--tree-confirm-n does not apply to T1,T11"),
+        ("verify13", ("verify", "--theorem", "T4", "--pair-grid", "2", "2", "--strict",
+                      "--tree-confirm-n", "3"), None, "--strict does not apply to T4"),
+        ("verify14", ("verify", "--theorem", "T1,T11", "--all-n", "3", "--tree-confirm-n", "3"),
+         None, "--tree-confirm-n does not apply to T1,T11"),
         # a bad graph6 record is named by its line, counting blank lines, from 1
-        (("verify", "--theorem", "T14", "--g6-file", "-"), "\nzz\nA_\n",
+        ("verify15", ("verify", "--theorem", "T14", "--g6-file", "-"), "\nzz\nA_\n",
          "error: line 2: graph6 payload for n=59 needs 286 characters, got 1"),
-        (("invariant",), "A_\n\nB\n", "error: line 3: graph6 payload for n=3"),
+        ("invariant3", ("invariant",), "A_\n\nB\n", "error: line 3: graph6 payload for n=3"),
         # every record is checked before the first row, so a bad one writes no row
-        (("verify", "--theorem", "T14", "--g6-file", "-", "--out", "{tmp}/rows.jsonl"),
+        ("verify16", ("verify", "--theorem", "T14", "--g6-file", "-", "--out", "{tmp}/rows.jsonl"),
          "A_\nzz\n", "error: line 2: graph6 payload for n=59 needs 286 characters, got 1"),
         # a theorem named twice is refused, not run twice
-        (("verify", "--theorem", "T1,T1", "--all-n", "2", "--summary"), None,
+        ("verify17", ("verify", "--theorem", "T1,T1", "--all-n", "2", "--summary"), None,
          "theorem id 'T1' given twice"),
     ]
 
-    @pytest.mark.parametrize("argv, stdin, named", CASES,
-                             ids=["-".join(a for a in c[0][:2] if a[0] != "-") for c in CASES])
+    @pytest.mark.parametrize("argv, stdin, named", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
     def test_refused_with_one_line(self, monkeypatch, tmp_path, argv, stdin, named):
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
         (tmp_path / "nonascii.g6").write_bytes(b"B\xc3\n")
@@ -134,6 +141,10 @@ class TestInputErrors:
         expect_input_error(argv, named.replace("{tmp}", str(tmp_path)))
         if "--out" in argv:  # refused input leaves no output file
             assert not Path(argv[argv.index("--out") + 1]).exists()
+
+    def test_case_ids_are_unique(self):
+        ids = [case[0] for case in self.CASES]
+        assert len(set(ids)) == len(ids), sorted(i for i in set(ids) if ids.count(i) > 1)
 
     # an order above the cap is refused before the first edge is drawn or built
     LARGE_ORDERS = [
@@ -158,7 +169,7 @@ class TestInputErrors:
         expected = {f"gen {family}" for family in commands(top["gen"])}
         expected |= set(top) - {"gen"}
         covered = {" ".join(argv[:2]) if argv[0] == "gen" else argv[0]
-                   for argv, _, _ in self.CASES}
+                   for _, argv, _, _ in self.CASES}
         assert covered == expected
 
     def test_solver_cap_is_an_input_error(self, monkeypatch):

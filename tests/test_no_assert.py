@@ -81,3 +81,13 @@ def test_cli_imports_no_private_name():
                if (module.startswith(".") or module.split(".")[0] == "openpack")
                and any(part.startswith("_") for part in [*module.split("."), name or ""])]
     assert private == [], f"cli.py imports private names {private}"
+
+
+def test_no_cached_property():
+    """Cached attributes go through ``solvers.fact``, which takes no lock;
+    ``functools.cached_property`` takes one at every first get on Python 3.11."""
+    users = [path.name for path in SOURCES
+             if ("functools", "cached_property") in set(_imports(path))
+             or "cached_property" in {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                                      if isinstance(node, ast.Attribute)}]
+    assert users == []

@@ -480,3 +480,64 @@ class TestCertificateChecks:
         monkeypatch.setattr(solvers, "_kernel", WideKernel)
         with pytest.raises(CertificateError):
             max_independent_set(path(3))
+
+
+class TestFactCache:
+    """``solvers.fact``: each ``GraphFacts`` attribute is computed on its first
+    get, stored in the instance, and never computed again."""
+
+    def test_each_invariant_solved_once(self, monkeypatch):
+        from openpack import _kernels_py, solvers
+
+        calls = []
+        for name in ("chromatic_number", "max_independent_set"):
+            search = getattr(_kernels_py, name)
+            monkeypatch.setattr(_kernels_py, name,
+                                lambda n, adj, search=search, name=name:
+                                calls.append(name) or search(n, adj))
+        facts = solvers.GraphFacts(cycle(6))
+        first = [getattr(facts, name) for name in solvers.INVARIANTS]
+        solved = len(calls)
+        assert solved == 6  # chi, p_o, chi2; rho, rho_o, omega_N
+        for _ in range(3):
+            assert [getattr(facts, name) for name in solvers.INVARIANTS] == first
+        assert len(calls) == solved
+        assert set(vars(facts)) >= {*solvers.INVARIANTS, "two_step", "square", "_within_cap"}
+        # a second instance of the same graph solves again: the cache is per instance
+        solvers.GraphFacts(cycle(6)).p_o
+        assert len(calls) == solved + 1
+
+    def test_undefined_value_is_not_stored(self):
+        from openpack import solvers
+
+        facts = solvers.GraphFacts(Graph(3, (0b010, 0b001, 0)))  # vertex 2 is isolated
+        for _ in range(3):
+            with pytest.raises(UndefinedInvariantError):
+                facts.gamma_t
+            assert "gamma_t" not in vars(facts)
+        assert facts.gamma[0] == 2
+
+    def test_class_access_returns_the_descriptor(self):
+        from openpack import harness, solvers
+
+        for cls, name in ((solvers.GraphFacts, "p_o"), (solvers.GraphFacts, "_within_cap"),
+                          (harness.GraphFacts, "g6"), (harness.GraphFacts, "rho")):
+            prop = getattr(cls, name)
+            assert isinstance(prop, solvers.fact) and prop.name == name
+            assert prop.__doc__ == prop.method.__doc__
+        assert "solver cap" in solvers.GraphFacts._within_cap.__doc__
+
+    def test_harness_facts_are_cached(self, monkeypatch):
+        from openpack import harness
+
+        calls = []
+        names = ("g6", "maxdeg", "connected", "diameter_le_2")
+        for name in names:
+            prop = vars(harness.GraphFacts)[name]
+            monkeypatch.setattr(prop, "method", lambda self, method=prop.method, name=name:
+                                calls.append(name) or method(self))
+        facts = harness.GraphFacts(cycle(5))
+        for _ in range(3):
+            assert [getattr(facts, name) for name in names] == ["Dhc", 2, True, True]
+        assert calls == list(names)
+        assert set(vars(facts)) >= set(names)
