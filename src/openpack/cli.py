@@ -27,6 +27,7 @@ from .graph import (
     complete_bipartite,
     cycle,
     enumerate_all_graphs,
+    is_tree,
     path,
     random_graph,
     random_tree,
@@ -58,11 +59,15 @@ def _open_out(path_arg: str):
         raise GraphError(f"cannot write {path_arg}: {exc.strerror or exc}") from exc
 
 
-def _input_graphs(args) -> list[Graph]:
+def _input_graphs(args, refuse=lambda g: None) -> list[Graph]:
+    """Every input graph, read before any output; ``refuse(g)`` may say why g is refused."""
     text = _read_text(args.input)
-    if args.format == "edgelist":
-        return [parse_edge_list_text(text)]
-    return list(parse_graph6_lines(text))
+    graphs = ([parse_edge_list_text(text)] if args.format == "edgelist"
+              else list(parse_graph6_lines(text)))
+    for i, reason in enumerate(map(refuse, graphs), start=1):
+        if reason:
+            raise GraphError(f"graph {i}: {reason}")
+    return graphs
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +108,9 @@ def cmd_gen(args) -> int:
 # invariant
 
 def cmd_invariant(args) -> int:
-    for g in _input_graphs(args):
+    cap = solvers.solver_cap()
+    for g in _input_graphs(args, lambda g: g.n > cap and
+                           f"instance has {g.n} vertices, exact solvers cap at {cap}"):
         record: dict = {"graph6": to_graph6(g)}
         if args.what == "all":
             report = solvers.full_report(g, with_certificates=args.certify)
@@ -169,7 +176,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_tree_opp(args) -> int:
-    for g in _input_graphs(args):
+    for g in _input_graphs(args, lambda g: not (g.n >= 2 and is_tree(g)) and
+                           f"not a tree on two or more vertices: n={g.n}, m={g.m}"):
         labeling = constructions.tree_opp(g)
         print(JSON_LINE.encode({
             "graph6": to_graph6(g),

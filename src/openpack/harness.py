@@ -33,7 +33,7 @@ from multiprocessing import get_context
 from . import solvers
 from ._kernels_py import memo_scope
 from .constructions import tree_opp
-from .formats import json_row, parse_graph6, to_graph6
+from .formats import json_row, parse_graph6
 from .graph import (
     ISOMORPHISM_MAX_N,
     Graph,
@@ -47,10 +47,9 @@ from .graph import (
     is_connected,
     is_isomorphic,
     is_tree,
-    max_degree,
 )
 from .products import PRODUCTS, isolated_vertex_count
-from .solvers import VertexLabeling, VertexSet
+from .solvers import GraphFacts, VertexLabeling, VertexSet
 from .transforms import every_edge_on_triangle, has_even_cycle
 
 HARNESS_MAX_PRODUCT_N = 24
@@ -93,29 +92,6 @@ class RunOptions:
         if self.tree_confirm_n < 0:
             raise GraphError(f"RunOptions needs tree_confirm_n >= 0, "
                              f"got tree_confirm_n={self.tree_confirm_n}")
-
-
-class GraphFacts(solvers.GraphFacts):
-    """The solver facts of one graph, and what else the checks ask of it,
-    computed lazily and shared by all checks on it."""
-
-    @solvers.fact
-    def g6(self) -> str:
-        return to_graph6(self.g)
-
-    @solvers.fact
-    def maxdeg(self) -> int:
-        return max_degree(self.g)
-
-    @solvers.fact
-    def connected(self) -> bool:
-        return is_connected(self.g)
-
-    @solvers.fact
-    def diameter_le_2(self) -> bool:
-        # any two vertices are within distance 2 iff the square, with loops, is complete
-        full = (1 << self.g.n) - 1
-        return all(row | 1 << v == full for v, row in enumerate(self.square.adj))
 
 
 # ---------------------------------------------------------------------------

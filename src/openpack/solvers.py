@@ -11,9 +11,10 @@ maximum independent set) applied to the neighborhood transforms, which one
 * ``omega_N`` = independence number of the complement of ``two_step(g)``
 
 The public solver functions return the same pairs from a fresh
-``GraphFacts``.  No solver returns a bare number: each checks its certificate
-once, against the invariant's predicate in ``PREDICATES``, which defines it on
-the input graph, by explicit code that raises ``CertificateError``.
+``GraphFacts``.  No solver returns a bare number: ``_certified`` checks each
+search result once, by explicit code that raises ``CertificateError``, against
+the invariant's predicate in ``PREDICATES``, which defines it on the input
+graph and raises ``ValueError`` unless the certificate fits the graph.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 from . import _kernels_py as _kernel
 from ._kernels_py import memo_scope
-from .graph import Graph, complement, iter_bits, max_degree, min_degree
+from .formats import to_graph6
+from .graph import Graph, complement, is_connected, iter_bits, max_degree, min_degree
 from .transforms import _compose, closed_neighborhood_graph, two_step
 
 HARD_MAX_N = 64
@@ -62,12 +64,6 @@ def solver_cap() -> int:
         if requested < cap:
             cap = requested
     return cap
-
-
-def _require_within_cap(g: Graph) -> None:
-    cap = solver_cap()
-    if g.n > cap:
-        raise SolverCapError(f"instance has {g.n} vertices, exact solvers cap at {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +107,9 @@ class VertexLabeling:
     k: int
 
     def __post_init__(self):
-        if self.k < 1 or not self.labels:
-            raise ValueError("labeling needs at least one label and one vertex")
-        if self.k > len(self.labels) or set(self.labels) != set(range(1, self.k + 1)):
-            raise ValueError(f"labels must use every value in 1..{self.k}")
+        k = self.k  # checked against the labels first, so a huge k builds no range
+        if not 1 <= k <= len(self.labels) or set(self.labels) != set(range(1, k + 1)):
+            raise ValueError(f"{len(self.labels)} labels must use every value in 1..{k}")
 
     def to_json_obj(self) -> dict:
         return {"labels": list(self.labels), "k": self.k}
@@ -136,34 +131,50 @@ class VertexLabeling:
         return masks
 
 
-def _as_mask(s) -> int:
-    return s.bits if isinstance(s, VertexSet) else int(s)
+def _labels_of(g: Graph, labeling: VertexLabeling) -> tuple[int, ...]:
+    if len(labeling.labels) != g.n:
+        raise ValueError(f"labeling has {len(labeling.labels)} labels for {g.n} vertices")
+    return labeling.labels
+
+
+def _mask_of(g: Graph, s) -> int:
+    mask = s.bits if isinstance(s, VertexSet) else int(s)
+    if mask >> g.n:
+        raise ValueError(f"set has a vertex outside 0..{g.n - 1}")
+    return mask
 
 
 # ---------------------------------------------------------------------------
 # Kernels with certificates
 
 
-def _check(ok: bool, message: str) -> None:
+def _certified(g: Graph, predicate, size: int, found) -> tuple[int, VertexSet | VertexLabeling]:
+    """``(size, certificate)`` if ``found``, a search result on g, is a set of
+    ``size`` vertices or labels onto 1..size that passes ``predicate``."""
+    try:
+        is_set = isinstance(found, int)
+        cert = VertexSet(found) if is_set else VertexLabeling(tuple(found), size)
+        ok = (not is_set or cert.size == size) and predicate(g, cert)
+    except ValueError as exc:
+        raise CertificateError(f"search result does not fit its graph: {exc}") from None
     if not ok:
-        raise CertificateError(message)
+        raise CertificateError(f"search result of size {size} fails {predicate.__name__}")
+    return size, cert
 
 
 def max_independent_set(g: Graph) -> tuple[int, VertexSet]:
     """Maximum independent set size and one witness set."""
-    _require_within_cap(g)
-    size, mask = _kernel.max_independent_set(g.n, g.adj)
-    _check(mask.bit_count() == size and not mask >> g.n,
-           "kernel set has the wrong size or bits beyond n")
-    _check(_is_independent(g, mask), "kernel set is not independent")
-    return size, VertexSet(mask)
+    GraphFacts(g)._within_cap
+    return _certified(g, _is_independent, *_kernel.max_independent_set(g.n, g.adj))
 
 
 def _is_proper_coloring(g: Graph, labeling: VertexLabeling) -> bool:
-    return all(labeling.labels[u] != labeling.labels[v] for u, v in g.edges())
+    labels = _labels_of(g, labeling)
+    return all(labels[u] != labels[v] for u, v in g.edges())
 
 
-def _is_independent(g: Graph, mask: int) -> bool:
+def _is_independent(g: Graph, s) -> bool:
+    mask = _mask_of(g, s)
     return all(not g.adj[v] & mask for v in iter_bits(mask))
 
 
@@ -176,8 +187,8 @@ def is_open_packing(g: Graph, s) -> bool:
 
     Equivalent linear form: no vertex of g has two neighbors in the set.
     """
-    mask = _as_mask(s)
-    return all((g.adj[v] & mask).bit_count() <= 1 for v in range(g.n))
+    mask = _mask_of(g, s)
+    return all((row & mask).bit_count() <= 1 for row in g.adj)
 
 
 def is_packing(g: Graph, s) -> bool:
@@ -185,22 +196,14 @@ def is_packing(g: Graph, s) -> bool:
 
     Equivalent linear form: no closed neighborhood meets the set twice.
     """
-    mask = _as_mask(s)
-    return all(((g.adj[v] | 1 << v) & mask).bit_count() <= 1 for v in range(g.n))
+    mask = _mask_of(g, s)
+    return all(((row | 1 << v) & mask).bit_count() <= 1 for v, row in enumerate(g.adj))
 
 
-def is_opp(g: Graph, labeling: VertexLabeling) -> bool:
-    """Is the labeling an open packing partition?
-
-    Every class is an open packing exactly when no vertex sees a repeated
-    label in its open neighborhood, which is what is checked.
-    """
-    if len(labeling.labels) != g.n:
-        raise ValueError("labeling length does not match the graph")
-    labels = labeling.labels
-    for v in range(g.n):
+def _no_label_twice(rows, labels: tuple[int, ...]) -> bool:
+    """Does no row, a neighborhood mask, hold two vertices of one label?"""
+    for mask in rows:
         seen = 0
-        mask = g.adj[v]
         while mask:
             low = mask & -mask
             mask ^= low
@@ -211,14 +214,21 @@ def is_opp(g: Graph, labeling: VertexLabeling) -> bool:
     return True
 
 
+def is_opp(g: Graph, labeling: VertexLabeling) -> bool:
+    """Is the labeling an open packing partition?  Every class is an open
+    packing exactly when no open neighborhood holds a label twice."""
+    return _no_label_twice(g.adj, _labels_of(g, labeling))
+
+
 def is_packing_partition(g: Graph, labeling: VertexLabeling) -> bool:
-    """Is every class of the labeling a packing, i.e. is it a 2-distance coloring?"""
-    return all(is_packing(g, mask) for mask in labeling.classes())
+    """Is every class a packing, i.e. is the labeling a 2-distance coloring?
+    A class is a packing exactly when no closed neighborhood meets it twice."""
+    return _no_label_twice((row | 1 << v for v, row in enumerate(g.adj)), _labels_of(g, labeling))
 
 
 def is_common_neighbor_clique(g: Graph, s) -> bool:
     """Does every pair of members share a common neighbor (a clique of two_step(g))?"""
-    members = list(iter_bits(_as_mask(s)))
+    members = list(iter_bits(_mask_of(g, s)))
     return all(g.adj[u] & g.adj[v] for i, u in enumerate(members) for v in members[i + 1:])
 
 
@@ -229,7 +239,7 @@ def split_open_packing(g: Graph, s) -> tuple[VertexSet, VertexSet]:
     isolated members plus the lower endpoint of every induced edge on one
     side and collects the other endpoints on the second (possibly empty) side.
     """
-    bits = _as_mask(s)
+    bits = _mask_of(g, s)
     if not is_open_packing(g, bits):
         raise ValueError("input set is not an open packing")
     first = 0
@@ -349,13 +359,13 @@ def _min_cover(n: int, cover: list[int]) -> tuple[int, int]:
 
 def is_dominating(g: Graph, s) -> bool:
     """Does every vertex lie in the set or have a neighbor in it?"""
-    mask = _as_mask(s)
+    mask = _mask_of(g, s)
     return all((adj | 1 << v) & mask for v, adj in enumerate(g.adj))
 
 
 def is_total_dominating(g: Graph, s) -> bool:
     """Does every vertex have a neighbor in the set?"""
-    mask = _as_mask(s)
+    mask = _mask_of(g, s)
     return all(adj & mask for adj in g.adj)
 
 
@@ -375,7 +385,6 @@ PREDICATES = {
     "omega_N": is_common_neighbor_clique,
 }
 INVARIANTS = tuple(PREDICATES)
-_LABELINGS = frozenset({"chi", "p_o", "chi2"})  # the rest are certified by a vertex set
 
 
 class fact:
@@ -400,7 +409,7 @@ class fact:
 
 
 class GraphFacts:
-    """The exact invariants of one graph, each solved and checked at most once.
+    """The exact invariants of one graph, and what else the harness asks of it.
 
     The two transforms the kernels run on, ``two_step`` and ``square``, are
     built at most once each, and the solver cap is checked at most once.  Every
@@ -414,27 +423,32 @@ class GraphFacts:
     @fact
     def _within_cap(self) -> None:
         """Refuses g past the solver cap; every search runs on n = g.n rows."""
-        _require_within_cap(self.g)
+        cap = solver_cap()
+        if self.g.n > cap:
+            raise SolverCapError(f"instance has {self.g.n} vertices, exact solvers cap at {cap}")
 
     def _solved(self, name: str, search, rows) -> tuple:
-        """``search(n, rows)``, its result checked for the shape of ``name``'s
-        certificate, then against ``name``'s predicate on g."""
+        """``search(n, rows)``, certified against ``name``'s predicate on g."""
         self._within_cap
-        n = self.g.n
-        size, found = search(n, rows)
-        if name in _LABELINGS:
-            try:
-                cert = VertexLabeling(tuple(found), size)
-            except ValueError as exc:
-                raise CertificateError(f"kernel coloring does not use exactly 1..{size}") from exc
-            _check(len(found) == n, "kernel coloring does not label every vertex once")
-        else:
-            what = "search result" if name in ("gamma", "gamma_t") else "kernel set"
-            _check(found.bit_count() == size and not found >> n,
-                   f"{what} has the wrong size or bits beyond n")
-            cert = VertexSet(found)
-        _check(PREDICATES[name](self.g, cert), f"the {name} certificate fails its predicate")
-        return size, cert
+        return _certified(self.g, PREDICATES[name], *search(self.g.n, rows))
+
+    @fact
+    def g6(self) -> str:
+        return to_graph6(self.g)
+
+    @fact
+    def maxdeg(self) -> int:
+        return max_degree(self.g)
+
+    @fact
+    def connected(self) -> bool:
+        return is_connected(self.g)
+
+    @fact
+    def diameter_le_2(self) -> bool:
+        # any two vertices are within distance 2 iff the square, with loops, is complete
+        full = (1 << self.g.n) - 1
+        return all(row | 1 << v == full for v, row in enumerate(self.square.adj))
 
     @fact
     def two_step(self) -> Graph:

@@ -30,7 +30,7 @@ from openpack.graph import (
     random_tree,
 )
 from openpack.harness import EQUALITY, REPORT_ONLY, VIOLATED
-from openpack.products import direct, lexicographic
+from openpack.products import corona, direct, lexicographic
 from openpack.solvers import (
     is_opp,
     omega_of_two_step,
@@ -110,25 +110,27 @@ def test_criterion_3_corona_exactness_as_stated():
     )
 
 
+def bump_expected(g, h):
+    """The term e of the corrected corona form in docs/findings.md section 2."""
+    if h.m == 0 or any(mask == 0 for mask in h.adj):
+        return False
+    d = max_degree(g)
+    po_g = open_packing_partition_number(g)[0]
+    if h.n + d < po_g:
+        return False
+    return any(
+        g.degree(v) == d
+        and all(g.adj[v] & g.adj[u] for u in iter_bits(g.adj[v]))
+        for v in range(g.n)
+    )
+
+
 def test_criterion_3_corona_verified_behavior():
     start = time.time()
     rows = list(harness.run_corpus(["T7"], harness.pair_grid(4, 3)))
     violated = [r for r in rows if r.verdict == VIOLATED]
     # every counterexample is off by exactly one, and matches the
     # structural characterization from docs/findings.md
-    def bump_expected(g, h):
-        if h.m == 0 or any(mask == 0 for mask in h.adj):
-            return False
-        d = max_degree(g)
-        po_g = open_packing_partition_number(g)[0]
-        if h.n + d < po_g:
-            return False
-        return any(
-            g.degree(v) == d
-            and all(g.adj[v] & g.adj[u] for u in iter_bits(g.adj[v]))
-            for v in range(g.n)
-        )
-
     ok = len(rows) == 825 and len(violated) == 80
     ok = ok and all(r.lhs == r.rhs + 1 for r in violated)
     pairs = list(harness.pair_grid(4, 3))
@@ -144,6 +146,17 @@ def test_criterion_3_corona_verified_behavior():
         f"corona formula on 825 pairs: exact except the 80 characterized "
         f"+1 counterexamples (see docs/findings.md), {elapsed:.0f}s",
     )
+
+
+def test_corrected_corona_form_fails_on_c5_corona_k2():
+    # the corrected form of docs/findings.md section 2 holds on |V(G)| <= 4,
+    # but not at |V(G)| = 5: C5 has no triangle, so e = 0
+    g, h = cycle(5), complete(2)
+    prod, _ = corona(g, h)
+    formula = max(open_packing_partition_number(g)[0],
+                  h.n + max_degree(g) + bump_expected(g, h))
+    assert (open_packing_partition_number(prod)[0], formula) == (5, 4)
+    assert "C5 . K2" in FINDINGS.read_text()
 
 
 def test_criterion_4_product_bounds_and_sharpness():

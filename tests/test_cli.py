@@ -130,11 +130,19 @@ class TestInputErrors:
         # a theorem named twice is refused, not run twice
         ("verify17", ("verify", "--theorem", "T1,T1", "--all-n", "2", "--summary"), None,
          "theorem id 'T1' given twice"),
+        # every input graph is checked before the first line, and named by its place
+        ("invariant4", ("invariant", "--what", "p_o"), "A_\nC~\n",
+         "graph 2: instance has 4 vertices, exact solvers cap at 3"),
+        ("tree-opp1", ("tree-opp",), "A_\nBw\nC~\n", "graph 2: not a tree on two or more"),
+        ("tree-opp2", ("tree-opp",), "A_\n@\n", "graph 2: not a tree on two or more vertices: n=1"),
     ]
+    # the environment a case runs in, by test id, when it is not the default one
+    ENV = {"invariant4": {"OPENPACK_MAX_N": "3"}}
 
-    @pytest.mark.parametrize("argv, stdin, named", [c[1:] for c in CASES],
-                             ids=[c[0] for c in CASES])
-    def test_refused_with_one_line(self, monkeypatch, tmp_path, argv, stdin, named):
+    @pytest.mark.parametrize("case, argv, stdin, named", CASES, ids=[c[0] for c in CASES])
+    def test_refused_with_one_line(self, monkeypatch, tmp_path, case, argv, stdin, named):
+        for name, value in self.ENV.get(case, {}).items():
+            monkeypatch.setenv(name, value)
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
         (tmp_path / "nonascii.g6").write_bytes(b"B\xc3\n")
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

@@ -389,12 +389,15 @@ class TestWitnesses:
         # k far past the vertex count is refused before a range of k is built
         ({"certificates": [{"kind": "opp_labeling", "graph6": G6, "labels": [1, 1, 2],
                             "k": 10 ** 12}]}, "does not fit"),
+        # a vertex far past the graph is refused before a mask of it is built
+        ({"certificates": [{"kind": "packing_set", "graph6": G6, "vertices": [10 ** 12]}]},
+         "does not fit"),
     ]
 
     @pytest.mark.parametrize("witness,match", MALFORMED, ids=[
         "no-kind", "unhashable-kind", "no-graph6", "int-graph6", "string-certificates",
         "int-certificate", "string-witness", "value-without-fields", "value-bool",
-        "no-certificates", "empty-witness", "huge-k"])
+        "no-certificates", "empty-witness", "huge-k", "huge-vertex"])
     def test_reverify_rejects_malformed_witnesses(self, witness, match):
         row = TheoremCheckResult("T3", self.G6, VIOLATED, 5, 4, witness)
         with pytest.raises(ValueError, match=match):

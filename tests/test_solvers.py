@@ -274,6 +274,47 @@ class TestPredicates:
         assert is_opp(g, lab) == expected
 
 
+class TestPredicateFit:
+    """Every predicate decides whether a certificate fits its graph by one
+    rule: a labeling has exactly one label per vertex, a set lies within
+    0..n-1, and anything else raises ValueError."""
+
+    LABELINGS = ("chi", "p_o", "chi2")
+
+    @pytest.mark.parametrize("g", [path(1), path(3), cycle(5), complete(4), star(6)],
+                             ids=lambda g: f"{g.n}-{g.m}")
+    def test_misfit_raises(self, g):
+        from openpack import solvers
+
+        predicates = {**solvers.PREDICATES, "independent": solvers._is_independent}
+        for name, predicate in predicates.items():
+            if name in self.LABELINGS:
+                misfits = [VertexLabeling((1,) * n, 1) for n in (g.n - 1, g.n + 1) if n]
+            else:
+                misfits = [VertexSet(1 << g.n), VertexSet(1 << g.n | 1), 1 << g.n]
+            for cert in misfits:
+                with pytest.raises(ValueError):
+                    predicate(g, cert)
+
+    def test_packing_partition_matches_the_per_class_definition(self):
+        from itertools import product
+
+        from openpack.solvers import is_packing_partition
+
+        checked = 0
+        for n in range(1, 5):
+            labelings = [VertexLabeling(labels, max(labels))
+                         for labels in product(range(1, n + 1), repeat=n)
+                         if set(labels) == set(range(1, max(labels) + 1))]
+            for g in enumerate_all_graphs(n):
+                for lab in labelings:
+                    # the old definition: every class is a packing
+                    expected = all(is_packing(g, mask) for mask in lab.classes())
+                    assert is_packing_partition(g, lab) == expected, (g.adj, lab)
+                    checked += 1
+        assert checked == 1 * 1 + 2 * 3 + 8 * 13 + 64 * 75
+
+
 class TestSplitOpenPacking:
     def test_independent_set_unsplit(self):
         g = cycle(6)
