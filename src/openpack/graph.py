@@ -3,7 +3,6 @@ enumeration by upper-triangle code (``_from_code``), which graph6 shares."""
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections.abc import Iterable, Iterator
 
@@ -189,7 +188,13 @@ def random_tree(n: int, seed: int) -> Graph:
 
 def tree_from_pruefer(n: int, seq: list[int]) -> Graph:
     """The labeled tree of a Pruefer sequence; each edge joins the smallest
-    leaf left to the next entry, and the last two leaves end it."""
+    leaf left to the next entry, and the last edge joins the final leaf to
+    n - 1.  Linear time: ``ptr`` is the smallest leaf not yet used, and an
+    entry whose degree drops to one below ``ptr`` is the next leaf, since
+    every other leaf is at least ``ptr``."""
+    if n < 2:
+        raise GraphError(f"a Pruefer sequence needs two or more vertices, got n={n}")
+    _check_order(n)  # before the sequence is read: n comes from outside
     if len(seq) != n - 2:
         raise GraphError(f"Pruefer sequence for n={n} must have length {n - 2}")
     deg = [1] * n
@@ -197,19 +202,18 @@ def tree_from_pruefer(n: int, seq: list[int]) -> Graph:
         if not 0 <= x < n:
             raise GraphError(f"Pruefer entry {x} is outside 0..{n - 1} for n={n}")
         deg[x] += 1
-    leaves = [v for v in range(n) if deg[v] == 1]
-    heapq.heapify(leaves)
     adj = [0] * n
+    leaf = ptr = deg.index(1)
     for x in seq:
-        leaf = heapq.heappop(leaves)
         adj[leaf] |= 1 << x
         adj[x] |= 1 << leaf
         deg[x] -= 1
-        if deg[x] == 1:
-            heapq.heappush(leaves, x)
-    u, v = heapq.heappop(leaves), heapq.heappop(leaves)
-    adj[u] |= 1 << v
-    adj[v] |= 1 << u
+        if deg[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            leaf = ptr = deg.index(1, ptr + 1)
+    adj[leaf] |= 1 << n - 1
+    adj[n - 1] |= 1 << leaf
     return _trusted(n, adj)
 
 

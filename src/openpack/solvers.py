@@ -200,30 +200,29 @@ def is_packing(g: Graph, s) -> bool:
     return all(((row | 1 << v) & mask).bit_count() <= 1 for v, row in enumerate(g.adj))
 
 
-def _no_label_twice(rows, labels: tuple[int, ...]) -> bool:
-    """Does no row, a neighborhood mask, hold two vertices of one label?"""
-    for mask in rows:
-        seen = 0
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            bit = 1 << labels[low.bit_length() - 1]
-            if seen & bit:
-                return False
-            seen |= bit
-    return True
+def _no_label_twice(rows, labels: tuple[int, ...], k: int) -> bool:
+    """Are the rows (neighborhood masks) of each class pairwise disjoint?
+    They are exactly when the popcount of the class's union equals the sum
+    of its rows' popcounts; a union never counts more, so one comparison
+    over all classes decides every class at once."""
+    union = [0] * (k + 1)
+    for label, row in zip(labels, rows):
+        union[label] |= row
+    return sum(map(int.bit_count, union)) == sum(map(int.bit_count, rows))
 
 
 def is_opp(g: Graph, labeling: VertexLabeling) -> bool:
-    """Is the labeling an open packing partition?  Every class is an open
-    packing exactly when no open neighborhood holds a label twice."""
-    return _no_label_twice(g.adj, _labels_of(g, labeling))
+    """Is the labeling an open packing partition?  A class is an open packing
+    exactly when its members' open neighborhoods are pairwise disjoint."""
+    return _no_label_twice(g.adj, _labels_of(g, labeling), labeling.k)
 
 
 def is_packing_partition(g: Graph, labeling: VertexLabeling) -> bool:
     """Is every class a packing, i.e. is the labeling a 2-distance coloring?
-    A class is a packing exactly when no closed neighborhood meets it twice."""
-    return _no_label_twice((row | 1 << v for v, row in enumerate(g.adj)), _labels_of(g, labeling))
+    A class is a packing exactly when its members' closed neighborhoods are
+    pairwise disjoint."""
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
+    return _no_label_twice(closed, _labels_of(g, labeling), labeling.k)
 
 
 def is_common_neighbor_clique(g: Graph, s) -> bool:

@@ -3,14 +3,16 @@
 Everything here works straight from the definitions (subset enumeration,
 exhaustive labelings, permutation search) and never calls the code paths it
 is used to check.  The exceptions are ``reference_chromatic``,
-``reference_max_independent_set`` and ``reference_min_cover``: frozen copies
-of earlier kernel and search code that pin the exact witness bytes of the
-chromatic driver, the independent-set search and the domination search
-rather than a value.
+``reference_max_independent_set``, ``reference_min_cover`` and
+``reference_tree_from_pruefer``: frozen copies of earlier kernel, search and
+decode code that pin the exact witness bytes of the chromatic driver, the
+independent-set search and the domination search, and the exact rows of a
+decoded Pruefer sequence, rather than a value.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from itertools import combinations, permutations
 
@@ -564,3 +566,26 @@ def permutation_isomorphic(g: Graph, h: Graph) -> bool:
         if all(frozenset((perm[u], perm[v])) in h_edges for u, v in g_edges):
             return True
     return False
+
+
+def reference_tree_from_pruefer(n: int, seq: list[int]) -> tuple[int, ...]:
+    """The rows of the Pruefer decode as a heap of leaves, copied from before
+    the pointer decode: each entry joins the smallest leaf left, and the last
+    two leaves join.  The pointer decode must return these rows exactly."""
+    deg = [1] * n
+    for x in seq:
+        deg[x] += 1
+    leaves = [v for v in range(n) if deg[v] == 1]
+    heapq.heapify(leaves)
+    adj = [0] * n
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        adj[leaf] |= 1 << x
+        adj[x] |= 1 << leaf
+        deg[x] -= 1
+        if deg[x] == 1:
+            heapq.heappush(leaves, x)
+    u, v = heapq.heappop(leaves), heapq.heappop(leaves)
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
+    return tuple(adj)

@@ -67,6 +67,10 @@ class TestTreeOpp:
         # m = n - 1 but disconnected: triangle plus isolated vertex
         with pytest.raises(GraphError):
             tree_opp(from_edge_list(4, [(0, 1), (1, 2), (2, 0)]))
+        # m = n - 1 and no vertex reached twice: K1,4 plus a triangle, rooted at
+        # the star's centre, is refused only because the triangle is not covered
+        with pytest.raises(GraphError, match="^input is not a tree$"):
+            tree_opp(disjoint_union(star(5), cycle(3)))
 
 
 class TestPsiFamily:

@@ -314,6 +314,22 @@ class TestPredicateFit:
                     checked += 1
         assert checked == 1 * 1 + 2 * 3 + 8 * 13 + 64 * 75
 
+    def test_opp_matches_the_per_class_definition(self):
+        from itertools import product
+
+        checked = 0
+        for n in range(1, 5):
+            labelings = [VertexLabeling(labels, max(labels))
+                         for labels in product(range(1, n + 1), repeat=n)
+                         if set(labels) == set(range(1, max(labels) + 1))]
+            for g in enumerate_all_graphs(n):
+                for lab in labelings:
+                    # the definition: every class is an open packing
+                    expected = all(is_open_packing(g, mask) for mask in lab.classes())
+                    assert is_opp(g, lab) == expected, (g.adj, lab)
+                    checked += 1
+        assert checked == 1 * 1 + 2 * 3 + 8 * 13 + 64 * 75
+
 
 class TestSplitOpenPacking:
     def test_independent_set_unsplit(self):

@@ -9,11 +9,13 @@ Unpickling rebuilds a graph the same way.
 
 import pickle
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import graphs
 from openpack import graph
 from openpack.constructions import ng_extremal
@@ -198,3 +200,33 @@ class TestPrueferEntries:
     def test_star_and_path(self):
         assert tree_from_pruefer(4, [0, 0]).adj == (0b1110, 1, 1, 1)
         assert tree_from_pruefer(4, [1, 2]).adj == (0b0010, 0b0101, 0b1010, 0b0100)
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_needs_two_vertices(self, n):
+        with pytest.raises(GraphError, match=f"^a Pruefer sequence needs two or more vertices, got n={n}$"):
+            tree_from_pruefer(n, [])
+
+    @pytest.mark.parametrize("seq", [[0] * 4998, [], [0] * 4997 + [10**6]])
+    def test_order_checked_before_the_sequence(self, seq):
+        # the order is refused before the length or any entry is looked at
+        with pytest.raises(GraphError, match=f"^{re.escape(HIGH)}5000$"):
+            tree_from_pruefer(5000, seq)
+
+
+class TestPrueferDecode:
+    """The pointer decode returns the rows of the heap decode it replaced."""
+
+    def test_every_sequence_up_to_seven_vertices(self):
+        checked = 0
+        for n in range(2, 8):
+            for seq in product(range(n), repeat=n - 2):
+                assert tree_from_pruefer(n, list(seq)).adj == oracles.reference_tree_from_pruefer(n, seq), seq
+                checked += 1
+        assert checked == 1 + 3 + 16 + 125 + 1296 + 16807
+
+    @given(st.integers(2, 500).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))))
+    @settings(max_examples=200)
+    def test_random_sequences(self, case):
+        n, seq = case
+        assert tree_from_pruefer(n, seq).adj == oracles.reference_tree_from_pruefer(n, seq)
