@@ -14,13 +14,13 @@ from .constructions import PsiSpec
 from .formats import (
     JSON_LINE,
     FormatError,
-    check_graph6_order,
     parse_edge_list_text,
     parse_graph6,
     parse_graph6_lines,
     to_graph6,
 )
 from .graph import (
+    MAX_VERTICES,
     Graph,
     GraphError,
     complete,
@@ -162,7 +162,6 @@ def cmd_transform(args) -> int:
 def cmd_product(args) -> int:
     g = parse_graph6(args.graph_a)
     h = parse_graph6(args.graph_b)
-    check_graph6_order(order(args.op, g.n, h.n))
     prod, layout = PRODUCTS[args.op](g, h)
     if args.layout_out:
         with _open_out(args.layout_out) as fh:
@@ -213,12 +212,11 @@ def _single_corpus(args):
         parts.append(parse_graph6_lines(_read_text(args.g6_file)))
     if args.random_trees:
         n_lo, n_hi, count, seed = args.random_trees
-        if not 1 <= n_lo <= n_hi or count < 1:
+        if not 1 <= n_lo <= n_hi <= MAX_VERTICES or count < 1:
             raise GraphError(
-                f"--random-trees needs 1 <= NMIN <= NMAX and COUNT >= 1, "
+                f"--random-trees needs 1 <= NMIN <= NMAX <= {MAX_VERTICES} and COUNT >= 1, "
                 f"got NMIN={n_lo} NMAX={n_hi} COUNT={count}"
             )
-        check_graph6_order(n_hi)  # rows name instances by graph6
         parts.append(random_tree(n, seed + 1000 * n + i)
                      for n in range(n_lo, n_hi + 1) for i in range(count))
     if not parts:

@@ -1,5 +1,5 @@
-"""Every line openpack reads or writes: JSON lines, graph6 records (n <= 62)
-and files of them, and the plain edge-list format.
+"""Every line openpack reads or writes: JSON lines, graph6 records (every n up
+to ``graph.MAX_VERTICES``) and files of them, and the plain edge-list format.
 
 Every JSON line is ``JSON_LINE.encode`` of an object, or, for a ``verify`` row
 of the common shape, the same bytes from ``json_row``'s one f-string."""
@@ -9,10 +9,11 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 
-from .graph import Graph, GraphError, _code, _from_code, from_edge_list
+from .graph import MAX_VERTICES, Graph, GraphError, _code, _from_code, from_edge_list
 
-GRAPH6_MAX_N = 62
 _HEADER = ">>graph6<<"
+# each payload character, "?" to "~", as its six bits, most significant first
+_SIX_BITS = str.maketrans({chr(63 + v): f"{v:06b}" for v in range(64)})
 
 # The one JSON-line rule: keys sorted, no spaces.  One encoder serves every
 # line; ``JSON_LINE.encode(obj)`` is ``json.dumps`` with the same arguments.
@@ -57,27 +58,22 @@ class FormatError(GraphError):
     """Malformed graph6 or edge-list input."""
 
 
-def check_graph6_order(n: int) -> None:
-    """Refuse an order that a graph6 record cannot hold, before the graph is built."""
-    if n > GRAPH6_MAX_N:
-        raise FormatError(f"graph6 output supports n <= {GRAPH6_MAX_N}, got n={n}")
-
-
 def to_graph6(g: Graph) -> str:
-    """Encode g as a graph6 record: the size byte, then the bits of g's code
-    (``graph._from_code``) in order, six per character at offset 63, most
-    significant bit first."""
-    check_graph6_order(g.n)
-    pairs = g.n * (g.n - 1) // 2
+    """Encode g as a graph6 record: the size (one byte for n <= 62, else ``~``
+    and three), then the bits of g's code (``graph._from_code``) in order, six
+    bits a character at offset 63, most significant bit first."""
+    n = g.n
+    size = chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + (n >> k & 63)) for k in (12, 6, 0))
+    pairs = n * (n - 1) // 2
     # bit t of the code at position t; five zeros pad the last character
     bits = f"{_code(g):0{pairs}b}"[::-1] + "00000"
-    return chr(63 + g.n) + "".join(
-        chr(63 + int(bits[i:i + 6], 2)) for i in range(0, pairs, 6))
+    return size + "".join(chr(63 + int(bits[i:i + 6], 2)) for i in range(0, pairs, 6))
 
 
 def _graph6_record(line: str) -> tuple[int, int]:
     """The order and code of one graph6 record (optionally prefixed with the
-    ``>>graph6<<`` header), its size byte, length and alphabet checked."""
+    ``>>graph6<<`` header), its size, length and alphabet checked.  Each n
+    has one size form, so each graph has one record."""
     if type(line) is not str:
         raise FormatError(f"a graph6 record is a string, got {line!r}")
     s = line.strip()
@@ -85,17 +81,24 @@ def _graph6_record(line: str) -> tuple[int, int]:
         s = s[len(_HEADER):]
     if not s:
         raise FormatError("empty graph6 record")
-    first = ord(s[0])
-    if first == 126:
-        raise FormatError(f"graph6 long-size form unsupported (n > {GRAPH6_MAX_N})")
-    if not 63 <= first <= 125:
-        raise FormatError(f"malformed graph6 length header {s[0]!r}")
-    n = first - 63
-    if n == 0:
-        raise FormatError("graph6 record encodes a 0-vertex graph; n >= 1 required")
+    if s[0] == "~":
+        if s[1:2] == "~":
+            raise FormatError(f"graph6 8-byte size form unsupported (n > {MAX_VERTICES})")
+        size, payload = s[1:4], s[4:]
+        if len(size) < 3 or not "?" <= min(size) <= max(size) <= "~":
+            raise FormatError(f"truncated or malformed graph6 size {s[:4]!r}")
+        n = int(size.translate(_SIX_BITS), 2)
+        if not 63 <= n <= MAX_VERTICES:
+            raise FormatError(f"graph6 long size form holds 63 <= n <= {MAX_VERTICES}, got n={n}")
+    else:
+        first = ord(s[0])
+        if not 63 <= first <= 125:
+            raise FormatError(f"malformed graph6 length header {s[0]!r}")
+        n, payload = first - 63, s[1:]
+        if n == 0:
+            raise FormatError("graph6 record encodes a 0-vertex graph; n >= 1 required")
     pairs = n * (n - 1) // 2
     want = (pairs + 5) // 6
-    payload = s[1:]
     if len(payload) != want:
         raise FormatError(
             f"graph6 payload for n={n} needs {want} characters, got {len(payload)}"
@@ -103,11 +106,8 @@ def _graph6_record(line: str) -> tuple[int, int]:
     if payload and not "?" <= min(payload) <= max(payload) <= "~":
         stray = next(ch for ch in payload if not "?" <= ch <= "~")
         raise FormatError(f"stray character {stray!r} in graph6 payload")
-    bits = 0
-    for ch in payload:
-        bits = bits << 6 | ord(ch) - 63
-    # the first bit written is bit 0 of the code; the padding is dropped
-    return n, int(f"{bits >> 6 * want - pairs:0{pairs}b}"[::-1], 2)
+    # bit 0 of the code is written first; the padding goes; "0" is n = 1's code
+    return n, int("0" + payload.translate(_SIX_BITS)[:pairs][::-1], 2)
 
 
 def parse_graph6(line: str) -> Graph:

@@ -19,6 +19,7 @@ from openpack.graph import (
     cycle,
     disjoint_union,
     enumerate_all_graphs,
+    from_edge_list,
     is_isomorphic,
     is_tree,
     path,
@@ -63,7 +64,8 @@ class TestInputErrors:
         ("gen-complete-bipartite", ("gen", "complete-bipartite", "--a", "2", "--b", "-1"), None,
          "a=2 b=-1"),
         ("gen-star", ("gen", "star", "--n", "-2"), None, "n=-2"),
-        ("gen-random0", ("gen", "random", "--n", "70", "--p", "0.1", "--seed", "1"), None, "n=70"),
+        ("gen-random0", ("gen", "random", "--n", "5000", "--p", "0.1", "--seed", "1"), None,
+         "at most 4096 vertices supported, got 5000"),
         ("gen-random1", ("gen", "random", "--n", "5", "--p", "1.5", "--seed", "1"), None, "1.5"),
         ("gen-tree-random0", ("gen", "tree-random", "--n", "0", "--seed", "1"), None, "n=0"),
         ("gen-psi0", ("gen", "psi", "--r", "1", "--s", "3"), None, "r=1"),
@@ -73,12 +75,15 @@ class TestInputErrors:
         ("gen-cart-sharp1", ("gen", "cart-sharp", "--m", "1", "--n", "2"), None, "n=2"),
         ("enumerate0", ("enumerate", "--n", "9"), None, "n=9"),
         ("enumerate1", ("enumerate", "--n", "0"), None, "n=0"),
-        ("invariant0", ("invariant", "--format", "edgelist"), "63 0\n", "n=63"),
+        ("invariant0", ("invariant", "--format", "edgelist"), "65 0\n",
+         "instance has 65 vertices, exact solvers cap at 64"),
         ("invariant1", ("invariant", "--format", "edgelist"), "3 1\n0 5\n", "(0,5)"),
-        ("transform", ("transform", "--op", "two-step", "--format", "edgelist"), "63 0\n",
-         "n=63"),
-        ("product0", ("product", "--op", "cart", G62, G62), None, "n=3844"),
-        ("product1", ("product", "--op", "corona", G62, "A_"), None, "n=186"),
+        ("transform", ("transform", "--op", "two-step", "--format", "edgelist"), "4097 0\n",
+         "got 4097"),
+        ("product0", ("product", "--op", "cart", G62, to_graph6(path(67))), None,
+         "product would have 4154 vertices, cap is 4096"),
+        ("product1", ("product", "--op", "corona", G62, to_graph6(path(66))), None,
+         "product would have 4154 vertices, cap is 4096"),
         ("tree-opp", ("tree-opp",), "@\n", "n=1"),
         ("verify0", ("verify", "--theorem", "T1", "--all-n", "3", "--all-upto", "9"), None, "n=9"),
         ("verify1", ("verify", "--theorem", "T1", "--all-upto", "8", "--jobs", "2"), None, "n=8"),
@@ -305,6 +310,19 @@ class TestInvariant:
         assert [rec["values"] for rec in recs] == [{}, {"gamma_t": 2}, {}]
         if certify:
             assert [sorted(rec["certificates"]) for rec in recs] == [[], ["gamma_t"], []]
+
+    def test_graph_past_62_vertices_is_named(self):
+        # printf '64 1\n0 63\n' | openpack invariant --format edgelist --what p_o
+        env = dict(os.environ, PYTHONPATH=str(Path(openpack.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "openpack.cli", "invariant", "--format", "edgelist",
+             "--what", "p_o"], input="64 1\n0 63\n", env=env, capture_output=True,
+            text=True, timeout=60)
+        name = to_graph6(from_edge_list(64, [(0, 63)]))
+        assert name.startswith("~?@?")  # the long size form of n = 64
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+            {"graph6": name, "values": {"p_o": 1}}]
 
 
 class TestCertificateBytes:
@@ -547,10 +565,23 @@ class TestVerify:
     def test_unknown_theorem_rejected(self):
         expect_input_error(("verify", "--theorem", "T77", "--all-n", "3"), "'T77'")
 
-    def test_random_trees_past_graph6_cap_rejected_before_output(self):
+    def test_random_trees_past_62_vertices_are_named(self):
+        code, out = run_cli("verify", "--theorem", "T10", "--random-trees", "60", "70", "1", "0")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and all(r["verdict"] == "holds" and r["lhs"] == r["rhs"] for r in rows)
+        assert [parse_graph6(r["instance"]).n for r in rows] == list(range(60, 71))
+
+    def test_random_trees_past_vertex_cap_rejected_before_output(self):
         expect_input_error(
-            ("verify", "--theorem", "T10", "--random-trees", "60", "70", "1", "0"),
-            "n <= 62, got n=70")
+            ("verify", "--theorem", "T10", "--random-trees", "60", "5000", "1", "0"),
+            "NMAX=5000")
+
+    def test_record_past_solver_cap_is_an_input_error(self, monkeypatch):
+        # graph6 reads a 65-vertex record; the solver cap, not its name, refuses it
+        monkeypatch.delenv("OPENPACK_MAX_N", raising=False)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(to_graph6(path(65)) + "\n"))
+        expect_input_error(("verify", "--theorem", "T1", "--g6-file", "-"),
+                           "instance has 65 vertices, exact solvers cap at 64")
 
     @pytest.mark.parametrize("bad", [("0", "2", "1", "1"), ("5", "3", "1", "1"),
                                      ("3", "3", "-1", "1"), ("3", "3", "0", "1")])

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 
@@ -24,6 +25,7 @@ from openpack.graph import (
     from_edge_list,
     path,
     random_graph,
+    random_tree,
 )
 
 
@@ -127,10 +129,6 @@ class TestErrors:
         with pytest.raises(FormatError):
             parse_graph6("\x1f@@")
 
-    def test_long_form_unsupported(self):
-        with pytest.raises(FormatError):
-            parse_graph6("~??")
-
     def test_zero_vertices(self):
         with pytest.raises(FormatError):
             parse_graph6("?")
@@ -148,9 +146,41 @@ class TestErrors:
         with pytest.raises(FormatError):
             parse_graph6("C" + chr(30))
 
-    def test_encode_too_large(self):
-        with pytest.raises(FormatError):
-            to_graph6(random_graph(63, 0.1, 0))
+    # each n has one size form: a long size below 63 or past 4,096 vertices
+    # and the 8-byte form are refused, as is a cut-off size
+    @pytest.mark.parametrize("line, message", [
+        ("~??", "truncated or malformed graph6 size '~??'"),
+        ("~~??????", "8-byte size form unsupported (n > 4096)"),
+        ("~??}", "got n=62"),
+        ("~@?@", "got n=4097"),
+    ], ids=["truncated", "eight-byte", "n62", "n4097"])
+    def test_long_form_refused(self, line, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_graph6(line)
+
+
+class TestLongForm:
+    """n >= 63 is written as ``~`` and three size bytes (McKay's formats.txt)."""
+
+    def test_size_header(self):
+        assert to_graph6(path(62))[0] == "}"
+        assert to_graph6(path(63))[:4] == "~??~"
+        assert to_graph6(path(64))[:4] == "~?@?"
+
+    @pytest.mark.parametrize("n", [63, 64, 100, 500])
+    def test_agrees_with_networkx(self, n):
+        for g in (random_tree(n, n), random_graph(n, 0.1, n)):
+            nxg = networkx.Graph()
+            nxg.add_nodes_from(range(g.n))
+            nxg.add_edges_from(g.edges())
+            line = networkx.to_graph6_bytes(nxg, header=False).decode().strip()
+            assert to_graph6(g) == line
+            assert parse_graph6(line) == g
+
+    def test_largest_round_trip(self, search_deadline):
+        g = random_tree(4096, 1)
+        line = to_graph6(g)
+        assert line[:4] == "~@??" and parse_graph6(line) == g
 
 
 class TestEdgeListFormat:
