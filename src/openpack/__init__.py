@@ -25,7 +25,6 @@ from .graph import (
     from_edge_list,
     is_bipartite,
     is_connected,
-    is_isomorphic,
     is_tree,
     max_degree,
     min_degree,

@@ -236,16 +236,22 @@ def _check_grid(flag: str, max_g: int, max_h: int, theorems: list[str]) -> None:
 
 
 def _t_values(text: str) -> list[int]:
-    """Every t of ``--t-values``, each checked against T15's range now."""
+    """Every t of ``--t-values``, each checked now against T15's range: the
+    cycle C(4t+2) must fit the solver cap."""
+    cap = solvers.solver_cap()
+    max_t = (cap - 2) // 4
+    if max_t < 1:
+        raise GraphError(f"--t-values: T15's cycle C(4t+2) needs at least 6 vertices, "
+                         f"but exact solvers cap at {cap}")
     values = []
     for token in text.split(","):
         try:
             t = int(token)
         except ValueError:
             t = None
-        if t is None or not 1 <= t <= harness.T15_MAX_T:
+        if t is None or not 1 <= t <= max_t:
             raise GraphError(f"--t-values needs comma-separated integers "
-                             f"1 <= t <= {harness.T15_MAX_T}, got {token!r}")
+                             f"1 <= t <= {max_t}, got {token!r}")
         values.append(t)
     return values
 

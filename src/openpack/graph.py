@@ -8,7 +8,6 @@ from collections.abc import Iterable, Iterator
 
 MAX_VERTICES = 4096
 ENUMERATION_MAX_N = 7
-ISOMORPHISM_MAX_N = 16
 
 
 class GraphError(ValueError):
@@ -308,7 +307,7 @@ def diameter(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Codes, exhaustive enumeration and isomorphism
+# Codes and exhaustive enumeration
 
 
 def check_enumerable(name: str, n: int, least: int = 1) -> None:
@@ -349,58 +348,3 @@ def enumerate_all_graphs(n: int) -> Iterator[Graph]:
     first graph is asked for."""
     check_enumerable("n", n)
     return (_from_code(n, code) for code in range(1 << n * (n - 1) // 2))
-
-
-def _refinement_labels(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
-    degs = [g.degree(v) for v in range(g.n)]
-    return [
-        (degs[v], tuple(sorted(degs[u] for u in iter_bits(g.adj[v]))))
-        for v in range(g.n)
-    ]
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Backtracking isomorphism test over degree-refined candidate classes."""
-    if max(g.n, h.n) > ISOMORPHISM_MAX_N:
-        raise GraphError(f"isomorphism test capped at n={ISOMORPHISM_MAX_N}")
-    if g.n != h.n or g.m != h.m:
-        return False
-    lab_g = _refinement_labels(g)
-    lab_h = _refinement_labels(h)
-    if sorted(lab_g) != sorted(lab_h):
-        return False
-
-    # Map g's vertices in a connectivity-first order (components, then their
-    # layers) so that each placement is constrained by already-mapped neighbors.
-    order = [v for comp in _components(g.adj)
-             for layer in _layers(g.adj, (comp & -comp).bit_length() - 1)
-             for v in iter_bits(layer)]
-
-    image = [-1] * g.n
-    used = 0
-
-    def place(pos: int) -> bool:
-        nonlocal used
-        if pos == g.n:
-            return True
-        v = order[pos]
-        mapped_nbrs = 0
-        mapped_mask = 0
-        for w in order[:pos]:
-            mapped_mask |= 1 << image[w]
-            if g.adj[v] >> w & 1:
-                mapped_nbrs |= 1 << image[w]
-        for u in range(h.n):
-            if used >> u & 1 or lab_h[u] != lab_g[v]:
-                continue
-            if h.adj[u] & mapped_mask != mapped_nbrs:
-                continue
-            image[v] = u
-            used |= 1 << u
-            if place(pos + 1):
-                return True
-            used ^= 1 << u
-            image[v] = -1
-        return False
-
-    return place(0)

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin the solvers' expected values.
 
 Everything here works straight from the definitions (subset enumeration,
-exhaustive labelings, permutation search) and never calls the code paths it
-is used to check.  The exceptions are ``reference_chromatic``,
+exhaustive labelings, permutation search), or asks networkx
+(``isomorphic``), and never calls the code paths it is used to check.  The
+exceptions are ``reference_chromatic``,
 ``reference_max_independent_set``, ``reference_min_cover`` and
 ``reference_tree_from_pruefer``: frozen copies of earlier kernel, search and
 decode code that pin the exact witness bytes of the chromatic driver, the
@@ -15,6 +16,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import combinations, permutations
+
+import pytest
 
 from openpack.graph import Graph, iter_bits
 
@@ -566,6 +569,19 @@ def permutation_isomorphic(g: Graph, h: Graph) -> bool:
         if all(frozenset((perm[u], perm[v])) in h_edges for u, v in g_edges):
             return True
     return False
+
+
+def isomorphic(g: Graph, h: Graph) -> bool:
+    """networkx's isomorphism test on g and h; the calling test is skipped
+    where networkx is not installed."""
+    networkx = pytest.importorskip("networkx")
+    graphs = []
+    for x in (g, h):
+        nxg = networkx.Graph()
+        nxg.add_nodes_from(range(x.n))
+        nxg.add_edges_from(x.edges())
+        graphs.append(nxg)
+    return networkx.is_isomorphic(*graphs)
 
 
 def reference_tree_from_pruefer(n: int, seq: list[int]) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import openpack
+import oracles
 from openpack import solvers
 from openpack.cli import _check_grid, build_parser, main
 from openpack.formats import parse_graph6, to_graph6
@@ -20,7 +21,6 @@ from openpack.graph import (
     disjoint_union,
     enumerate_all_graphs,
     from_edge_list,
-    is_isomorphic,
     is_tree,
     path,
     random_graph,
@@ -140,9 +140,15 @@ class TestInputErrors:
          "graph 2: instance has 4 vertices, exact solvers cap at 3"),
         ("tree-opp1", ("tree-opp",), "A_\nBw\nC~\n", "graph 2: not a tree on two or more"),
         ("tree-opp2", ("tree-opp",), "A_\n@\n", "graph 2: not a tree on two or more vertices: n=1"),
+        # T15's range follows the solver cap, so a lowered cap refuses t before the first row
+        ("verify18", ("verify", "--theorem", "T15", "--t-values", "1,2"), None, "1 <= t <= 1, got '2'"),
+        ("verify19", ("verify", "--theorem", "T15", "--t-values", "5"), None, "1 <= t <= 4, got '5'"),
+        ("verify20", ("verify", "--theorem", "T15", "--t-values", "1"), None,
+         "C(4t+2) needs at least 6 vertices, but exact solvers cap at 5"),
     ]
     # the environment a case runs in, by test id, when it is not the default one
-    ENV = {"invariant4": {"OPENPACK_MAX_N": "3"}}
+    ENV = {"invariant4": {"OPENPACK_MAX_N": "3"}, "verify18": {"OPENPACK_MAX_N": "8"},
+           "verify19": {"OPENPACK_MAX_N": "20"}, "verify20": {"OPENPACK_MAX_N": "5"}}
 
     @pytest.mark.parametrize("case, argv, stdin, named", CASES, ids=[c[0] for c in CASES])
     def test_refused_with_one_line(self, monkeypatch, tmp_path, case, argv, stdin, named):
@@ -234,7 +240,7 @@ class TestGen:
 
     def test_psi(self):
         code, out = run_cli("gen", "psi", "--r", "2", "--s", "2")
-        assert is_isomorphic(parse_graph6(out.strip()), cycle(4))
+        assert oracles.isomorphic(parse_graph6(out.strip()), cycle(4))
 
     def test_ng(self):
         code, out = run_cli("gen", "ng", "--k", "3")
@@ -421,7 +427,7 @@ class TestTransform:
         src.write_text(to_graph6(cycle(6)) + "\n")
         code, out = run_cli("transform", "--op", "two-step", "--input", str(src))
         result = parse_graph6(out.strip())
-        assert is_isomorphic(result, disjoint_union(complete(3), complete(3)))
+        assert oracles.isomorphic(result, disjoint_union(complete(3), complete(3)))
 
     def test_square(self, tmp_path):
         src = tmp_path / "in.g6"
@@ -529,6 +535,15 @@ class TestVerify:
         assert code == 0
         assert len(out.strip().splitlines()) == 6
 
+    def test_t15_up_to_the_solver_cap(self, monkeypatch, search_deadline):
+        # C(62), the largest cycle C(4t+2) within the default cap of 64
+        monkeypatch.delenv("OPENPACK_MAX_N", raising=False)
+        code, out = run_cli("verify", "--theorem", "T15",
+                            "--t-values", ",".join(map(str, range(1, 16))))
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and len(rows) == 45
+        assert {r["verdict"] for r in rows} == {"equality"}
+
     def test_byte_identical_reruns(self):
         args = ("verify", "--theorem", "T1,T2,T3", "--all-n", "4")
         code1, out1 = run_cli(*args)
@@ -608,11 +623,11 @@ class TestVerify:
         theorem, *corpus = argv
         expect_input_error(("verify", "--theorem", theorem, *corpus), named)
 
-    # t = 4 would need the isomorphism test on C(18), past its 16 vertices
     @pytest.mark.parametrize("values, named", [
-        ("1,0", "'0'"), ("1,x", "'x'"), ("1,", "''"), ("-2", "'-2'"), ("1,4", "'4'"),
+        ("1,0", "'0'"), ("1,x", "'x'"), ("1,", "''"), ("-2", "'-2'"), ("1,16", "'16'"),
     ])
-    def test_bad_t_values_rejected_before_output(self, values, named):
+    def test_bad_t_values_rejected_before_output(self, monkeypatch, values, named):
+        monkeypatch.delenv("OPENPACK_MAX_N", raising=False)
         expect_input_error(("verify", "--theorem", "T15", "--t-values", values), f"got {named}")
 
     @pytest.mark.parametrize("flag, grid, theorems", [

@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from openpack.constructions import (
     PsiSpec,
     cart_sharp_instance,
@@ -14,7 +15,6 @@ from openpack.graph import (
     cycle,
     disjoint_union,
     from_edge_list,
-    is_isomorphic,
     max_degree,
     path,
     random_tree,
@@ -83,7 +83,7 @@ class TestPsiFamily:
             PsiSpec(2, 0)
 
     def test_2_2_is_c4(self):
-        assert is_isomorphic(psi_graph(PsiSpec(2, 2)), cycle(4))
+        assert oracles.isomorphic(psi_graph(PsiSpec(2, 2)), cycle(4))
 
     def test_3_2_shape(self):
         g = psi_graph(PsiSpec(3, 2))
@@ -118,7 +118,7 @@ class TestNgExtremal:
         for k in (3, 4, 5):
             g = ng_extremal(k)
             co = complement(g)
-            assert is_isomorphic(co, disjoint_union(complete(k), complete(k)))
+            assert oracles.isomorphic(co, disjoint_union(complete(k), complete(k)))
 
     def test_figure_instance(self):
         g = ng_extremal(4)

@@ -19,7 +19,6 @@ from openpack.graph import (
     from_edge_list,
     is_bipartite,
     is_connected,
-    is_isomorphic,
     is_tree,
     iter_bits,
     max_degree,
@@ -144,7 +143,7 @@ class TestElementaryOps:
 
     def test_complement_p4_self(self):
         assert oracles.permutation_isomorphic(complement(path(4)), path(4))
-        assert is_isomorphic(complement(path(4)), path(4))
+        assert oracles.isomorphic(complement(path(4)), path(4))
 
     def test_complement_against_definition(self):
         for n in range(1, 6):
@@ -211,44 +210,6 @@ class TestEnumeration:
         # before the first graph is asked for, not at the first next()
         with pytest.raises(GraphError, match=f"got n={n}"):
             enumerate_all_graphs(n)
-
-
-class TestIsomorphism:
-    def test_relabeled_cycle(self):
-        g = from_edge_list(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
-        assert is_isomorphic(g, cycle(4))
-
-    def test_degree_sequence_mismatch(self):
-        assert not is_isomorphic(path(4), star(4))
-
-    def test_same_degrees_not_isomorphic(self):
-        assert not is_isomorphic(cycle(6), disjoint_union(complete(3), complete(3)))
-
-    def test_cap(self):
-        with pytest.raises(GraphError):
-            is_isomorphic(path(17), path(17))
-
-    def test_agrees_with_permutation_search(self):
-        import random
-
-        rng = random.Random(11)
-        for trial in range(60):
-            n = rng.randrange(1, 6)
-            g = random_graph(n, 0.5, rng.randrange(10 ** 6))
-            h = random_graph(n, 0.5, rng.randrange(10 ** 6))
-            assert is_isomorphic(g, h) == oracles.permutation_isomorphic(g, h)
-
-    def test_relabelings_always_isomorphic(self):
-        import random
-
-        rng = random.Random(13)
-        for trial in range(30):
-            n = rng.randrange(2, 8)
-            g = random_graph(n, 0.5, rng.randrange(10 ** 6))
-            perm = list(range(n))
-            rng.shuffle(perm)
-            h = from_edge_list(n, [(perm[u], perm[v]) for u, v in g.edges()])
-            assert is_isomorphic(g, h)
 
 
 class TestProperties:

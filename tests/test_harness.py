@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+import oracles
 from conftest import graphs, run_python
 from openpack import harness, solvers
 from openpack.constructions import PsiSpec, ng_extremal, psi_graph
@@ -21,7 +22,6 @@ from openpack.graph import (
     enumerate_all_graphs,
     from_edge_list,
     is_connected,
-    is_isomorphic,
     path,
     random_tree,
     star,
@@ -133,7 +133,7 @@ class TestComplementSum:
         # the degree rule against the isomorphism test on every labeled 4-vertex graph
         two_k2 = disjoint_union(K2, K2)
         excluded = [g for g in enumerate_all_graphs(4)
-                    if is_isomorphic(g, cycle(4)) or is_isomorphic(g, two_k2)]
+                    if oracles.isomorphic(g, cycle(4)) or oracles.isomorphic(g, two_k2)]
         reported = [g for g in enumerate_all_graphs(4)
                     if check_T9(facts(g), OPTS)[0].verdict == REPORT_ONLY]
         assert reported == excluded and len(excluded) == 6
@@ -292,11 +292,21 @@ class TestPairChecks:
 
 
 class TestTwoStepCycles:
-    @pytest.mark.parametrize("t,omega", [(1, 3), (2, 2), (3, 2)])
-    def test_rows(self, t, omega):
+    # every t within the solver cap: C(62) at t = 15
+    @pytest.mark.parametrize("t,omega", [(t, 3 if t == 1 else 2) for t in range(1, 16)])
+    def test_rows(self, search_deadline, t, omega):
         rows = check_T15(t, OPTS)
         assert [r.verdict for r in rows] == [EQUALITY] * 3
         assert rows[1].lhs == 3 and rows[2].lhs == omega
+
+    @pytest.mark.parametrize("t", [1, 2, 15])
+    def test_map_onto_another_graph_is_violated(self, monkeypatch, t):
+        # the flag compares the relabelled rows with the target, so a target
+        # that is not their image (one cycle C(4t+2)) must read 0
+        monkeypatch.setattr(harness, "disjoint_union", lambda g, h: cycle(g.n + h.n))
+        flag = check_T15(t, OPTS)[0]
+        assert flag.verdict == VIOLATED and (flag.lhs, flag.rhs) == (0, 1)
+        reverify_violation(flag)
 
 
 class TestWitnesses:

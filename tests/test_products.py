@@ -15,7 +15,6 @@ from openpack.graph import (
     enumerate_all_graphs,
     from_edge_list,
     is_bipartite,
-    is_isomorphic,
     path,
     random_graph,
 )
@@ -66,7 +65,7 @@ class TestVertexMap:
 class TestCartesian:
     def test_k2_k2_is_c4(self):
         prod, _ = cartesian(K2, K2)
-        assert is_isomorphic(prod, cycle(4))
+        assert oracles.isomorphic(prod, cycle(4))
 
     def test_c4_k3_regular(self):
         prod, _ = cartesian(cycle(4), complete(3))
@@ -85,11 +84,11 @@ class TestDirect:
 
     def test_c4_k2_doubles(self):
         prod, _ = direct(cycle(4), K2)
-        assert is_isomorphic(prod, disjoint_union(cycle(4), cycle(4)))
+        assert oracles.isomorphic(prod, disjoint_union(cycle(4), cycle(4)))
 
     def test_k2_k2(self):
         prod, _ = direct(K2, K2)
-        assert is_isomorphic(prod, disjoint_union(K2, K2))
+        assert oracles.isomorphic(prod, disjoint_union(K2, K2))
 
     def test_bipartite_doubling(self):
         # direct(g, K2) is two copies of g for every bipartite g
@@ -98,14 +97,14 @@ class TestDirect:
                 if not is_bipartite(g):
                     continue
                 prod, _ = direct(g, K2)
-                assert is_isomorphic(prod, disjoint_union(g, g))
+                assert oracles.isomorphic(prod, disjoint_union(g, g))
         rng = random.Random(3)
         checked = 0
         for g in enumerate_all_graphs(6):
             if rng.random() > 0.02 or not is_bipartite(g):
                 continue
             prod, _ = direct(g, K2)
-            assert is_isomorphic(prod, disjoint_union(g, g))
+            assert oracles.isomorphic(prod, disjoint_union(g, g))
             checked += 1
         assert checked > 100
 
@@ -140,7 +139,7 @@ class TestLexicographic:
 
     def test_k2_expansion_is_c4(self):
         prod, _ = lexicographic(K2, complement(K2))
-        assert is_isomorphic(prod, cycle(4))
+        assert oracles.isomorphic(prod, cycle(4))
 
     def test_p3_k2_edge_count(self):
         prod, _ = lexicographic(path(3), K2)
@@ -224,7 +223,7 @@ class TestCommutativity:
         pairs = [(g, h) for g in gs for h in gs if g.n * h.n <= 9]
         for op in (cartesian, direct, strong):
             for g, h in pairs:
-                assert is_isomorphic(op(g, h)[0], op(h, g)[0])
+                assert oracles.isomorphic(op(g, h)[0], op(h, g)[0])
 
 
 class TestMisc:

@@ -10,7 +10,6 @@ from openpack.graph import (
     disjoint_union,
     enumerate_all_graphs,
     from_edge_list,
-    is_isomorphic,
     iter_bits,
     path,
     random_tree,
@@ -28,7 +27,7 @@ from openpack.transforms import (
 
 class TestTwoStep:
     def test_c6_two_triangles(self):
-        assert is_isomorphic(two_step(cycle(6)), disjoint_union(complete(3), complete(3)))
+        assert oracles.isomorphic(two_step(cycle(6)), disjoint_union(complete(3), complete(3)))
 
     def test_empty_stays_empty(self):
         g = from_edge_list(4, [])
