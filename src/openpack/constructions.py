@@ -6,7 +6,6 @@ constructions by mapping vi to index i - 1.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graph import (
@@ -30,11 +29,16 @@ def tree_opp(t: Graph) -> VertexLabeling:
     labels 1..Delta, one each.  Below that, the children of v take ascending
     labels distinct from the label of v's parent, so no vertex ever sees the
     same label twice in its neighborhood.  Linear time.
+
+    A child's label depends only on its rank among its parent's children and
+    on its grandparent's label, never on the order in which the vertices are
+    visited, so the walk is a plain stack, and a leaf, having no children, is
+    labeled but never pushed.
     """
     if t.n < 2:
         raise GraphError(f"tree labeling needs at least two vertices, got n={t.n}")
     adj = t.adj
-    degs = [mask.bit_count() for mask in adj]
+    degs = list(map(int.bit_count, adj))
     if sum(degs) != 2 * (t.n - 1):
         raise GraphError("input is not a tree")
     delta = max(degs)
@@ -43,17 +47,18 @@ def tree_opp(t: Graph) -> VertexLabeling:
     labels[root] = 1
     parent = [-1] * t.n
     parent[root] = root
-    queue: deque[int] = deque()
+    stack = []
     for c, u in enumerate(iter_bits(adj[root]), start=1):
         labels[u] = c
         parent[u] = root
-        queue.append(u)
-    while queue:
-        v = queue.popleft()
+        if degs[u] > 1:
+            stack.append(u)
+    while stack:
+        v = stack.pop()
         p = parent[v]
         banned = labels[p]
         c = 1
-        mask = adj[v] & ~(1 << p)
+        mask = adj[v] ^ 1 << p
         while mask:
             low = mask & -mask
             mask ^= low
@@ -64,10 +69,11 @@ def tree_opp(t: Graph) -> VertexLabeling:
                 c += 1
             labels[u] = c
             parent[u] = v
-            queue.append(u)
+            if degs[u] > 1:
+                stack.append(u)
             c += 1
-    # with m = n - 1, full BFS coverage is exactly connectedness
-    if any(p < 0 for p in parent):
+    # with m = n - 1, reaching every vertex is exactly connectedness
+    if -1 in parent:
         raise GraphError("input is not a tree")
     return VertexLabeling(tuple(labels), delta)
 

@@ -52,7 +52,7 @@ class Graph:
     @property
     def m(self) -> int:
         """Number of edges."""
-        return sum(mask.bit_count() for mask in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -177,12 +177,26 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 
 def random_tree(n: int, seed: int) -> Graph:
-    """Uniform random labeled tree via a random Pruefer sequence."""
+    """Uniform random labeled tree: the tree of n - 2 uniform Pruefer entries
+    drawn from ``random.Random(seed)``.
+
+    Each entry is drawn as CPython's ``randrange(n)`` draws it: take
+    ``getrandbits(n.bit_length())`` and draw again while the result is n or
+    more.  The entries, and so the tree, are those of ``randrange(n)`` on the
+    same seed, called n - 2 times, without its two Python-level calls.
+    """
     _check_order(n)
     if n == 1:
         return _trusted(1, (0,))
-    rng = random.Random(seed)
-    return tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)])
+    draw = random.Random(seed).getrandbits
+    k = n.bit_length()
+    seq = []
+    for _ in range(n - 2):
+        x = draw(k)
+        while x >= n:
+            x = draw(k)
+        seq.append(x)
+    return tree_from_pruefer(n, seq)
 
 
 def tree_from_pruefer(n: int, seq: list[int]) -> Graph:
@@ -235,11 +249,11 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 
 def max_degree(g: Graph) -> int:
-    return max(mask.bit_count() for mask in g.adj)
+    return max(map(int.bit_count, g.adj))
 
 
 def min_degree(g: Graph) -> int:
-    return min(mask.bit_count() for mask in g.adj)
+    return min(map(int.bit_count, g.adj))
 
 
 def _layers(adj, source: int) -> Iterator[int]:

@@ -251,7 +251,8 @@ def check_T2(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]
 @_theorem("T3", "single", "le")
 def check_T3(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
     """max degree <= p_o."""
-    hub = max(range(facts.g.n), key=lambda v: (facts.g.degree(v), -v))
+    # the lowest-numbered vertex of maximum degree
+    hub = list(map(int.bit_count, facts.g.adj)).index(facts.maxdeg)
     witness = ((facts, "p_o"), _cert("Delta", facts.g6, {"vertex": hub, "degree": facts.maxdeg}))
     return [_row("T3", facts.g6, facts.maxdeg, facts.p_o[0], witness)]
 
@@ -534,9 +535,21 @@ def _start_worker() -> None:
     _worker_factors = lru_cache(maxsize=FACTOR_FACTS_MAX)(GraphFacts)
 
 
+def _numbered_rows(number: int, theorems: tuple[str, ...], instance: Instance,
+                   options: RunOptions, factors: Callable[[Graph], GraphFacts],
+                   ) -> list[TheoremCheckResult]:
+    """``evaluate_instance`` on the ``number``-th instance, which names a
+    graph past the solver cap."""
+    try:
+        return evaluate_instance(theorems, instance, options, factors)
+    except solvers.SolverCapError as exc:
+        if not isinstance(instance, Graph):
+            raise
+        raise solvers.SolverCapError(f"graph {number}: {exc}") from None
+
+
 def _pool_eval(task):
-    theorems, instance, options = task
-    return evaluate_instance(theorems, instance, options, _worker_factors)
+    return _numbered_rows(*task, _worker_factors)
 
 
 def _caught(items: Iterable, failure: list[BaseException]) -> Iterator:
@@ -567,6 +580,9 @@ def run_corpus(theorems: Iterable[str], instances: Iterable[Instance], *,
     ``MEMO_MAX`` entries); under a pool each worker has its own of both.
     Neither outlives the call: both go when the rows are exhausted, when the
     generator is closed early, or when the run raises.
+
+    A graph past the solver cap is refused as ``graph N: ...``, N its place
+    among the instances from 1, as ``invariant`` names an input graph.
     """
     theorems = tuple(theorems)
     theorem_kind(theorems)
@@ -578,10 +594,11 @@ def run_corpus(theorems: Iterable[str], instances: Iterable[Instance], *,
                         if jobs > 1 else nullcontext()) as pool:
         if pool is None:
             factors = lru_cache(maxsize=FACTOR_FACTS_MAX)(GraphFacts)
-            batches = (evaluate_instance(theorems, instance, options, factors)
-                       for instance in instances)
+            batches = (_numbered_rows(number, theorems, instance, options, factors)
+                       for number, instance in enumerate(instances, start=1))
         else:
-            tasks = ((theorems, instance, options) for instance in _caught(instances, failure))
+            tasks = ((number, theorems, instance, options)
+                     for number, instance in enumerate(_caught(instances, failure), start=1))
             batches = pool.imap(_pool_eval, tasks, chunksize=16)
         for batch in batches:
             for row in batch:

@@ -4,22 +4,25 @@ Everything here works straight from the definitions (subset enumeration,
 exhaustive labelings, permutation search), or asks networkx
 (``isomorphic``), and never calls the code paths it is used to check.  The
 exceptions are ``reference_chromatic``,
-``reference_max_independent_set``, ``reference_min_cover`` and
-``reference_tree_from_pruefer``: frozen copies of earlier kernel, search and
-decode code that pin the exact witness bytes of the chromatic driver, the
-independent-set search and the domination search, and the exact rows of a
-decoded Pruefer sequence, rather than a value.
+``reference_max_independent_set``, ``reference_min_cover``,
+``reference_tree_from_pruefer``, ``reference_random_tree`` and
+``reference_tree_opp``: frozen copies of earlier kernel, search, decode,
+sampling and labeling code that pin the exact witness bytes of the chromatic
+driver, the independent-set search and the domination search, the exact
+rows of a decoded Pruefer sequence and of a seeded random tree, and the
+exact labels of a tree partition, rather than a value.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 from collections import deque
 from itertools import combinations, permutations
 
 import pytest
 
-from openpack.graph import Graph, iter_bits
+from openpack.graph import Graph, GraphError, iter_bits
 
 
 def neighbors(g: Graph, v: int) -> set[int]:
@@ -605,3 +608,58 @@ def reference_tree_from_pruefer(n: int, seq: list[int]) -> tuple[int, ...]:
     adj[u] |= 1 << v
     adj[v] |= 1 << u
     return tuple(adj)
+
+
+def reference_random_tree(n: int, seed: int) -> tuple[int, ...]:
+    """The rows of ``random_tree(n, seed)`` as it was drawn before its
+    entries came from ``getrandbits``: n - 2 calls of ``randrange(n)`` on
+    ``random.Random(seed)``, decoded by the heap decode above."""
+    if n == 1:
+        return (0,)
+    rng = random.Random(seed)
+    return reference_tree_from_pruefer(n, [rng.randrange(n) for _ in range(n - 2)])
+
+
+def reference_tree_opp(adj: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(labels, k) of ``tree_opp`` as it was before its stack walk: a
+    breadth-first queue from the lowest maximum-degree vertex, every vertex
+    queued.  Refuses what is not a tree on two or more vertices as
+    ``tree_opp`` does."""
+    n = len(adj)
+    if n < 2:
+        raise GraphError(f"tree labeling needs at least two vertices, got n={n}")
+    degs = [mask.bit_count() for mask in adj]
+    if sum(degs) != 2 * (n - 1):
+        raise GraphError("input is not a tree")
+    delta = max(degs)
+    root = degs.index(delta)
+    labels = [0] * n
+    labels[root] = 1
+    parent = [-1] * n
+    parent[root] = root
+    queue: deque[int] = deque()
+    for c, u in enumerate(iter_bits(adj[root]), start=1):
+        labels[u] = c
+        parent[u] = root
+        queue.append(u)
+    while queue:
+        v = queue.popleft()
+        p = parent[v]
+        banned = labels[p]
+        c = 1
+        mask = adj[v] & ~(1 << p)
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            u = low.bit_length() - 1
+            if parent[u] >= 0:
+                raise GraphError("input is not a tree")
+            if c == banned:
+                c += 1
+            labels[u] = c
+            parent[u] = v
+            queue.append(u)
+            c += 1
+    if any(p < 0 for p in parent):
+        raise GraphError("input is not a tree")
+    return tuple(labels), delta

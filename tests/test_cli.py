@@ -598,6 +598,22 @@ class TestVerify:
         expect_input_error(("verify", "--theorem", "T1", "--g6-file", "-"),
                            "instance has 65 vertices, exact solvers cap at 64")
 
+    @pytest.mark.parametrize("jobs", [(), ("--jobs", "2")], ids=["serial", "jobs2"])
+    def test_record_past_solver_cap_is_named(self, tmp_path, monkeypatch, jobs):
+        # the third record, after a blank line, is refused as invariant names a graph
+        monkeypatch.delenv("OPENPACK_MAX_N", raising=False)
+        src = tmp_path / "corpus.g6"
+        src.write_text(f"{to_graph6(path(3))}\n{to_graph6(cycle(4))}\n\n{to_graph6(path(65))}\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--theorem", "T1", "--g6-file", str(src), *jobs])
+        assert code == 2
+        assert err.getvalue() == ("openpack verify: error: graph 3: instance has 65 vertices, "
+                                  "exact solvers cap at 64\n")
+        if not jobs:  # a pool takes the records 16 at a time, and a failed batch writes nothing
+            instances = [json.loads(line)["instance"] for line in out.getvalue().splitlines()]
+            assert instances == [to_graph6(path(3))] * 2 + [to_graph6(cycle(4))] * 2
+
     @pytest.mark.parametrize("bad", [("0", "2", "1", "1"), ("5", "3", "1", "1"),
                                      ("3", "3", "-1", "1"), ("3", "3", "0", "1")])
     def test_random_trees_bad_range_rejected_before_output(self, bad):

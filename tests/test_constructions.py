@@ -15,6 +15,7 @@ from openpack.graph import (
     cycle,
     disjoint_union,
     from_edge_list,
+    is_connected,
     max_degree,
     path,
     random_tree,
@@ -71,6 +72,54 @@ class TestTreeOpp:
         # the star's centre, is refused only because the triangle is not covered
         with pytest.raises(GraphError, match="^input is not a tree$"):
             tree_opp(disjoint_union(star(5), cycle(3)))
+
+
+def _labels_and_k(g) -> tuple[tuple[int, ...], int]:
+    lab = tree_opp(g)
+    return lab.labels, lab.k
+
+
+def _outcome(label, g):
+    """What ``label(g)`` returns, or the message it refuses g with."""
+    try:
+        return label(g)
+    except GraphError as exc:
+        return str(exc)
+
+
+class TestTreeOppReference:
+    """The stack walk gives the labels, k and refusals of the breadth-first
+    queue it replaced."""
+
+    def test_random_trees(self):
+        checked = 0
+        for n in range(2, 501):
+            for i in range(5):
+                t = random_tree(n, seed=31 * n + i)
+                lab = tree_opp(t)
+                assert (lab.labels, lab.k) == oracles.reference_tree_opp(t.adj), (n, i)
+                checked += 1
+        assert checked == 2495
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(star(9), id="star-stack-never-used"),
+        pytest.param(path(9), id="path"),
+        pytest.param(disjoint_union(star(5), cycle(3)), id="K14-plus-triangle"),
+        pytest.param(disjoint_union(star(4), cycle(3)), id="K13-plus-triangle"),
+        pytest.param(disjoint_union(path(6), cycle(3)), id="path-plus-triangle"),
+        pytest.param(from_edge_list(4, [(0, 1), (1, 2), (2, 0)]), id="cycle-with-root-plus-isolated"),
+        pytest.param(from_edge_list(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6)]),
+                     id="pendant-cycle-with-root-plus-isolated"),
+        pytest.param(cycle(4), id="too-many-edges"),
+        pytest.param(from_edge_list(1, []), id="one-vertex"),
+    ])
+    def test_same_outcome(self, g):
+        ours = _outcome(_labels_and_k, g)
+        assert ours == _outcome(lambda g: oracles.reference_tree_opp(g.adj), g)
+        if g.n >= 2 and g.m == g.n - 1 and is_connected(g):
+            assert isinstance(ours, tuple)
+        else:
+            assert ours in ("input is not a tree", "tree labeling needs at least two vertices, got n=1")
 
 
 class TestPsiFamily:

@@ -122,6 +122,13 @@ class TestGenerators:
         assert random_tree(30, seed=5) == random_tree(30, seed=5)
         assert random_tree(30, seed=5) != random_tree(30, seed=6)
 
+    def test_random_tree_keeps_the_randrange_stream(self):
+        # the getrandbits draw must give the trees of randrange(n) on this interpreter
+        for n in range(1, 501):
+            for seed in (0, 1, 7, 1000 * n + 3, 2**64 + n):
+                assert random_tree(n, seed).adj == oracles.reference_random_tree(n, seed), (n, seed)
+        assert random_tree(4096, 1).adj == oracles.reference_random_tree(4096, 1)
+
     def test_random_graph_deterministic(self):
         assert random_graph(12, 0.4, 3) == random_graph(12, 0.4, 3)
 
