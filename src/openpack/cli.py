@@ -297,7 +297,7 @@ def cmd_verify(args) -> int:
             raise GraphError(f"--{name.replace('_', '-')} does not apply to {','.join(theorems)}")
     options = harness.RunOptions(**given)
     out = _open_out(args.out) if args.out else sys.stdout
-    rows = harness.run_corpus(theorems, instances, jobs=args.jobs, options=options)
+    rows = harness.run_corpus(theorems, instances, options=options)
 
     def written(rows):
         for row in rows:
@@ -384,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=sorted(harness.CORPUS_FILTERS))
     ver.add_argument("--strict", action="store_true", default=None,
                      help="assert the even-cycle-free equality instead of reporting it")
-    ver.add_argument("--jobs", type=int, default=1)
     ver.add_argument("--tree-confirm-n", type=int, default=None)
     ver.add_argument("--out", default=None, help="write JSONL rows to a file")
     ver.add_argument("--summary", action="store_true",

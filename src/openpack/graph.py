@@ -38,7 +38,7 @@ class Graph:
 
     ``adj[v]`` is the open neighborhood of ``v`` as a bit mask.  Instances are
     immutable after construction (``adj`` is a tuple of ints); transforms and
-    products return new graphs, so values are safe to share across workers.
+    products return new graphs, so a value may be shared freely.
     """
 
     __slots__ = ("n", "adj")

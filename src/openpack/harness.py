@@ -24,11 +24,9 @@ and is re-verified before emission.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from multiprocessing import get_context
 
 from . import solvers
 from ._kernels_py import memo_scope
@@ -523,90 +521,35 @@ def evaluate_instance(theorems: tuple[str, ...], instance: Instance,
     return [row for tid in theorems for row in CHECKS[tid](*args, options)]
 
 
-# each pool worker's own factor memo, made by _start_worker and gone with it
-_worker_factors: Callable[[Graph], GraphFacts] | None = None
-
-
-def _start_worker() -> None:
-    """Give a pool worker its factor memo.  The worker is forked inside
-    run_corpus's kernel memo scope and never leaves it, so its kernel memo,
-    like its factor memo, lives as long as the worker."""
-    global _worker_factors
-    _worker_factors = lru_cache(maxsize=FACTOR_FACTS_MAX)(GraphFacts)
-
-
-def _numbered_rows(number: int, theorems: tuple[str, ...], instance: Instance,
-                   options: RunOptions, factors: Callable[[Graph], GraphFacts],
-                   ) -> list[TheoremCheckResult]:
-    """``evaluate_instance`` on the ``number``-th instance, which names a
-    graph past the solver cap."""
-    try:
-        return evaluate_instance(theorems, instance, options, factors)
-    except solvers.SolverCapError as exc:
-        if not isinstance(instance, Graph):
-            raise
-        raise solvers.SolverCapError(f"graph {number}: {exc}") from None
-
-
-def _pool_eval(task):
-    return _numbered_rows(*task, _worker_factors)
-
-
-def _caught(items: Iterable, failure: list[BaseException]) -> Iterator:
-    """Yield from items; if iterating them raises, end early and keep what was
-    raised in failure.
-
-    ``Pool.imap`` reads its tasks in a helper thread, which dies on a
-    BaseException that is not an Exception (SystemExit, KeyboardInterrupt)
-    and leaves the result iterator waiting forever.  The caller re-raises
-    the kept exception once the tasks read before it are done.
-    """
-    try:
-        yield from items
-    except BaseException as exc:
-        failure.append(exc)
-
-
 def run_corpus(theorems: Iterable[str], instances: Iterable[Instance], *,
-               jobs: int = 1, options: RunOptions | None = None,
-               ) -> Iterator[TheoremCheckResult]:
+               options: RunOptions | None = None) -> Iterator[TheoremCheckResult]:
     """Run the selected checks over a corpus, yielding rows in corpus order.
 
-    Violated rows are re-verified before they are yielded.  With jobs > 1 the
-    instances are evaluated by a worker pool; emission order is still the
-    corpus order, so output is deterministic either way.  Facts about pair
+    Violated rows are re-verified before they are yielded.  Facts about pair
     factors are shared within the call through one factor memo, and kernel
     results through one kernel memo (``_kernels_py.memo_scope``, at most
-    ``MEMO_MAX`` entries); under a pool each worker has its own of both.
-    Neither outlives the call: both go when the rows are exhausted, when the
-    generator is closed early, or when the run raises.
+    ``MEMO_MAX`` entries).  Neither outlives the call: both go when the rows
+    are exhausted, when the generator is closed early, or when the run raises.
 
     A graph past the solver cap is refused as ``graph N: ...``, N its place
     among the instances from 1, as ``invariant`` names an input graph.
     """
     theorems = tuple(theorems)
     theorem_kind(theorems)
-    if jobs < 1:
-        raise GraphError(f"run_corpus needs jobs >= 1, got jobs={jobs}")
     options = options or RunOptions()
-    failure: list[BaseException] = []
-    with memo_scope(), (get_context("fork").Pool(jobs, initializer=_start_worker)
-                        if jobs > 1 else nullcontext()) as pool:
-        if pool is None:
-            factors = lru_cache(maxsize=FACTOR_FACTS_MAX)(GraphFacts)
-            batches = (_numbered_rows(number, theorems, instance, options, factors)
-                       for number, instance in enumerate(instances, start=1))
-        else:
-            tasks = ((number, theorems, instance, options)
-                     for number, instance in enumerate(_caught(instances, failure), start=1))
-            batches = pool.imap(_pool_eval, tasks, chunksize=16)
-        for batch in batches:
-            for row in batch:
+    with memo_scope():
+        factors = lru_cache(maxsize=FACTOR_FACTS_MAX)(GraphFacts)
+        for number, instance in enumerate(instances, start=1):
+            try:
+                rows = evaluate_instance(theorems, instance, options, factors)
+            except solvers.SolverCapError as exc:
+                if not isinstance(instance, Graph):
+                    raise
+                raise solvers.SolverCapError(f"graph {number}: {exc}") from None
+            for row in rows:
                 if row.verdict == VIOLATED:
                     reverify_violation(row)
                 yield row
-    if failure:
-        raise failure[0]
 
 
 def summarize(rows: Iterable[TheoremCheckResult]) -> dict[str, dict[str, int]]:

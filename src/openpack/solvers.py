@@ -1,14 +1,17 @@
 """Exact solvers for every supported invariant, each with a certificate.
 
-Everything NP-hard funnels through two kernels (exact chromatic number and
-maximum independent set) applied to the neighborhood transforms, which one
-``GraphFacts`` per graph builds once and shares:
+Three exact searches do the NP-hard work.  Two kernels (exact chromatic
+number and maximum independent set) are applied to the neighborhood
+transforms, which one ``GraphFacts`` per graph builds once and shares:
 
 * ``p_o``     = chromatic number of ``two_step(g)``
 * ``chi2``    = chromatic number of ``square(g)``
 * ``rho_o``   = independence number of ``two_step(g)``
 * ``rho``     = independence number of ``square(g)``
 * ``omega_N`` = independence number of the complement of ``two_step(g)``
+
+The third, ``_min_cover``, lives here: a minimum cover of the vertices by
+neighborhoods, closed for ``gamma`` and open for ``gamma_t``.
 
 The public solver functions return the same pairs from a fresh
 ``GraphFacts``.  No solver returns a bare number: ``_certified`` checks each

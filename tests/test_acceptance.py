@@ -302,13 +302,9 @@ def test_criterion_8_determinism():
         first = run(args)
         second = run(args)
         ok = ok and first == second and first[1]
-    pooled = run(["verify", "--theorem", "T1,T2,T3", "--all-n", "5", "--jobs", "2"])
-    serial = run(["verify", "--theorem", "T1,T2,T3", "--all-n", "5"])
-    ok = ok and pooled == serial
     elapsed = time.time() - start
     record(
         "C8",
         ok,
-        f"byte-identical JSONL across reruns (3 invocation shapes, plus "
-        f"worker-pool vs serial), {elapsed:.0f}s",
+        f"byte-identical JSONL across reruns (3 invocation shapes), {elapsed:.0f}s",
     )

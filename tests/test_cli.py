@@ -86,9 +86,8 @@ class TestInputErrors:
          "product would have 4154 vertices, cap is 4096"),
         ("tree-opp", ("tree-opp",), "@\n", "n=1"),
         ("verify0", ("verify", "--theorem", "T1", "--all-n", "3", "--all-upto", "9"), None, "n=9"),
-        ("verify1", ("verify", "--theorem", "T1", "--all-upto", "8", "--jobs", "2"), None, "n=8"),
-        ("verify2", ("verify", "--theorem", "T6", "--lex-grid", "3", "8", "--jobs", "2"), None,
-         "max_h=8"),
+        ("verify1", ("verify", "--theorem", "T1", "--all-upto", "8"), None, "n=8"),
+        ("verify2", ("verify", "--theorem", "T6", "--lex-grid", "3", "8"), None, "max_h=8"),
         # file errors; {tmp} is a fresh directory holding only nonascii.g6
         ("invariant2", ("invariant", "--input", "{tmp}/missing.g6"), None,
          "cannot read {tmp}/missing.g6"),
@@ -99,9 +98,6 @@ class TestInputErrors:
          "cannot write {tmp}/no-dir/rows.jsonl"),
         ("product2", ("product", "--op", "cart", "Bw", "Bw", "--layout-out",
                       "{tmp}/no-dir/layout.json"), None, "cannot write {tmp}/no-dir/layout.json"),
-        # run_corpus owns the worker count: fewer than one job is refused, not run serially
-        ("verify5", ("verify", "--theorem", "T1", "--all-n", "3", "--jobs", "0"), None, "jobs=0"),
-        ("verify6", ("verify", "--theorem", "T1", "--all-n", "3", "--jobs", "-5"), None, "jobs=-5"),
         # a negative confirmation bound is refused, not turned into unconfirmed rows
         ("verify7", ("verify", "--theorem", "T10", "--all-n", "4", "--tree-confirm-n", "-3"),
          None, "tree_confirm_n=-3"),
@@ -195,6 +191,14 @@ class TestInputErrors:
         monkeypatch.setenv("OPENPACK_MAX_N", "3")
         monkeypatch.setattr(sys, "stdin", io.StringIO(to_graph6(complete(4)) + "\n"))
         expect_input_error(("invariant", "--what", "chi"), "4 vertices")
+
+    def test_jobs_is_an_unrecognized_argument(self):
+        # verify evaluates a corpus one way; a worker count is refused, not ignored
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exited:
+            main(["verify", "--theorem", "T1", "--all-n", "3", "--jobs", "2"])
+        assert exited.value.code == 2
+        assert err.getvalue().endswith("error: unrecognized arguments: --jobs 2\n")
 
     def test_exit_status_of_a_real_process(self):
         env = dict(os.environ, PYTHONPATH=str(Path(openpack.__file__).parents[1]))
@@ -574,9 +578,6 @@ class TestVerify:
     def test_missing_corpus_rejected(self):
         expect_input_error(("verify", "--theorem", "T1"), "no corpus selected")
 
-    def test_missing_corpus_rejected_under_jobs(self):
-        expect_input_error(("verify", "--theorem", "T1", "--jobs", "2"), "no corpus selected")
-
     def test_unknown_theorem_rejected(self):
         expect_input_error(("verify", "--theorem", "T77", "--all-n", "3"), "'T77'")
 
@@ -598,21 +599,20 @@ class TestVerify:
         expect_input_error(("verify", "--theorem", "T1", "--g6-file", "-"),
                            "instance has 65 vertices, exact solvers cap at 64")
 
-    @pytest.mark.parametrize("jobs", [(), ("--jobs", "2")], ids=["serial", "jobs2"])
-    def test_record_past_solver_cap_is_named(self, tmp_path, monkeypatch, jobs):
+    def test_record_past_solver_cap_is_named(self, tmp_path, monkeypatch):
         # the third record, after a blank line, is refused as invariant names a graph
         monkeypatch.delenv("OPENPACK_MAX_N", raising=False)
         src = tmp_path / "corpus.g6"
         src.write_text(f"{to_graph6(path(3))}\n{to_graph6(cycle(4))}\n\n{to_graph6(path(65))}\n")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["verify", "--theorem", "T1", "--g6-file", str(src), *jobs])
+            code = main(["verify", "--theorem", "T1", "--g6-file", str(src)])
         assert code == 2
         assert err.getvalue() == ("openpack verify: error: graph 3: instance has 65 vertices, "
                                   "exact solvers cap at 64\n")
-        if not jobs:  # a pool takes the records 16 at a time, and a failed batch writes nothing
-            instances = [json.loads(line)["instance"] for line in out.getvalue().splitlines()]
-            assert instances == [to_graph6(path(3))] * 2 + [to_graph6(cycle(4))] * 2
+        # the rows of graphs 1-2 are written before the refusal
+        instances = [json.loads(line)["instance"] for line in out.getvalue().splitlines()]
+        assert instances == [to_graph6(path(3))] * 2 + [to_graph6(cycle(4))] * 2
 
     @pytest.mark.parametrize("bad", [("0", "2", "1", "1"), ("5", "3", "1", "1"),
                                      ("3", "3", "-1", "1"), ("3", "3", "0", "1")])
@@ -653,18 +653,3 @@ class TestVerify:
     def test_grids_at_the_product_cap_accepted(self, flag, grid, theorems):
         # the largest products are exactly 24 vertices (or fewer): no exit
         _check_grid(flag, *grid, theorems)
-
-    def test_jobs_match_serial(self):
-        args = ("verify", "--theorem", "T1,T3", "--all-n", "4")
-        _, serial = run_cli(*args)
-        _, pooled = run_cli(*args, "--jobs", "2")
-        assert serial == pooled
-
-    @pytest.mark.parametrize("theorems, grid", [("T4,T5", ("3", "3")), ("T7", ("3", "2"))])
-    def test_jobs_match_serial_on_pair_grids(self, theorems, grid):
-        args = ("verify", "--theorem", theorems, "--pair-grid", *grid)
-        serial = run_cli(*args)
-        pooled = run_cli(*args, "--jobs", "2")
-        assert serial == pooled
-        if theorems == "T7":
-            assert serial[0] == 1 and '"violated"' in serial[1]

@@ -1,13 +1,12 @@
 import json
 import re
-import textwrap
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import graphs, run_python
+from conftest import graphs
 from openpack import harness, solvers
 from openpack.constructions import PsiSpec, ng_extremal, psi_graph
 from openpack.formats import to_graph6
@@ -486,34 +485,20 @@ class TestRunner:
         rows = list(run_corpus(["T3"], instances))
         assert [r.instance for r in rows] == [to_graph6(g) for g in instances]
 
-    def test_pool_matches_serial(self):
-        instances = list(harness.all_graphs_upto(4))
-        serial = [r.to_json() for r in run_corpus(["T1", "T3"], instances)]
-        pooled = [r.to_json() for r in run_corpus(["T1", "T3"], instances, jobs=2)]
-        assert serial == pooled
+    def test_corpus_base_exception_reaches_caller(self):
+        # the rows before a SystemExit from the corpus arrive, and the exit
+        # reaches the caller
+        def corpus():
+            yield path(3)
+            yield cycle(4)
+            raise SystemExit(7)
 
-    def test_pool_reraises_corpus_base_exception(self):
-        # Pool.imap's task thread dies on a SystemExit from the corpus; the
-        # rows before it must still arrive and the exit reach the caller
-        script = textwrap.dedent("""
-            from openpack.graph import cycle, path
-            from openpack.harness import run_corpus
-
-            def corpus():
-                yield path(3)
-                yield cycle(4)
-                raise SystemExit(7)
-
-            rows = []
-            try:
-                for row in run_corpus(["T1"], corpus(), jobs=2):
-                    rows.append(row.to_json())
-            finally:
-                print(len(rows))
-        """)
-        proc = run_python(script)
-        assert proc.returncode == 7, proc.stderr
-        assert int(proc.stdout) == len(list(run_corpus(["T1"], [path(3), cycle(4)])))
+        rows = []
+        with pytest.raises(SystemExit) as exited:
+            for row in run_corpus(["T1"], corpus()):
+                rows.append(row.to_json())
+        assert exited.value.code == 7
+        assert rows == [r.to_json() for r in run_corpus(["T1"], [path(3), cycle(4)])]
 
     def test_json_shape(self):
         row = next(iter(run_corpus(["T3"], [cycle(4)])))

@@ -74,6 +74,14 @@ def test_only_formats_imports_json():
     assert importers == ["formats.py"]
 
 
+def test_no_module_imports_multiprocessing():
+    """``verify`` evaluates a corpus in one process, through one loop in
+    ``harness.run_corpus``; no module starts workers."""
+    importers = [path.name for path in SOURCES
+                 if any(module.split(".")[0] == "multiprocessing" for module, _ in _imports(path))]
+    assert importers == []
+
+
 def test_cli_imports_no_private_name():
     """The CLI reaches the other modules through their public names only."""
     path = Path(openpack.__file__).parent / "cli.py"
