@@ -8,7 +8,7 @@ extremal families, and machine-checks the known bounds over enumerated
 corpora.
 """
 
-from .constructions import PsiSpec, cart_sharp_instance, ng_extremal, psi_graph, tree_opp
+from .constructions import cart_sharp_instance, ng_extremal, psi_graph, tree_opp
 from .formats import parse_edge_list_text, parse_graph6, to_edge_list_text, to_graph6
 from .graph import (
     DisconnectedGraphError,

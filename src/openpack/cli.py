@@ -6,11 +6,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 from itertools import chain
 
 from . import constructions, harness, solvers, transforms
-from .constructions import PsiSpec
 from .formats import (
     JSON_LINE,
     FormatError,
@@ -85,7 +83,7 @@ FAMILIES = {
     "complete-bipartite": (complete_bipartite, ("a", "b")),
     "random": (random_graph, ("n", "p", "seed")),
     "tree-random": (random_tree, ("n", "seed")),
-    "psi": (lambda r, s: constructions.psi_graph(PsiSpec(r, s)), ("r", "s")),
+    "psi": (constructions.psi_graph, ("r", "s")),
     "ng": (constructions.ng_extremal, ("k",)),
     "cart-sharp": (constructions.cart_sharp_instance, ("m", "n")),
 }
@@ -272,6 +270,8 @@ def cmd_verify(args) -> int:
     for flag in chain.from_iterable(CORPUS_FLAGS.values()):
         if getattr(args, flag) is not None and flag not in CORPUS_FLAGS[kind]:
             raise GraphError(f"--{flag.replace('_', '-')} does not apply to {','.join(theorems)}")
+    if args.strict and "T11" not in theorems:  # the one run flag, read only by T11
+        raise GraphError(f"--strict does not apply to {','.join(theorems)}")
     if kind == "single":
         instances = _single_corpus(args)
         for name in args.filter or []:
@@ -289,15 +289,8 @@ def cmd_verify(args) -> int:
             raise GraphError("T15 needs --t-values, e.g. --t-values 1,2,3")
         instances = _t_values(args.t_values)
 
-    # a run option is refused unless a selected theorem reads it
-    given = {option.name: getattr(args, option.name) for option in fields(harness.RunOptions)
-             if getattr(args, option.name) is not None}
-    for name in given:
-        if not any(name in harness.CHECKS[tid].options for tid in theorems):
-            raise GraphError(f"--{name.replace('_', '-')} does not apply to {','.join(theorems)}")
-    options = harness.RunOptions(**given)
     out = _open_out(args.out) if args.out else sys.stdout
-    rows = harness.run_corpus(theorems, instances, options=options)
+    rows = harness.run_corpus(theorems, instances, strict=args.strict)
 
     def written(rows):
         for row in rows:
@@ -382,9 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--t-values", default=None)
     ver.add_argument("--filter", action="append",
                      choices=sorted(harness.CORPUS_FILTERS))
-    ver.add_argument("--strict", action="store_true", default=None,
+    ver.add_argument("--strict", action="store_true",
                      help="assert the even-cycle-free equality instead of reporting it")
-    ver.add_argument("--tree-confirm-n", type=int, default=None)
     ver.add_argument("--out", default=None, help="write JSONL rows to a file")
     ver.add_argument("--summary", action="store_true",
                      help="print a per-theorem verdict table to stderr")

@@ -6,8 +6,6 @@ constructions by mapping vi to index i - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import (
     Graph,
     GraphError,
@@ -78,34 +76,20 @@ def tree_opp(t: Graph) -> VertexLabeling:
     return VertexLabeling(tuple(labels), delta)
 
 
-@dataclass(frozen=True)
-class PsiSpec:
-    """Parameters of the matching-regular family: r parts of even size s."""
-
-    r: int
-    s: int
-
-    def __post_init__(self):
-        if self.r < 2:
-            raise GraphError(f"need at least two parts, got r={self.r}")
-        if self.s < 2 or self.s % 2:
-            raise GraphError(f"part size must be even and at least two, got s={self.s}")
-
-    @property
-    def n(self) -> int:
-        return self.r * self.s
-
-
-def psi_graph(spec: PsiSpec) -> Graph:
-    """Identity matchings between every two parts plus an internal perfect
-    matching per part; the result is r-regular and the parts are
-    simultaneously open packings and total dominating sets.
+def psi_graph(r: int, s: int) -> Graph:
+    """r parts of even size s, with identity matchings between every two
+    parts plus an internal perfect matching per part; the result is
+    r-regular and the parts are simultaneously open packings and total
+    dominating sets.
 
     Part i occupies indices [i*s, (i+1)*s); the cross matchings join equal
     offsets, the internal matching pairs consecutive offsets (2t, 2t+1).
     """
-    _check_order(spec.n)
-    r, s = spec.r, spec.s
+    if r < 2:
+        raise GraphError(f"need at least two parts, got r={r}")
+    if s < 2 or s % 2:
+        raise GraphError(f"part size must be even and at least two, got s={s}")
+    _check_order(r * s)
     edges = []
     for i in range(r):
         for j in range(i + 1, r):
@@ -114,7 +98,7 @@ def psi_graph(spec: PsiSpec) -> Graph:
     for i in range(r):
         for k in range(0, s, 2):
             edges.append((i * s + k, i * s + k + 1))
-    return from_edge_list(spec.n, edges)
+    return from_edge_list(r * s, edges)
 
 
 def ng_extremal(k: int) -> Graph:

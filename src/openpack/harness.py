@@ -77,18 +77,6 @@ class TheoremCheckResult:
                         self.witness)
 
 
-@dataclass
-class RunOptions:
-    strict: bool = False
-    tree_confirm_n: int = TREE_SOLVER_CONFIRM_N
-
-    def __post_init__(self):
-        # a negative bound would silently turn every T10 equality row into holds
-        if self.tree_confirm_n < 0:
-            raise GraphError(f"RunOptions needs tree_confirm_n >= 0, "
-                             f"got tree_confirm_n={self.tree_confirm_n}")
-
-
 # ---------------------------------------------------------------------------
 # Witness certificates
 
@@ -179,21 +167,20 @@ def reverify_violation(row: TheoremCheckResult) -> None:
 CHECKS: dict[str, Callable[..., list[TheoremCheckResult]]] = {}
 
 
-def _theorem(tid: str, kind: str, relation: str, product: str | None = None,
-             options: tuple[str, ...] = ()):
+def _theorem(tid: str, kind: str, relation: str, product: str | None = None):
     """Register the decorated function as the check of theorem ``tid``.
 
     ``kind`` is the instance it takes (``single``: one graph's facts,
     ``pair``: two factors' facts, ``param``: an integer), ``relation`` what
-    its rows assert between lhs and rhs (``le``, ``eq`` or ``iff``), a pair
-    theorem's ``product`` its name in ``products.PRODUCTS``, and ``options``
-    the ``RunOptions`` fields it reads.  They are kept as attributes of the
-    function, so a wrapper made with ``functools.wraps`` carries them too.
+    its rows assert between lhs and rhs (``le``, ``eq`` or ``iff``), and a
+    pair theorem's ``product`` its name in ``products.PRODUCTS``.  They are
+    kept as attributes of the function, so a wrapper made with
+    ``functools.wraps`` carries them too.  Every check takes its instance and
+    then ``strict``, the one run flag, which only T11 reads.
     """
 
     def register(check):
         check.kind, check.relation, check.product = kind, relation, product
-        check.options = options
         CHECKS[tid] = check
         return check
 
@@ -225,7 +212,7 @@ def _skipped(theorem, instance) -> TheoremCheckResult:
 
 
 @_theorem("T1", "single", "le")
-def check_T1(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
+def check_T1(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
     """n <= p_o * rho_o and p_o <= n - rho_o + 1."""
     po, rho_o = facts.p_o[0], facts.rho_o[0]
     witness = ((facts, "p_o"), (facts, "rho_o"))
@@ -236,7 +223,7 @@ def check_T1(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]
 
 
 @_theorem("T2", "single", "le")
-def check_T2(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
+def check_T2(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
     """chi2 <= 2 * p_o and p_o <= chi2."""
     po, chi2 = facts.p_o[0], facts.chi2[0]
     witness = ((facts, "p_o"), (facts, "chi2"))
@@ -247,7 +234,7 @@ def check_T2(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]
 
 
 @_theorem("T3", "single", "le")
-def check_T3(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
+def check_T3(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
     """max degree <= p_o."""
     # the lowest-numbered vertex of maximum degree
     hub = list(map(int.bit_count, facts.g.adj)).index(facts.maxdeg)
@@ -276,7 +263,7 @@ def has_matching_partition_structure(g: Graph, labeling: VertexLabeling, part_si
 
 
 @_theorem("T8", "single", "le")
-def check_T8(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
+def check_T8(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
     """Degree-density lower bound, in integer-exact squared form:
     2m - n <= p_o (p_o - 1) rho_o, with equality exactly on the matching family."""
     if not facts.connected or facts.g.n < 2:
@@ -295,7 +282,7 @@ def check_T8(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]
 
 
 @_theorem("T9", "single", "le")
-def check_T9(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
+def check_T9(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
     """p_o(G) + p_o(co-G) >= n, except the two 4-vertex graphs where the sum
     is n - 1 (reported, not asserted)."""
     co = GraphFacts(complement(facts.g))
@@ -308,17 +295,17 @@ def check_T9(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]
     return [_row("T9", facts.g6, facts.g.n, total, witness)]
 
 
-@_theorem("T10", "single", "eq", options=("tree_confirm_n",))
-def check_T10(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
+@_theorem("T10", "single", "eq")
+def check_T10(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
     """Trees: the constructed partition is a valid OPP on exactly max-degree
     classes; for small trees the solver confirms p_o = max degree."""
     if facts.g.n < 2 or not is_tree(facts.g):
         return [_skipped("T10", facts.g6)]
-    labeling = tree_opp(facts.g)
-    if not solvers.is_opp(facts.g, labeling) or labeling.k != facts.maxdeg:
-        # not a theorem violation: the constructor itself is broken
-        raise RuntimeError(f"tree labeling construction failed on {facts.g6}")
-    if facts.g.n <= options.tree_confirm_n:
+    # a construction that fails is not a theorem violation: the constructor
+    # itself is broken, and CertificateError says so
+    _, labeling = solvers._certified(facts.g, solvers.is_opp, facts.maxdeg,
+                                     tree_opp(facts.g).labels)
+    if facts.g.n <= TREE_SOLVER_CONFIRM_N:
         witness = ((facts, "p_o"), _cert("p_o", facts.g6, labeling.to_json_obj()))
         return [_row("T10", facts.g6, facts.p_o[0], facts.maxdeg, witness)]
     # too large for the exact solver: the valid construction certifies
@@ -326,8 +313,8 @@ def check_T10(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult
     return [TheoremCheckResult("T10", facts.g6, HOLDS, labeling.k, facts.maxdeg)]
 
 
-@_theorem("T11", "single", "eq", options=("strict",))
-def check_T11(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
+@_theorem("T11", "single", "eq")
+def check_T11(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
     """Even-cycle-free graphs: report chi(N(g)) against omega(N(g)).
 
     Asserted for trees; for the other even-cycle-free graphs the equality
@@ -336,14 +323,14 @@ def check_T11(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult
     if has_even_cycle(facts.g):
         return [_skipped("T11", facts.g6)]
     chi_n, omega_n = facts.p_o[0], facts.omega_N[0]
-    if is_tree(facts.g) or options.strict:
+    if is_tree(facts.g) or strict:
         witness = ((facts, "p_o"), (facts, "omega_N"))
         return [_row("T11", facts.g6, chi_n, omega_n, witness)]
     return [TheoremCheckResult("T11", facts.g6, REPORT_ONLY, chi_n, omega_n)]
 
 
 @_theorem("T12", "single", "eq")
-def check_T12(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
+def check_T12(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
     """Bipartite complement forces chi(N(g)) = omega(N(g))."""
     if not is_bipartite(complement(facts.g)):
         return [_skipped("T12", facts.g6)]
@@ -352,7 +339,7 @@ def check_T12(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult
 
 
 @_theorem("T13", "single", "iff")
-def check_T13(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
+def check_T13(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
     """For n >= 3: rho_o = 1 iff (diameter <= 2 and every edge on a triangle),
     and the same condition is equivalent to p_o = n."""
     if facts.g.n < 3:
@@ -364,7 +351,7 @@ def check_T13(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult
 
 
 @_theorem("T14", "single", "le")
-def check_T14(facts: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
+def check_T14(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
     """rho <= gamma always; rho_o <= gamma_t when there is no isolated vertex."""
     closed_witness = ((facts, "rho"), (facts, "gamma"))
     rows = [_row("T14", facts.g6, facts.rho[0], facts.gamma[0], closed_witness)]
@@ -393,7 +380,7 @@ def _product_facts(tid: str, fg: GraphFacts, fh: GraphFacts) -> GraphFacts:
 
 
 @_theorem("T4", "pair", "le", product="cart")
-def check_T4(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
+def check_T4(fg: GraphFacts, fh: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
     """Cartesian product: max factor p_o <= p_o(prod) <= min mixed products."""
     fp = _product_facts("T4", fg, fh)
     instance = [fg.g6, fh.g6]
@@ -407,7 +394,7 @@ def check_T4(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[Theore
 
 
 @_theorem("T5", "pair", "le", product="direct")
-def check_T5(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
+def check_T5(fg: GraphFacts, fh: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
     """Direct product of graphs with edges: max factor p_o <= p_o(prod) <= product."""
     instance = [fg.g6, fh.g6]
     if fg.g.m == 0 or fh.g.m == 0:
@@ -422,7 +409,7 @@ def check_T5(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[Theore
 
 
 @_theorem("T6", "pair", "eq", product="lex")
-def check_T6(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
+def check_T6(fg: GraphFacts, fh: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
     """Lexicographic product formula:
     p_o(G o H) = chi2(G)|V(H)| - i_H (chi2(G) - p_o(G)) for connected G, n >= 2."""
     instance = [fg.g6, fh.g6]
@@ -438,7 +425,7 @@ def check_T6(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[Theore
 
 
 @_theorem("T7", "pair", "eq", product="corona")
-def check_T7(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[TheoremCheckResult]:
+def check_T7(fg: GraphFacts, fh: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
     """Corona formula: p_o(G . H) = max(p_o(G), |V(H)| + max degree of G)."""
     fp = _product_facts("T7", fg, fh)
     instance = [fg.g6, fh.g6]
@@ -453,7 +440,7 @@ def check_T7(fg: GraphFacts, fh: GraphFacts, options: RunOptions) -> list[Theore
 
 
 @_theorem("T15", "param", "eq")
-def check_T15(t: int, options: RunOptions) -> list[TheoremCheckResult]:
+def check_T15(t: int, strict: bool) -> list[TheoremCheckResult]:
     """two_step(cycle(4t+2)) is two disjoint copies of cycle(2t+1).
 
     Three rows per t: the isomorphism flag against 1, then chi and omega of
@@ -505,11 +492,12 @@ def theorem_kind(theorems: Iterable[str]) -> str:
 # Corpus runner
 
 Instance = Graph | tuple[Graph, Graph] | int
+# how run_corpus names a refused instance of each kind
+INSTANCE_NAMES = {"single": "graph {number}", "pair": "pair {number}", "param": "t={instance}"}
 
 
-def evaluate_instance(theorems: tuple[str, ...], instance: Instance,
-                      options: RunOptions, factors: Callable[[Graph], GraphFacts],
-                      ) -> list[TheoremCheckResult]:
+def evaluate_instance(theorems: tuple[str, ...], instance: Instance, strict: bool,
+                      factors: Callable[[Graph], GraphFacts]) -> list[TheoremCheckResult]:
     """Rows of the selected checks on one instance; pair factors come from
     the run's ``factors`` memo, everything else is solved afresh."""
     if isinstance(instance, Graph):
@@ -518,11 +506,11 @@ def evaluate_instance(theorems: tuple[str, ...], instance: Instance,
         args = (factors(instance[0]), factors(instance[1]))
     else:
         args = (int(instance),)
-    return [row for tid in theorems for row in CHECKS[tid](*args, options)]
+    return [row for tid in theorems for row in CHECKS[tid](*args, strict)]
 
 
 def run_corpus(theorems: Iterable[str], instances: Iterable[Instance], *,
-               options: RunOptions | None = None) -> Iterator[TheoremCheckResult]:
+               strict: bool = False) -> Iterator[TheoremCheckResult]:
     """Run the selected checks over a corpus, yielding rows in corpus order.
 
     Violated rows are re-verified before they are yielded.  Facts about pair
@@ -531,21 +519,20 @@ def run_corpus(theorems: Iterable[str], instances: Iterable[Instance], *,
     ``MEMO_MAX`` entries).  Neither outlives the call: both go when the rows
     are exhausted, when the generator is closed early, or when the run raises.
 
-    A graph past the solver cap is refused as ``graph N: ...``, N its place
-    among the instances from 1, as ``invariant`` names an input graph.
+    An instance past the solver cap is refused as ``graph N: ...`` or
+    ``pair N: ...``, N its place among the instances from 1, as ``invariant``
+    names an input graph, or as ``t=T: ...`` for a T15 value.
     """
     theorems = tuple(theorems)
-    theorem_kind(theorems)
-    options = options or RunOptions()
+    name = INSTANCE_NAMES[theorem_kind(theorems)]
     with memo_scope():
         factors = lru_cache(maxsize=FACTOR_FACTS_MAX)(GraphFacts)
         for number, instance in enumerate(instances, start=1):
             try:
-                rows = evaluate_instance(theorems, instance, options, factors)
+                rows = evaluate_instance(theorems, instance, strict, factors)
             except solvers.SolverCapError as exc:
-                if not isinstance(instance, Graph):
-                    raise
-                raise solvers.SolverCapError(f"graph {number}: {exc}") from None
+                where = name.format(number=number, instance=instance)
+                raise solvers.SolverCapError(f"{where}: {exc}") from None
             for row in rows:
                 if row.verdict == VIOLATED:
                     reverify_violation(row)

@@ -18,7 +18,7 @@ import conftest
 import oracles
 from openpack import harness
 from openpack.cli import main as cli_main
-from openpack.constructions import PsiSpec, cart_sharp_instance, psi_graph, tree_opp
+from openpack.constructions import cart_sharp_instance, psi_graph, tree_opp
 from openpack.graph import (
     complete,
     cycle,
@@ -214,7 +214,7 @@ def test_criterion_6_degree_density_equality():
     # member, which is two disjoint 4-cycles)
     family_ok = True
     for r, s in ((2, 2), (2, 4), (3, 2), (4, 2)):
-        g = psi_graph(PsiSpec(r, s))
+        g = psi_graph(r, s)
         po, lab = open_packing_partition_number(g)
         rho_o = open_packing_number(g)[0]
         family_ok = family_ok and po * (po - 1) * rho_o == 2 * g.m - g.n

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -98,9 +99,6 @@ class TestInputErrors:
          "cannot write {tmp}/no-dir/rows.jsonl"),
         ("product2", ("product", "--op", "cart", "Bw", "Bw", "--layout-out",
                       "{tmp}/no-dir/layout.json"), None, "cannot write {tmp}/no-dir/layout.json"),
-        # a negative confirmation bound is refused, not turned into unconfirmed rows
-        ("verify7", ("verify", "--theorem", "T10", "--all-n", "4", "--tree-confirm-n", "-3"),
-         None, "tree_confirm_n=-3"),
         # a count below one is refused, not an empty run
         ("gen-random2", ("gen", "random", "--n", "5", "--p", "0.5", "--seed", "1", "--count", "0"),
          None, "COUNT=0"),
@@ -116,11 +114,9 @@ class TestInputErrors:
         ("verify11", ("verify", "--theorem", "T15", "--t-values", "1", "--all-n", "3",
                       "--filter", "tree"), None, "--all-n does not apply to T15"),
         ("verify12", ("verify", "--theorem", "", "--all-n", "3"), None, "no theorem selected"),
-        # a run option no selected theorem reads is refused, not ignored
-        ("verify13", ("verify", "--theorem", "T4", "--pair-grid", "2", "2", "--strict",
-                      "--tree-confirm-n", "3"), None, "--strict does not apply to T4"),
-        ("verify14", ("verify", "--theorem", "T1,T11", "--all-n", "3", "--tree-confirm-n", "3"),
-         None, "--tree-confirm-n does not apply to T1,T11"),
+        # the one run flag is refused, not ignored, unless T11 is selected
+        ("verify13", ("verify", "--theorem", "T4", "--pair-grid", "2", "2", "--strict"), None,
+         "--strict does not apply to T4"),
         # a bad graph6 record is named by its line, counting blank lines, from 1
         ("verify15", ("verify", "--theorem", "T14", "--g6-file", "-"), "\nzz\nA_\n",
          "error: line 2: graph6 payload for n=59 needs 286 characters, got 1"),
@@ -200,6 +196,14 @@ class TestInputErrors:
         assert exited.value.code == 2
         assert err.getvalue().endswith("error: unrecognized arguments: --jobs 2\n")
 
+    def test_tree_confirm_n_is_an_unrecognized_argument(self):
+        # T10's solver bound is the constant harness.TREE_SOLVER_CONFIRM_N, not a flag
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exited:
+            main(["verify", "--theorem", "T10", "--all-n", "4", "--tree-confirm-n", "3"])
+        assert exited.value.code == 2
+        assert err.getvalue().endswith("error: unrecognized arguments: --tree-confirm-n 3\n")
+
     def test_exit_status_of_a_real_process(self):
         env = dict(os.environ, PYTHONPATH=str(Path(openpack.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-m", "openpack.cli", "enumerate", "--n", "9"],
@@ -234,6 +238,22 @@ class TestInputErrors:
         monkeypatch.setattr(sys, "stdin", io.StringIO(to_graph6(path(3)) + "\n"))
         with pytest.raises(solvers.CertificateError):
             run_cli("invariant", "--what", "chi")
+
+
+def test_readme_cli_flags_are_parser_options():
+    # every --flag README's CLI section shows is one some (sub)parser takes
+    def option_strings(parser):
+        for action in parser._actions:
+            yield from action.option_strings
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from option_strings(sub)
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    shown = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    strays = shown - set(option_strings(build_parser()))
+    assert shown and not strays, sorted(strays)
 
 
 class TestGen:
@@ -613,6 +633,19 @@ class TestVerify:
         # the rows of graphs 1-2 are written before the refusal
         instances = [json.loads(line)["instance"] for line in out.getvalue().splitlines()]
         assert instances == [to_graph6(path(3))] * 2 + [to_graph6(cycle(4))] * 2
+
+    def test_pair_past_solver_cap_is_named(self, monkeypatch):
+        # pair 37 of the 3x3 grid is (first 3-vertex G, first 3-vertex H): the
+        # first with a 9-vertex product
+        monkeypatch.setenv("OPENPACK_MAX_N", "8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--theorem", "T4", "--pair-grid", "3", "3"])
+        assert code == 2
+        assert err.getvalue() == ("openpack verify: error: pair 37: instance has 9 vertices, "
+                                  "exact solvers cap at 8\n")
+        # the rows of pairs 1-36 are written before the refusal
+        assert len(out.getvalue().splitlines()) == 72
 
     @pytest.mark.parametrize("bad", [("0", "2", "1", "1"), ("5", "3", "1", "1"),
                                      ("3", "3", "-1", "1"), ("3", "3", "0", "1")])

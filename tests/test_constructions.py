@@ -2,7 +2,6 @@ import pytest
 
 import oracles
 from openpack.constructions import (
-    PsiSpec,
     cart_sharp_instance,
     ng_extremal,
     psi_graph,
@@ -124,18 +123,18 @@ class TestTreeOppReference:
 
 class TestPsiFamily:
     def test_spec_validation(self):
-        with pytest.raises(GraphError):
-            PsiSpec(1, 2)
-        with pytest.raises(GraphError):
-            PsiSpec(2, 3)
-        with pytest.raises(GraphError):
-            PsiSpec(2, 0)
+        with pytest.raises(GraphError, match="need at least two parts, got r=1"):
+            psi_graph(1, 2)
+        with pytest.raises(GraphError, match="must be even and at least two, got s=3"):
+            psi_graph(2, 3)
+        with pytest.raises(GraphError, match="must be even and at least two, got s=0"):
+            psi_graph(2, 0)
 
     def test_2_2_is_c4(self):
-        assert oracles.isomorphic(psi_graph(PsiSpec(2, 2)), cycle(4))
+        assert oracles.isomorphic(psi_graph(2, 2), cycle(4))
 
     def test_3_2_shape(self):
-        g = psi_graph(PsiSpec(3, 2))
+        g = psi_graph(3, 2)
         assert g.n == 6 and g.m == 9
         assert all(g.degree(v) == 3 for v in range(6))
         assert open_packing_partition_number(g)[0] == 3
@@ -143,13 +142,13 @@ class TestPsiFamily:
 
     def test_regularity_and_size(self):
         for r, s in [(2, 2), (2, 4), (3, 2), (4, 2), (3, 4)]:
-            g = psi_graph(PsiSpec(r, s))
+            g = psi_graph(r, s)
             assert g.n == r * s and g.m == g.n * r // 2
             assert all(g.degree(v) == r for v in range(g.n))
 
     def test_parts_are_open_packings_and_total_dominating(self):
         for r, s in [(2, 2), (2, 4), (3, 2), (4, 2)]:
-            g = psi_graph(PsiSpec(r, s))
+            g = psi_graph(r, s)
             for i in range(r):
                 part = VertexSet.of(range(i * s, (i + 1) * s))
                 assert is_open_packing(g, part)
