@@ -270,8 +270,6 @@ def cmd_verify(args) -> int:
     for flag in chain.from_iterable(CORPUS_FLAGS.values()):
         if getattr(args, flag) is not None and flag not in CORPUS_FLAGS[kind]:
             raise GraphError(f"--{flag.replace('_', '-')} does not apply to {','.join(theorems)}")
-    if args.strict and "T11" not in theorems:  # the one run flag, read only by T11
-        raise GraphError(f"--strict does not apply to {','.join(theorems)}")
     if kind == "single":
         instances = _single_corpus(args)
         for name in args.filter or []:
@@ -290,7 +288,7 @@ def cmd_verify(args) -> int:
         instances = _t_values(args.t_values)
 
     out = _open_out(args.out) if args.out else sys.stdout
-    rows = harness.run_corpus(theorems, instances, strict=args.strict)
+    rows = harness.run_corpus(theorems, instances)
 
     def written(rows):
         for row in rows:
@@ -375,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--t-values", default=None)
     ver.add_argument("--filter", action="append",
                      choices=sorted(harness.CORPUS_FILTERS))
-    ver.add_argument("--strict", action="store_true",
-                     help="assert the even-cycle-free equality instead of reporting it")
     ver.add_argument("--out", default=None, help="write JSONL rows to a file")
     ver.add_argument("--summary", action="store_true",
                      help="print a per-theorem verdict table to stderr")

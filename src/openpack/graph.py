@@ -75,9 +75,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
-    def __reduce__(self):
-        return (_trusted, (self.n, self.adj))
-
 
 def _validate(n: int, adj: tuple[int, ...]) -> None:
     """Refuse ``adj`` unless it is a simple undirected graph on ``0..n-1``:

@@ -15,7 +15,7 @@ and a row records one elementary relation, judged by ``_verdict``:
   ``equality`` on success;
 * biconditional checks (T13) compare two 0/1 sides and report ``holds``;
 * instances failing a check's hypothesis become ``skipped`` rows, and checks
-  that only report (T11 off-strict, the T9 exclusions) emit ``report_only``.
+  that only report (T11 off trees, the T9 exclusions) emit ``report_only``.
 
 Every ``violated`` row carries a witness of machine-checkable certificates
 and is re-verified before emission.
@@ -52,8 +52,9 @@ from .transforms import every_edge_on_triangle, has_even_cycle
 HARNESS_MAX_PRODUCT_N = 24
 TREE_SOLVER_CONFIRM_N = 12
 # Entries in one run's factor memo, the lru_cache of pair factors' GraphFacts
-# by graph: every distinct factor of a 5x5 pair grid (1,099 graphs) fits, so
-# the cyclic inner loop of pair_grid never evicts.
+# by graph: a grid's inner list of at most 1,099 graphs (max_h <= 5) stays once
+# loaded, while one of 33,867 (max_h = 6, as --pair-grid 4 6 on T4 and T5 takes)
+# misses on every inner lookup but the outer factor's own.
 FACTOR_FACTS_MAX = 2048
 
 HOLDS = "holds"
@@ -175,8 +176,7 @@ def _theorem(tid: str, kind: str, relation: str, product: str | None = None):
     its rows assert between lhs and rhs (``le``, ``eq`` or ``iff``), and a
     pair theorem's ``product`` its name in ``products.PRODUCTS``.  They are
     kept as attributes of the function, so a wrapper made with
-    ``functools.wraps`` carries them too.  Every check takes its instance and
-    then ``strict``, the one run flag, which only T11 reads.
+    ``functools.wraps`` carries them too.  Every check takes only its instance.
     """
 
     def register(check):
@@ -212,7 +212,7 @@ def _skipped(theorem, instance) -> TheoremCheckResult:
 
 
 @_theorem("T1", "single", "le")
-def check_T1(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
+def check_T1(facts: GraphFacts) -> list[TheoremCheckResult]:
     """n <= p_o * rho_o and p_o <= n - rho_o + 1."""
     po, rho_o = facts.p_o[0], facts.rho_o[0]
     witness = ((facts, "p_o"), (facts, "rho_o"))
@@ -223,7 +223,7 @@ def check_T1(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
 
 
 @_theorem("T2", "single", "le")
-def check_T2(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
+def check_T2(facts: GraphFacts) -> list[TheoremCheckResult]:
     """chi2 <= 2 * p_o and p_o <= chi2."""
     po, chi2 = facts.p_o[0], facts.chi2[0]
     witness = ((facts, "p_o"), (facts, "chi2"))
@@ -234,7 +234,7 @@ def check_T2(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
 
 
 @_theorem("T3", "single", "le")
-def check_T3(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
+def check_T3(facts: GraphFacts) -> list[TheoremCheckResult]:
     """max degree <= p_o."""
     # the lowest-numbered vertex of maximum degree
     hub = list(map(int.bit_count, facts.g.adj)).index(facts.maxdeg)
@@ -263,7 +263,7 @@ def has_matching_partition_structure(g: Graph, labeling: VertexLabeling, part_si
 
 
 @_theorem("T8", "single", "le")
-def check_T8(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
+def check_T8(facts: GraphFacts) -> list[TheoremCheckResult]:
     """Degree-density lower bound, in integer-exact squared form:
     2m - n <= p_o (p_o - 1) rho_o, with equality exactly on the matching family."""
     if not facts.connected or facts.g.n < 2:
@@ -282,7 +282,7 @@ def check_T8(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
 
 
 @_theorem("T9", "single", "le")
-def check_T9(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
+def check_T9(facts: GraphFacts) -> list[TheoremCheckResult]:
     """p_o(G) + p_o(co-G) >= n, except the two 4-vertex graphs where the sum
     is n - 1 (reported, not asserted)."""
     co = GraphFacts(complement(facts.g))
@@ -296,7 +296,7 @@ def check_T9(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
 
 
 @_theorem("T10", "single", "eq")
-def check_T10(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
+def check_T10(facts: GraphFacts) -> list[TheoremCheckResult]:
     """Trees: the constructed partition is a valid OPP on exactly max-degree
     classes; for small trees the solver confirms p_o = max degree."""
     if facts.g.n < 2 or not is_tree(facts.g):
@@ -314,23 +314,20 @@ def check_T10(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
 
 
 @_theorem("T11", "single", "eq")
-def check_T11(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
-    """Even-cycle-free graphs: report chi(N(g)) against omega(N(g)).
-
-    Asserted for trees; for the other even-cycle-free graphs the equality
-    claim fails (C5, C7), so rows are report-only unless strict.
-    """
+def check_T11(facts: GraphFacts) -> list[TheoremCheckResult]:
+    """Even-cycle-free graphs: chi(N(g)) = omega(N(g)), asserted for trees and
+    report-only otherwise, since the claim fails on C5 and C7."""
     if has_even_cycle(facts.g):
         return [_skipped("T11", facts.g6)]
     chi_n, omega_n = facts.p_o[0], facts.omega_N[0]
-    if is_tree(facts.g) or strict:
+    if is_tree(facts.g):
         witness = ((facts, "p_o"), (facts, "omega_N"))
         return [_row("T11", facts.g6, chi_n, omega_n, witness)]
     return [TheoremCheckResult("T11", facts.g6, REPORT_ONLY, chi_n, omega_n)]
 
 
 @_theorem("T12", "single", "eq")
-def check_T12(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
+def check_T12(facts: GraphFacts) -> list[TheoremCheckResult]:
     """Bipartite complement forces chi(N(g)) = omega(N(g))."""
     if not is_bipartite(complement(facts.g)):
         return [_skipped("T12", facts.g6)]
@@ -339,7 +336,7 @@ def check_T12(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
 
 
 @_theorem("T13", "single", "iff")
-def check_T13(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
+def check_T13(facts: GraphFacts) -> list[TheoremCheckResult]:
     """For n >= 3: rho_o = 1 iff (diameter <= 2 and every edge on a triangle),
     and the same condition is equivalent to p_o = n."""
     if facts.g.n < 3:
@@ -351,7 +348,7 @@ def check_T13(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
 
 
 @_theorem("T14", "single", "le")
-def check_T14(facts: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
+def check_T14(facts: GraphFacts) -> list[TheoremCheckResult]:
     """rho <= gamma always; rho_o <= gamma_t when there is no isolated vertex."""
     closed_witness = ((facts, "rho"), (facts, "gamma"))
     rows = [_row("T14", facts.g6, facts.rho[0], facts.gamma[0], closed_witness)]
@@ -380,7 +377,7 @@ def _product_facts(tid: str, fg: GraphFacts, fh: GraphFacts) -> GraphFacts:
 
 
 @_theorem("T4", "pair", "le", product="cart")
-def check_T4(fg: GraphFacts, fh: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
+def check_T4(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     """Cartesian product: max factor p_o <= p_o(prod) <= min mixed products."""
     fp = _product_facts("T4", fg, fh)
     instance = [fg.g6, fh.g6]
@@ -394,7 +391,7 @@ def check_T4(fg: GraphFacts, fh: GraphFacts, strict: bool) -> list[TheoremCheckR
 
 
 @_theorem("T5", "pair", "le", product="direct")
-def check_T5(fg: GraphFacts, fh: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
+def check_T5(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     """Direct product of graphs with edges: max factor p_o <= p_o(prod) <= product."""
     instance = [fg.g6, fh.g6]
     if fg.g.m == 0 or fh.g.m == 0:
@@ -409,7 +406,7 @@ def check_T5(fg: GraphFacts, fh: GraphFacts, strict: bool) -> list[TheoremCheckR
 
 
 @_theorem("T6", "pair", "eq", product="lex")
-def check_T6(fg: GraphFacts, fh: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
+def check_T6(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     """Lexicographic product formula:
     p_o(G o H) = chi2(G)|V(H)| - i_H (chi2(G) - p_o(G)) for connected G, n >= 2."""
     instance = [fg.g6, fh.g6]
@@ -425,7 +422,7 @@ def check_T6(fg: GraphFacts, fh: GraphFacts, strict: bool) -> list[TheoremCheckR
 
 
 @_theorem("T7", "pair", "eq", product="corona")
-def check_T7(fg: GraphFacts, fh: GraphFacts, strict: bool) -> list[TheoremCheckResult]:
+def check_T7(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     """Corona formula: p_o(G . H) = max(p_o(G), |V(H)| + max degree of G)."""
     fp = _product_facts("T7", fg, fh)
     instance = [fg.g6, fh.g6]
@@ -440,7 +437,7 @@ def check_T7(fg: GraphFacts, fh: GraphFacts, strict: bool) -> list[TheoremCheckR
 
 
 @_theorem("T15", "param", "eq")
-def check_T15(t: int, strict: bool) -> list[TheoremCheckResult]:
+def check_T15(t: int) -> list[TheoremCheckResult]:
     """two_step(cycle(4t+2)) is two disjoint copies of cycle(2t+1).
 
     Three rows per t: the isomorphism flag against 1, then chi and omega of
@@ -496,7 +493,7 @@ Instance = Graph | tuple[Graph, Graph] | int
 INSTANCE_NAMES = {"single": "graph {number}", "pair": "pair {number}", "param": "t={instance}"}
 
 
-def evaluate_instance(theorems: tuple[str, ...], instance: Instance, strict: bool,
+def evaluate_instance(theorems: tuple[str, ...], instance: Instance,
                       factors: Callable[[Graph], GraphFacts]) -> list[TheoremCheckResult]:
     """Rows of the selected checks on one instance; pair factors come from
     the run's ``factors`` memo, everything else is solved afresh."""
@@ -506,11 +503,11 @@ def evaluate_instance(theorems: tuple[str, ...], instance: Instance, strict: boo
         args = (factors(instance[0]), factors(instance[1]))
     else:
         args = (int(instance),)
-    return [row for tid in theorems for row in CHECKS[tid](*args, strict)]
+    return [row for tid in theorems for row in CHECKS[tid](*args)]
 
 
-def run_corpus(theorems: Iterable[str], instances: Iterable[Instance], *,
-               strict: bool = False) -> Iterator[TheoremCheckResult]:
+def run_corpus(theorems: Iterable[str],
+               instances: Iterable[Instance]) -> Iterator[TheoremCheckResult]:
     """Run the selected checks over a corpus, yielding rows in corpus order.
 
     Violated rows are re-verified before they are yielded.  Facts about pair
@@ -529,7 +526,7 @@ def run_corpus(theorems: Iterable[str], instances: Iterable[Instance], *,
         factors = lru_cache(maxsize=FACTOR_FACTS_MAX)(GraphFacts)
         for number, instance in enumerate(instances, start=1):
             try:
-                rows = evaluate_instance(theorems, instance, strict, factors)
+                rows = evaluate_instance(theorems, instance, factors)
             except solvers.SolverCapError as exc:
                 where = name.format(number=number, instance=instance)
                 raise solvers.SolverCapError(f"{where}: {exc}") from None

@@ -37,6 +37,15 @@ def run_cli(*args):
     return code, out.getvalue()
 
 
+def expect_unrecognized(argv, named):
+    """A flag the CLI does not define: argparse exits 2 and names it."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    assert exited.value.code == 2
+    assert err.getvalue().endswith(f"error: unrecognized arguments: {named}\n")
+
+
 def expect_input_error(argv, named):
     """Input the CLI cannot take: status 2, no stdout, and one stderr line
     ``openpack <command>: error: ...`` that names the bad value."""
@@ -114,9 +123,6 @@ class TestInputErrors:
         ("verify11", ("verify", "--theorem", "T15", "--t-values", "1", "--all-n", "3",
                       "--filter", "tree"), None, "--all-n does not apply to T15"),
         ("verify12", ("verify", "--theorem", "", "--all-n", "3"), None, "no theorem selected"),
-        # the one run flag is refused, not ignored, unless T11 is selected
-        ("verify13", ("verify", "--theorem", "T4", "--pair-grid", "2", "2", "--strict"), None,
-         "--strict does not apply to T4"),
         # a bad graph6 record is named by its line, counting blank lines, from 1
         ("verify15", ("verify", "--theorem", "T14", "--g6-file", "-"), "\nzz\nA_\n",
          "error: line 2: graph6 payload for n=59 needs 286 characters, got 1"),
@@ -190,19 +196,18 @@ class TestInputErrors:
 
     def test_jobs_is_an_unrecognized_argument(self):
         # verify evaluates a corpus one way; a worker count is refused, not ignored
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exited:
-            main(["verify", "--theorem", "T1", "--all-n", "3", "--jobs", "2"])
-        assert exited.value.code == 2
-        assert err.getvalue().endswith("error: unrecognized arguments: --jobs 2\n")
+        expect_unrecognized(("verify", "--theorem", "T1", "--all-n", "3", "--jobs", "2"),
+                            "--jobs 2")
 
     def test_tree_confirm_n_is_an_unrecognized_argument(self):
         # T10's solver bound is the constant harness.TREE_SOLVER_CONFIRM_N, not a flag
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exited:
-            main(["verify", "--theorem", "T10", "--all-n", "4", "--tree-confirm-n", "3"])
-        assert exited.value.code == 2
-        assert err.getvalue().endswith("error: unrecognized arguments: --tree-confirm-n 3\n")
+        expect_unrecognized(("verify", "--theorem", "T10", "--all-n", "4",
+                             "--tree-confirm-n", "3"), "--tree-confirm-n 3")
+
+    def test_strict_is_an_unrecognized_argument(self):
+        # T11 asserts on trees and reports on other even-cycle-free graphs, always
+        expect_unrecognized(("verify", "--theorem", "T11", "--all-n", "5", "--strict"),
+                            "--strict")
 
     def test_exit_status_of_a_real_process(self):
         env = dict(os.environ, PYTHONPATH=str(Path(openpack.__file__).parents[1]))
@@ -413,11 +418,6 @@ class TestVerifyBytes:
             "T13": "111367a3767558b14eb8a7720cc5f687083ceaf99c7a17deb0c75ac42c6c7344",
             "T14": "69d673f789a53bb5633798493f4b9e2eab7c63778b39679c0fdc421e51a14888",
         }),
-        # 12 violated T11 rows: the even-cycle-free equality fails
-        "strict-upto5": (("T11,T12", "--all-upto", "5", "--strict"), 1, {
-            "T11": "cdbef050eaacc554c3b84664276eb681fc1518247e015d0544f6088ada4e117d",
-            "T12": "08578fe622ebbcaaff6c6738351de350ee169b1b48666c2d1cd1bb3d8c6306c5",
-        }),
         # 20 violated T7 rows: the corona formula's counterexamples
         "pair-grid-3-3": (("T4,T5,T6,T7", "--pair-grid", "3", "3"), 1, {
             "T4": "44ee0d9368f773865388923ca6715a915fac3916542c8139782f478b35796c27",
@@ -521,13 +521,6 @@ class TestVerify:
         assert any(r["verdict"] == "violated" for r in rows)
         violated = [r for r in rows if r["verdict"] == "violated"]
         assert all("witness" in r for r in violated)
-
-    def test_strict_even_cycle_free(self, tmp_path):
-        src = tmp_path / "c5.g6"
-        src.write_text(to_graph6(cycle(5)) + "\n")
-        code, out = run_cli("verify", "--theorem", "T11", "--g6-file", str(src),
-                            "--strict")
-        assert code == 1
 
     def test_report_mode_even_cycle_free(self, tmp_path):
         src = tmp_path / "c5.g6"

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from pathlib import Path
@@ -65,41 +66,41 @@ def facts(g):
 
 class TestBoundChecks:
     def test_t1_upper_tight_on_complete(self):
-        rows = check_T1(facts(complete(5)), False)
+        rows = check_T1(facts(complete(5)))
         lower, upper = rows
         assert lower.verdict == EQUALITY  # n = p_o * rho_o = 5
         assert upper.verdict == EQUALITY  # p_o = n - rho_o + 1
 
     def test_t2_lower_tight_on_balanced_bipartite(self):
-        rows = check_T2(facts(complete_bipartite(3, 3)), False)
+        rows = check_T2(facts(complete_bipartite(3, 3)))
         assert rows[0].verdict == EQUALITY  # chi2 = 2 p_o
         assert rows[0].lhs == 6 and rows[0].rhs == 6
 
     def test_t3_trees_tight(self):
-        row, = check_T3(facts(star(6)), False)
+        row, = check_T3(facts(star(6)))
         assert row.verdict == EQUALITY
 
     def test_t3_strict_on_cycle(self):
-        row, = check_T3(facts(cycle(5)), False)
+        row, = check_T3(facts(cycle(5)))
         assert row.verdict == HOLDS and row.lhs == 2 and row.rhs == 3
 
 
 class TestDegreeDensity:
     def test_c4_equality_with_structure(self):
-        rows = check_T8(facts(cycle(4)), False)
+        rows = check_T8(facts(cycle(4)))
         assert len(rows) == 1 and rows[0].verdict == EQUALITY
 
     def test_prism_equality(self):
-        rows = check_T8(facts(psi_graph(3, 2)), False)
+        rows = check_T8(facts(psi_graph(3, 2)))
         assert rows[0].verdict == EQUALITY
 
     def test_k4_strict(self):
-        rows = check_T8(facts(complete(4)), False)
+        rows = check_T8(facts(complete(4)))
         assert rows[0].verdict == HOLDS
         assert rows[0].lhs == 2 * 6 - 4 and rows[0].rhs == 4 * 3 * 1
 
     def test_disconnected_skipped(self):
-        rows = check_T8(facts(from_edge_list(4, [(0, 1)])), False)
+        rows = check_T8(facts(from_edge_list(4, [(0, 1)])))
         assert rows[0].verdict == SKIPPED
 
     def test_structure_predicate(self):
@@ -113,18 +114,18 @@ class TestDegreeDensity:
 
 class TestComplementSum:
     def test_excluded_cycle(self):
-        row, = check_T9(facts(cycle(4)), False)
+        row, = check_T9(facts(cycle(4)))
         assert row.verdict == REPORT_ONLY
         assert row.lhs == 3 and row.rhs == 3
 
     def test_excluded_matching(self):
-        row, = check_T9(facts(disjoint_union(K2, K2)), False)
+        row, = check_T9(facts(disjoint_union(K2, K2)))
         assert row.verdict == REPORT_ONLY
         assert row.lhs == 3 and row.rhs == 3
 
     def test_relabeled_copy_excluded(self):
         relabeled = from_edge_list(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
-        row, = check_T9(facts(relabeled), False)
+        row, = check_T9(facts(relabeled))
         assert row.verdict == REPORT_ONLY
 
     def test_excluded_exactly_c4_and_2k2(self):
@@ -133,37 +134,37 @@ class TestComplementSum:
         excluded = [g for g in enumerate_all_graphs(4)
                     if oracles.isomorphic(g, cycle(4)) or oracles.isomorphic(g, two_k2)]
         reported = [g for g in enumerate_all_graphs(4)
-                    if check_T9(facts(g), False)[0].verdict == REPORT_ONLY]
+                    if check_T9(facts(g))[0].verdict == REPORT_ONLY]
         assert reported == excluded and len(excluded) == 6
 
     def test_extremal_family_tight(self):
-        row, = check_T9(facts(ng_extremal(3)), False)
+        row, = check_T9(facts(ng_extremal(3)))
         assert row.verdict == EQUALITY and row.lhs == 6 and row.rhs == 6
 
     def test_complete_strict(self):
-        row, = check_T9(facts(complete(5)), False)
+        row, = check_T9(facts(complete(5)))
         assert row.verdict == HOLDS and row.rhs == 6
 
 
 class TestTrees:
     def test_small_tree_solver_confirmed(self):
-        row, = check_T10(facts(random_tree(9, 3)), False)
+        row, = check_T10(facts(random_tree(9, 3)))
         assert row.verdict == EQUALITY
 
     def test_large_tree_construction_only(self):
-        row, = check_T10(facts(random_tree(60, 3)), False)
+        row, = check_T10(facts(random_tree(60, 3)))
         assert row.verdict == HOLDS
         assert row.lhs == row.rhs  # constructed classes match max degree
 
     def test_non_tree_skipped(self):
-        row, = check_T10(facts(cycle(5)), False)
+        row, = check_T10(facts(cycle(5)))
         assert row.verdict == SKIPPED
 
     def test_solver_confirms_up_to_twelve_vertices(self):
         # the constant is the only source of the boundary: n = 12 is solved, 13 is not
         assert TREE_SOLVER_CONFIRM_N == 12
-        assert check_T10(facts(random_tree(12, 3)), False)[0].verdict == EQUALITY
-        row, = check_T10(facts(random_tree(13, 3)), False)
+        assert check_T10(facts(random_tree(12, 3)))[0].verdict == EQUALITY
+        row, = check_T10(facts(random_tree(13, 3)))
         assert (row.verdict, row.lhs) == (HOLDS, row.rhs)
 
     @pytest.mark.parametrize("labels, k", [((1, 2, 1, 2), 2), ((1, 2, 3, 3), 3)],
@@ -176,57 +177,51 @@ class TestTrees:
         assert solvers.is_opp(g, bad) == (k == 3)
         monkeypatch.setattr(harness, "tree_opp", lambda t: bad)
         with pytest.raises(solvers.CertificateError):
-            check_T10(facts(g), False)
+            check_T10(facts(g))
 
 
 class TestEvenCycleFree:
     def test_c5_report_only(self):
-        row, = check_T11(facts(cycle(5)), False)
+        row, = check_T11(facts(cycle(5)))
         assert row.verdict == REPORT_ONLY
         assert (row.lhs, row.rhs) == (3, 2)
 
     def test_c7_report_only(self):
-        row, = check_T11(facts(cycle(7)), False)
+        row, = check_T11(facts(cycle(7)))
         assert (row.lhs, row.rhs) == (3, 2)
 
     def test_tree_asserted(self):
-        row, = check_T11(facts(path(5)), False)
+        row, = check_T11(facts(path(5)))
         assert row.verdict == EQUALITY
 
-    def test_strict_mode_flags_c5(self):
-        row, = check_T11(facts(cycle(5)), strict=True)
-        assert row.verdict == VIOLATED
-        assert row.witness is not None
-        reverify_violation(row)
-
     def test_even_cycle_skipped(self):
-        row, = check_T11(facts(cycle(4)), False)
+        row, = check_T11(facts(cycle(4)))
         assert row.verdict == SKIPPED
 
 
 class TestBipartiteComplement:
     def test_complete_qualifies(self):
-        row, = check_T12(facts(complete(4)), False)
+        row, = check_T12(facts(complete(4)))
         assert row.verdict == EQUALITY
 
     def test_c5_skipped(self):
-        row, = check_T12(facts(cycle(5)), False)
+        row, = check_T12(facts(cycle(5)))
         assert row.verdict == SKIPPED
 
     def test_two_cliques(self):
         g = disjoint_union(complete(3), complete(4))
-        row, = check_T12(facts(g), False)
+        row, = check_T12(facts(g))
         assert row.verdict == EQUALITY
 
 
 class TestConditionChecks:
     def test_t13_complete(self):
-        rows = check_T13(facts(complete(4)), False)
+        rows = check_T13(facts(complete(4)))
         assert all(r.verdict == HOLDS for r in rows)
         assert rows[0].lhs == 1 and rows[0].rhs == 1
 
     def test_t13_cycle(self):
-        rows = check_T13(facts(cycle(6)), False)
+        rows = check_T13(facts(cycle(6)))
         assert all(r.verdict == HOLDS for r in rows)
         assert rows[0].lhs == 0
 
@@ -236,74 +231,74 @@ class TestConditionChecks:
             assert facts(g).diameter_le_2 == (is_connected(g) and diameter(g) <= 2), g.adj
 
     def test_t13_small_skipped(self):
-        rows = check_T13(facts(K2), False)
+        rows = check_T13(facts(K2))
         assert rows[0].verdict == SKIPPED
 
     def test_t14_rows(self):
-        rows = check_T14(facts(cycle(6)), False)
+        rows = check_T14(facts(cycle(6)))
         assert len(rows) == 2
         assert all(r.verdict in (HOLDS, EQUALITY) for r in rows)
 
     def test_t14_isolated_vertex_skips_total(self):
-        rows = check_T14(facts(from_edge_list(3, [(0, 1)])), False)
+        rows = check_T14(facts(from_edge_list(3, [(0, 1)])))
         assert rows[0].verdict in (HOLDS, EQUALITY)
         assert rows[1].verdict == SKIPPED
 
 
 class TestPairChecks:
     def test_t4_sharp_instance(self):
-        rows = check_T4(facts(cycle(4)), facts(complete(3)), False)
+        rows = check_T4(facts(cycle(4)), facts(complete(3)))
         lower, upper = rows
         assert upper.verdict == EQUALITY  # p_o = 6 = min(2*3, 4*3)
         assert upper.lhs == 6 and upper.rhs == 6
 
     def test_t5_direct_lower_tight(self):
-        rows = check_T5(facts(cycle(4)), facts(K2), False)
+        rows = check_T5(facts(cycle(4)), facts(K2))
         lower, upper = rows
         assert lower.verdict == EQUALITY  # p_o(2C4) = 2 = max(2, 1)
         assert lower.lhs == 2 and lower.rhs == 2
 
     def test_t5_empty_factor_skipped(self):
-        rows = check_T5(facts(cycle(4)), facts(from_edge_list(2, [])), False)
+        rows = check_T5(facts(cycle(4)), facts(from_edge_list(2, [])))
         assert rows[0].verdict == SKIPPED
 
     def test_t6_p3_k2(self):
-        row, = check_T6(facts(path(3)), facts(K2), False)
+        row, = check_T6(facts(path(3)), facts(K2))
         assert row.verdict == EQUALITY
         assert row.lhs == 6 and row.rhs == 6
 
     def test_t6_identity_factor(self):
         g = cycle(5)
-        row, = check_T6(facts(g), facts(Graph(1, (0,))), False)
+        row, = check_T6(facts(g), facts(Graph(1, (0,))))
         assert row.verdict == EQUALITY
         assert row.lhs == 3  # collapses to p_o(g)
 
     def test_t6_k2_gadget_doubles_chi2(self):
         g = path(4)
         fg = facts(g)
-        row, = check_T6(fg, facts(K2), False)
+        row, = check_T6(fg, facts(K2))
         assert row.verdict == EQUALITY
         assert row.lhs == 2 * fg.chi2[0]
 
     def test_t6_disconnected_skipped(self):
-        row, = check_T6(facts(from_edge_list(3, [(0, 1)])), facts(K2), False)
+        row, = check_T6(facts(from_edge_list(3, [(0, 1)])), facts(K2))
         assert row.verdict == SKIPPED
 
     def test_t7_pendant_copies(self):
-        row, = check_T7(facts(path(3)), facts(Graph(1, (0,))), False)
+        row, = check_T7(facts(path(3)), facts(Graph(1, (0,))))
         assert row.verdict == EQUALITY and row.lhs == 3
 
     def test_t7_formula_fails_on_join_of_clique(self):
         # K1 . K3 is K4: p_o = 4, the claimed formula value is 3; the check
         # reports the counterexample with verifying certificates
-        row, = check_T7(facts(Graph(1, (0,))), facts(complete(3)), False)
+        row, = check_T7(facts(Graph(1, (0,))), facts(complete(3)))
         assert row.verdict == VIOLATED
         assert row.lhs == 4 and row.rhs == 3
         reverify_violation(row)
 
     def test_t7_triangle_counterexample(self):
         # the smallest one: K1 . K2 is the triangle
-        row, = check_T7(facts(Graph(1, (0,))), facts(K2), False)
+        row, = check_T7(facts(Graph(1, (0,))), facts(K2))
         assert row.verdict == VIOLATED
         assert row.lhs == 3 and row.rhs == 2
 
@@ -312,7 +307,7 @@ class TestTwoStepCycles:
     # every t within the solver cap: C(62) at t = 15
     @pytest.mark.parametrize("t,omega", [(t, 3 if t == 1 else 2) for t in range(1, 16)])
     def test_rows(self, search_deadline, t, omega):
-        rows = check_T15(t, False)
+        rows = check_T15(t)
         assert [r.verdict for r in rows] == [EQUALITY] * 3
         assert rows[1].lhs == 3 and rows[2].lhs == omega
 
@@ -321,16 +316,15 @@ class TestTwoStepCycles:
         # the flag compares the relabelled rows with the target, so a target
         # that is not their image (one cycle C(4t+2)) must read 0
         monkeypatch.setattr(harness, "disjoint_union", lambda g, h: cycle(g.n + h.n))
-        flag = check_T15(t, False)[0]
+        flag = check_T15(t)[0]
         assert flag.verdict == VIOLATED and (flag.lhs, flag.rhs) == (0, 1)
         reverify_violation(flag)
 
 
 class TestWitnesses:
     def _violated_row(self):
-        g = cycle(5)
-        fg = facts(g)
-        row = check_T11(fg, strict=True)[0]
+        # K1 . K2 is the triangle: the corona formula's smallest counterexample
+        row, = check_T7(facts(Graph(1, (0,))), facts(K2))
         assert row.verdict == VIOLATED
         return row
 
@@ -588,6 +582,13 @@ class TestRegistry:
         assert all(check is getattr(harness, f"check_{tid}")
                    for tid, check in harness.CHECKS.items())
 
+    @pytest.mark.parametrize("tid", sorted(harness.CHECKS, key=lambda t: int(t[1:])))
+    def test_every_check_takes_only_its_instance(self, tid):
+        # a check is a function of its instance: no run flag rides along
+        check = harness.CHECKS[tid]
+        arity = {"single": 1, "param": 1, "pair": 2}[check.kind]
+        assert len(inspect.signature(check).parameters) == arity
+
     def test_ids_are_t1_to_t15(self):
         assert sorted(harness.CHECKS, key=lambda t: int(t[1:])) == [
             f"T{i}" for i in range(1, 16)]
@@ -639,8 +640,8 @@ class TestFactorFacts:
         infos = []
         evaluate = harness.evaluate_instance
 
-        def recording(theorems, instance, strict, factors):
-            rows = evaluate(theorems, instance, strict, factors)
+        def recording(theorems, instance, factors):
+            rows = evaluate(theorems, instance, factors)
             infos.append(factors.cache_info())
             return rows
 

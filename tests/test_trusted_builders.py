@@ -4,7 +4,8 @@
 are valid by construction skip the per-edge walk through ``graph._trusted``;
 these tests hold every one of them to the same validator, ``graph._validate``,
 and check that each still refuses a bad order with the usual message.
-Unpickling rebuilds a graph the same way.
+Unpickling restores a graph's slots without running ``Graph.__init__``, so it
+skips the validator too (pickle protocol 2 or later).
 """
 
 import pickle
