@@ -9,18 +9,15 @@ corpora.
 """
 
 from .constructions import cart_sharp_instance, ng_extremal, psi_graph, tree_opp
-from .formats import parse_edge_list_text, parse_graph6, to_edge_list_text, to_graph6
+from .formats import parse_edge_list_text, parse_graph6, to_graph6
 from .graph import (
-    DisconnectedGraphError,
     Graph,
     GraphError,
     complement,
     complete,
     complete_bipartite,
     cycle,
-    diameter,
     disjoint_union,
-    eccentricity,
     enumerate_all_graphs,
     from_edge_list,
     is_bipartite,

@@ -129,13 +129,6 @@ def parse_graph6_lines(text: str) -> Iterator[Graph]:
     return (_from_code(n, code) for n, code in records)
 
 
-def to_edge_list_text(g: Graph) -> str:
-    """First line ``n m``, then one 0-indexed ``u v`` line per edge."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
 def parse_edge_list_text(text: str) -> Graph:
     rows = [(lineno, line.split())
             for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]

@@ -19,11 +19,16 @@ and a row records one elementary relation, judged by ``_verdict``:
 
 Every ``violated`` row carries a witness of machine-checkable certificates
 and is re-verified before emission.
+
+The pair checks (T4-T7) read p_o of a product, which ``run_corpus`` solves
+once per pair of factor isomorphism classes (``_product_p_o``); every other
+pair's value is certified on its own labelled product.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -52,10 +57,10 @@ from .transforms import every_edge_on_triangle, has_even_cycle
 HARNESS_MAX_PRODUCT_N = 24
 TREE_SOLVER_CONFIRM_N = 12
 # Entries in one run's factor memo, the lru_cache of pair factors' GraphFacts
-# by graph: a grid's inner list of at most 1,099 graphs (max_h <= 5) stays once
-# loaded, while one of 33,867 (max_h = 6, as --pair-grid 4 6 on T4 and T5 takes)
-# misses on every inner lookup but the outer factor's own.
-FACTOR_FACTS_MAX = 2048
+# by graph: a grid's inner list of up to 33,867 graphs (max_h <= 6, as
+# --pair-grid 4 6 on T4 and T5 takes) stays once loaded, at about 48 MB; one of
+# 7-vertex graphs (T7 on --pair-grid 3 7) misses on every inner lookup.
+FACTOR_FACTS_MAX = 65536
 
 HOLDS = "holds"
 EQUALITY = "equality"
@@ -123,12 +128,21 @@ def _value_cert(name: str, value: int) -> dict:
 
 def _witness(parts: tuple) -> dict:
     """The witness of a violated row: its certificates in the order given, each
-    part a ``(facts, invariant name)`` pair or a finished certificate."""
-    return {"certificates": [
-        part if isinstance(part, dict)
-        else _cert(part[1], part[0].g6, getattr(part[0], part[1])[1].to_json_obj())
-        for part in parts
-    ]}
+    part a finished certificate, a ``(facts, invariant name)`` pair, or such a
+    pair and the value the row read, which its certificate must carry, or
+    CertificateError is raised."""
+    certificates = []
+    for part in parts:
+        if isinstance(part, dict):
+            certificates.append(part)
+            continue
+        facts, name, *read = part
+        value, cert = getattr(facts, name)
+        if read and read[0] != value:
+            raise solvers.CertificateError(
+                f"{name} of {facts.g6} is {value}, but its row read {read[0]}")
+        certificates.append(_cert(name, facts.g6, cert.to_json_obj()))
+    return {"certificates": certificates}
 
 
 def reverify_violation(row: TheoremCheckResult) -> None:
@@ -365,6 +379,23 @@ def check_T14(facts: GraphFacts) -> list[TheoremCheckResult]:
 # Pair checks
 
 
+# The class table, open while run_corpus runs: (product name, canonical key of
+# G, canonical key of H) -> (p_o of the product, a labelling that attains it on
+# the product of the two canonical forms).
+_classes: dict | None = None
+
+
+@contextmanager
+def _class_table() -> Iterator[None]:
+    """An empty class table for the calls made inside, gone however they end."""
+    global _classes
+    _classes = {}
+    try:
+        yield
+    finally:
+        _classes = None
+
+
 def _product_facts(tid: str, fg: GraphFacts, fh: GraphFacts) -> GraphFacts:
     """Fresh facts of the product theorem ``tid`` is about, refused past the
     harness cap."""
@@ -376,13 +407,51 @@ def _product_facts(tid: str, fg: GraphFacts, fh: GraphFacts) -> GraphFacts:
     return GraphFacts(prod)
 
 
+def _class_map(op: str, fg: GraphFacts, fh: GraphFacts) -> list[int]:
+    """Where each vertex of the product ``op`` of fg's and fh's graphs lies in
+    the product of their canonical forms, through their relabellings sigma_G
+    and sigma_H: (a, b) at sigma_G(a)|H| + sigma_H(b); in the corona, base
+    vertex i at sigma_G(i) and copy vertex (i, b) at offset sigma_H(b) in the
+    copy of sigma_G(i)."""
+    sigma_g, sigma_h = fg.canonical[1], fh.canonical[1]
+    h_n = len(sigma_h)
+    grid = [a * h_n + b for a in sigma_g for b in sigma_h]
+    if op == "corona":
+        return [*sigma_g, *(len(sigma_g) + x for x in grid)]
+    return grid
+
+
+def _product_p_o(tid: str, fg: GraphFacts, fh: GraphFacts, fp: GraphFacts) -> int:
+    """p_o of fp's graph, the product ``tid`` is about, solved once per pair of
+    factor classes while the class table is open: a miss solves fp and stores
+    its labelling carried to the canonical product; a hit carries the stored
+    labelling back and certifies it on fp's graph (``solvers._certified``
+    raises CertificateError)."""
+    if _classes is None:
+        return fp.p_o[0]
+    op = CHECKS[tid].product
+    key = (op, fg.canonical[0], fh.canonical[0])
+    where = _class_map(op, fg, fh)
+    hit = _classes.get(key)
+    if hit is not None:
+        k, labels = hit
+        solvers._certified(fp.g, solvers.is_opp, k, [labels[x] for x in where])
+        return k
+    k, labeling = fp.p_o
+    labels = [0] * fp.g.n
+    for x, label in zip(where, labeling.labels):
+        labels[x] = label
+    _classes[key] = (k, tuple(labels))
+    return k
+
+
 @_theorem("T4", "pair", "le", product="cart")
 def check_T4(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     """Cartesian product: max factor p_o <= p_o(prod) <= min mixed products."""
     fp = _product_facts("T4", fg, fh)
     instance = [fg.g6, fh.g6]
-    witness = ((fp, "p_o"), (fg, "p_o"), (fh, "p_o"))
-    po_g, po_h, po_p = fg.p_o[0], fh.p_o[0], fp.p_o[0]
+    po_g, po_h, po_p = fg.p_o[0], fh.p_o[0], _product_p_o("T4", fg, fh, fp)
+    witness = ((fp, "p_o", po_p), (fg, "p_o"), (fh, "p_o"))
     upper = min(po_g * fh.chi2[0], fg.chi2[0] * po_h)
     return [
         _row("T4", instance, max(po_g, po_h), po_p, witness),
@@ -397,8 +466,8 @@ def check_T5(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     if fg.g.m == 0 or fh.g.m == 0:
         return [_skipped("T5", instance)]
     fp = _product_facts("T5", fg, fh)
-    witness = ((fp, "p_o"), (fg, "p_o"), (fh, "p_o"))
-    po_g, po_h, po_p = fg.p_o[0], fh.p_o[0], fp.p_o[0]
+    po_g, po_h, po_p = fg.p_o[0], fh.p_o[0], _product_p_o("T5", fg, fh, fp)
+    witness = ((fp, "p_o", po_p), (fg, "p_o"), (fh, "p_o"))
     return [
         _row("T5", instance, max(po_g, po_h), po_p, witness),
         _row("T5", instance, po_p, po_g * po_h, witness),
@@ -416,9 +485,10 @@ def check_T6(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     i_h = isolated_vertex_count(fh.g)
     chi2_g = fg.chi2[0]
     predicted = chi2_g * fh.g.n - i_h * (chi2_g - fg.p_o[0])
-    witness = ((fp, "p_o"), (fg, "chi2"), (fg, "p_o"),
+    po_p = _product_p_o("T6", fg, fh, fp)
+    witness = ((fp, "p_o", po_p), (fg, "chi2"), (fg, "p_o"),
                _value_cert("isolated_vertices_of_second_factor", i_h))
-    return [_row("T6", instance, fp.p_o[0], predicted, witness)]
+    return [_row("T6", instance, po_p, predicted, witness)]
 
 
 @_theorem("T7", "pair", "eq", product="corona")
@@ -427,9 +497,10 @@ def check_T7(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     fp = _product_facts("T7", fg, fh)
     instance = [fg.g6, fh.g6]
     predicted = max(fg.p_o[0], fh.g.n + fg.maxdeg)
-    witness = ((fp, "p_o"), (fg, "p_o"),
+    po_p = _product_p_o("T7", fg, fh, fp)
+    witness = ((fp, "p_o", po_p), (fg, "p_o"),
                _value_cert("second_factor_order_plus_max_degree", fh.g.n + fg.maxdeg))
-    return [_row("T7", instance, fp.p_o[0], predicted, witness)]
+    return [_row("T7", instance, po_p, predicted, witness)]
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +567,8 @@ INSTANCE_NAMES = {"single": "graph {number}", "pair": "pair {number}", "param": 
 def evaluate_instance(theorems: tuple[str, ...], instance: Instance,
                       factors: Callable[[Graph], GraphFacts]) -> list[TheoremCheckResult]:
     """Rows of the selected checks on one instance; pair factors come from
-    the run's ``factors`` memo, everything else is solved afresh."""
+    the run's ``factors`` memo and their products' p_o from its class table
+    (``_product_p_o``), everything else is solved afresh."""
     if isinstance(instance, Graph):
         args = (GraphFacts(instance),)
     elif isinstance(instance, tuple):
@@ -511,10 +583,13 @@ def run_corpus(theorems: Iterable[str],
     """Run the selected checks over a corpus, yielding rows in corpus order.
 
     Violated rows are re-verified before they are yielded.  Facts about pair
-    factors are shared within the call through one factor memo, and kernel
-    results through one kernel memo (``_kernels_py.memo_scope``, at most
-    ``MEMO_MAX`` entries).  Neither outlives the call: both go when the rows
-    are exhausted, when the generator is closed early, or when the run raises.
+    factors are shared within the call through one factor memo (at most
+    ``FACTOR_FACTS_MAX`` factors), products' p_o through one class table (one
+    solve per product and pair of factor classes, every other pair's
+    labelling certified on its own product), and kernel results through one
+    kernel memo (``_kernels_py.memo_scope``, at most ``MEMO_MAX`` entries).
+    None outlives the call: all go when the rows are exhausted, when the
+    generator is closed early, or when the run raises.
 
     An instance past the solver cap is refused as ``graph N: ...`` or
     ``pair N: ...``, N its place among the instances from 1, as ``invariant``
@@ -522,7 +597,7 @@ def run_corpus(theorems: Iterable[str],
     """
     theorems = tuple(theorems)
     name = INSTANCE_NAMES[theorem_kind(theorems)]
-    with memo_scope():
+    with memo_scope(), _class_table():
         factors = lru_cache(maxsize=FACTOR_FACTS_MAX)(GraphFacts)
         for number, instance in enumerate(instances, start=1):
             try:

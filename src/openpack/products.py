@@ -21,12 +21,6 @@ class ProductVertexMap:
     g_size: int
     h_size: int
 
-    def index(self, gi: int, hi: int) -> int:
-        return gi * self.h_size + hi
-
-    def pair(self, idx: int) -> tuple[int, int]:
-        return divmod(idx, self.h_size)
-
     @property
     def n(self) -> int:
         """Vertex count of the product: one vertex per pair."""

@@ -28,7 +28,15 @@ from dataclasses import dataclass
 from . import _kernels_py as _kernel
 from ._kernels_py import memo_scope
 from .formats import to_graph6
-from .graph import Graph, complement, is_connected, iter_bits, max_degree, min_degree
+from .graph import (
+    Graph,
+    _canonical_form,
+    complement,
+    is_connected,
+    iter_bits,
+    max_degree,
+    min_degree,
+)
 from .transforms import _compose, closed_neighborhood_graph, two_step
 
 HARD_MAX_N = 64
@@ -451,6 +459,12 @@ class GraphFacts:
         # any two vertices are within distance 2 iff the square, with loops, is complete
         full = (1 << self.g.n) - 1
         return all(row | 1 << v == full for v, row in enumerate(self.square.adj))
+
+    @fact
+    def canonical(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """g's canonical key and the relabelling that gives it
+        (``graph._canonical_form``)."""
+        return _canonical_form(self.g)
 
     @fact
     def two_step(self) -> Graph:

@@ -5,16 +5,13 @@ from hypothesis import strategies as st
 import oracles
 from conftest import graphs
 from openpack.graph import (
-    DisconnectedGraphError,
     Graph,
     GraphError,
     complement,
     complete,
     complete_bipartite,
     cycle,
-    diameter,
     disjoint_union,
-    eccentricity,
     enumerate_all_graphs,
     from_edge_list,
     is_bipartite,
@@ -174,20 +171,6 @@ class TestInvariants:
     def test_degrees(self):
         assert max_degree(star(4)) == 3
 
-    def test_diameter_c5(self):
-        assert diameter(cycle(5)) == 2
-
-    def test_diameter_k1(self):
-        assert diameter(Graph(1, (0,))) == 0
-
-    def test_eccentricity_center(self):
-        assert eccentricity(path(5), 2) == 2
-        assert eccentricity(path(5), 0) == 4
-
-    def test_diameter_disconnected(self):
-        with pytest.raises(DisconnectedGraphError):
-            diameter(from_edge_list(3, [(0, 1)]))
-
     def test_bipartite(self):
         assert is_bipartite(cycle(6))
         assert not is_bipartite(cycle(5))
@@ -232,12 +215,6 @@ class TestProperties:
 
     @given(graphs(max_n=7))
     @settings(max_examples=60)
-    def test_diameter_is_max_eccentricity(self, g):
-        if is_connected(g):
-            assert diameter(g) == max(eccentricity(g, v) for v in range(g.n))
-
-    @given(graphs(max_n=7))
-    @settings(max_examples=60)
     def test_bfs_matches_oracle(self, g):
         for v in range(g.n):
             dist = [-1] * g.n
@@ -276,5 +253,3 @@ class TestTraversalAgainstNetworkx:
         assert is_bipartite(g) == networkx.is_bipartite(nxg)
         masks = [sum(1 << v for v in comp) for comp in networkx.connected_components(nxg)]
         assert _components(g.adj) == sorted(masks, key=lambda mask: mask & -mask)
-        if is_connected(g):
-            assert diameter(g) == networkx.diameter(nxg)

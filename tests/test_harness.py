@@ -1,6 +1,7 @@
 import inspect
 import json
 import re
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,6 @@ from openpack.graph import (
     complete,
     complete_bipartite,
     cycle,
-    diameter,
     disjoint_union,
     enumerate_all_graphs,
     from_edge_list,
@@ -226,9 +226,14 @@ class TestConditionChecks:
         assert rows[0].lhs == 0
 
     def test_diameter_le_2_read_off_the_square(self):
-        # every graph with n <= 6 (K1 included), against the distance definition
+        # every graph with n <= 6 (K1 included), against networkx's distances
+        networkx = pytest.importorskip("networkx")
         for g in all_graphs_upto(6):
-            assert facts(g).diameter_le_2 == (is_connected(g) and diameter(g) <= 2), g.adj
+            nxg = networkx.Graph()
+            nxg.add_nodes_from(range(g.n))
+            nxg.add_edges_from(g.edges())
+            within_2 = is_connected(g) and networkx.diameter(nxg) <= 2
+            assert facts(g).diameter_le_2 == within_2, g.adj
 
     def test_t13_small_skipped(self):
         rows = check_T13(facts(K2))
@@ -652,6 +657,17 @@ class TestFactorFacts:
         assert any(json.loads(r)["verdict"] == VIOLATED for r in rows)
         assert {info.maxsize for info in infos} == {4}
         assert max(info.currsize for info in infos) == 4
+
+    def test_six_vertex_inner_list_stays(self):
+        # the lookup order of a pair_grid(2, 6) run, each pair asking for G
+        # then H: every graph misses once, none again
+        memo = lru_cache(maxsize=harness.FACTOR_FACTS_MAX)(lambda g: None)
+        distinct = set()
+        for g, h in harness.pair_grid(2, 6):
+            memo(g)
+            memo(h)
+            distinct.update((g, h))
+        assert memo.cache_info().misses == len(distinct) == 33867
 
     def test_each_run_starts_empty(self, monkeypatch):
         pairs = list(harness.pair_grid(2, 2))
