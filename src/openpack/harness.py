@@ -12,7 +12,7 @@ and a row records one elementary relation, judged by ``_verdict``:
 * bound checks (T1-T5, T8, T9, T14) claim ``lhs <= rhs``; verdict ``holds``
   when strict, ``equality`` when tight, ``violated`` otherwise;
 * exact-value checks (T6, T7, T10-T12, T15) claim ``lhs == rhs``; verdict
-  ``equality`` on success;
+  ``equality`` on success, on every tree for T10, proved with no search;
 * biconditional checks (T13) compare two 0/1 sides and report ``holds``;
 * instances failing a check's hypothesis become ``skipped`` rows, and checks
   that only report (T11 off trees, the T9 exclusions) emit ``report_only``.
@@ -55,7 +55,6 @@ from .solvers import GraphFacts, VertexLabeling, VertexSet
 from .transforms import every_edge_on_triangle, has_even_cycle
 
 HARNESS_MAX_PRODUCT_N = 24
-TREE_SOLVER_CONFIRM_N = 12
 # Entries in one run's factor memo, the lru_cache of pair factors' GraphFacts
 # by graph: a grid's inner list of up to 33,867 graphs (max_h <= 6, as
 # --pair-grid 4 6 on T4 and T5 takes) stays once loaded, at about 48 MB; one of
@@ -87,21 +86,14 @@ class TheoremCheckResult:
 # Witness certificates
 
 
-def _degree_claim(obj: dict, g: Graph) -> tuple[int, int]:
-    claim = obj.get("vertex"), obj.get("degree")
-    if any(type(x) is not int for x in claim) or not 0 <= claim[0] < g.n:
-        raise ValueError(f"vertex must be an int in 0..{g.n - 1} and degree an int")
-    return claim
-
-
 def _recorded(obj: dict, g: None) -> None:
     if type(obj.get("name")) is not str or type(obj.get("value")) is not int:
         raise ValueError("name must be a string and value an int")
 
 
 # Every certificate kind a witness may hold: the invariant whose predicate in
-# _PREDICATES it passes (a value only records a number), its JSON fields besides
-# "kind", and their reader on its graph, which raises ValueError unless they fit.
+# solvers.PREDICATES it passes (a value only records a number), its JSON fields
+# besides "kind", and their reader on its graph, raising ValueError on a misfit.
 CERT_KINDS = {
     "opp_labeling": ("p_o", ("graph6", "labels", "k"), VertexLabeling.from_json_obj),
     "packing_labeling": ("chi2", ("graph6", "labels", "k"), VertexLabeling.from_json_obj),
@@ -110,12 +102,9 @@ CERT_KINDS = {
     "dominating_set": ("gamma", ("graph6", "vertices"), VertexSet.from_json_obj),
     "total_dominating_set": ("gamma_t", ("graph6", "vertices"), VertexSet.from_json_obj),
     "common_neighbor_clique": ("omega_N", ("graph6", "vertices"), VertexSet.from_json_obj),
-    "degree_witness": ("Delta", ("graph6", "vertex", "degree"), _degree_claim),
     "value": (None, ("name", "value"), _recorded),
 }
 _KIND_OF = {invariant: kind for kind, (invariant, _, _) in CERT_KINDS.items()}
-# the solvers' predicates and the max degree's, as values the tracer rebinds
-_PREDICATES = {**solvers.PREDICATES, "Delta": lambda g, claim: g.degree(claim[0]) == claim[1]}
 
 
 def _cert(name: str, g6: str, fields: dict) -> dict:
@@ -170,7 +159,7 @@ def reverify_violation(row: TheoremCheckResult) -> None:
         except ValueError as exc:
             where = f"its {g.n}-vertex graph" if g else "its kind"
             raise ValueError(f"certificate of kind {kind!r} does not fit {where}: {exc}") from None
-        if invariant and not _PREDICATES[invariant](g, claim):
+        if invariant and not solvers.PREDICATES[invariant](g, claim):
             raise ValueError(f"certificate of kind {kind!r} failed verification")
 
 
@@ -247,13 +236,19 @@ def check_T2(facts: GraphFacts) -> list[TheoremCheckResult]:
     ]
 
 
+def _hub_clique(facts: GraphFacts) -> int:
+    """The neighbourhood mask of the lowest vertex of maximum degree.  Any two
+    of its members share that vertex as a common neighbour, so it is a clique
+    of N(G) of size Delta, and Delta <= omega(N(G)) <= chi(N(G)) = p_o."""
+    adj = facts.g.adj
+    return adj[list(map(int.bit_count, adj)).index(facts.maxdeg)]
+
+
 @_theorem("T3", "single", "le")
 def check_T3(facts: GraphFacts) -> list[TheoremCheckResult]:
-    """max degree <= p_o."""
-    # the lowest-numbered vertex of maximum degree
-    hub = list(map(int.bit_count, facts.g.adj)).index(facts.maxdeg)
-    witness = ((facts, "p_o"), _cert("Delta", facts.g6, {"vertex": hub, "degree": facts.maxdeg}))
-    return [_row("T3", facts.g6, facts.maxdeg, facts.p_o[0], witness)]
+    """max degree <= p_o; the hub's clique (``_hub_clique``) proves the left side."""
+    clique = _cert("omega_N", facts.g6, VertexSet(_hub_clique(facts)).to_json_obj())
+    return [_row("T3", facts.g6, facts.maxdeg, facts.p_o[0], ((facts, "p_o"), clique))]
 
 
 def has_matching_partition_structure(g: Graph, labeling: VertexLabeling, part_size: int) -> bool:
@@ -311,20 +306,17 @@ def check_T9(facts: GraphFacts) -> list[TheoremCheckResult]:
 
 @_theorem("T10", "single", "eq")
 def check_T10(facts: GraphFacts) -> list[TheoremCheckResult]:
-    """Trees: the constructed partition is a valid OPP on exactly max-degree
-    classes; for small trees the solver confirms p_o = max degree."""
+    """Trees: p_o = max degree, proved with no search.  The constructed
+    partition is an OPP on max-degree classes, so p_o <= Delta, and the
+    hub's neighbourhood is a clique of N(T) of size Delta, so Delta <= p_o."""
     if facts.g.n < 2 or not is_tree(facts.g):
         return [_skipped("T10", facts.g6)]
-    # a construction that fails is not a theorem violation: the constructor
-    # itself is broken, and CertificateError says so
-    _, labeling = solvers._certified(facts.g, solvers.is_opp, facts.maxdeg,
-                                     tree_opp(facts.g).labels)
-    if facts.g.n <= TREE_SOLVER_CONFIRM_N:
-        witness = ((facts, "p_o"), _cert("p_o", facts.g6, labeling.to_json_obj()))
-        return [_row("T10", facts.g6, facts.p_o[0], facts.maxdeg, witness)]
-    # too large for the exact solver: the valid construction certifies
-    # p_o <= max degree, reported as holding without the solver equality
-    return [TheoremCheckResult("T10", facts.g6, HOLDS, labeling.k, facts.maxdeg)]
+    # a certificate that fails is not a theorem violation: its builder is
+    # broken, and CertificateError says so
+    k, _ = solvers._certified(facts.g, solvers.is_opp, facts.maxdeg, tree_opp(facts.g).labels)
+    solvers._certified(facts.g, solvers.is_common_neighbor_clique, k, _hub_clique(facts))
+    # both sides are Delta, so the row is an equality and needs no witness
+    return [_row("T10", facts.g6, k, facts.maxdeg, ())]
 
 
 @_theorem("T11", "single", "eq")
@@ -383,17 +375,23 @@ def check_T14(facts: GraphFacts) -> list[TheoremCheckResult]:
 # G, canonical key of H) -> (p_o of the product, a labelling that attains it on
 # the product of the two canonical forms).
 _classes: dict | None = None
+_class_scopes = 0
 
 
 @contextmanager
 def _class_table() -> Iterator[None]:
-    """An empty class table for the calls made inside, gone however they end."""
-    global _classes
-    _classes = {}
+    """One class table for the calls made inside, shared by scopes open at
+    once (keys are canonical, hits certified) and gone when the last ends."""
+    global _classes, _class_scopes
+    if not _class_scopes:
+        _classes = {}
+    _class_scopes += 1
     try:
         yield
     finally:
-        _classes = None
+        _class_scopes -= 1
+        if not _class_scopes:
+            _classes = None
 
 
 def _product_facts(tid: str, fg: GraphFacts, fh: GraphFacts) -> GraphFacts:
@@ -588,8 +586,8 @@ def run_corpus(theorems: Iterable[str],
     solve per product and pair of factor classes, every other pair's
     labelling certified on its own product), and kernel results through one
     kernel memo (``_kernels_py.memo_scope``, at most ``MEMO_MAX`` entries).
-    None outlives the call: all go when the rows are exhausted, when the
-    generator is closed early, or when the run raises.
+    Runs open at once share the table and the kernel memo, which go when the
+    last of them is exhausted, closed early, or raises.
 
     An instance past the solver cap is refused as ``graph N: ...`` or
     ``pair N: ...``, N its place among the instances from 1, as ``invariant``

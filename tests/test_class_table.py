@@ -141,6 +141,24 @@ class TestClassTable:
             list(run_corpus(["T4"], failing()))
         assert harness._classes is None
 
+    def test_interleaved_runs_share_the_table(self):
+        # a run that ends while another is suspended leaves the other's table
+        # open, and it goes when the last open run ends
+        pairs = list(harness.pair_grid(2, 3))
+        fresh = [row.to_json() for row in run_corpus(["T4"], pairs)]
+        with contextlib.closing(run_corpus(["T4"], pairs)) as first:
+            rows = [next(first).to_json()]
+            assert [row.to_json() for row in run_corpus(["T4"], pairs)] == fresh
+            assert harness._classes
+            rows.extend(row.to_json() for row in first)
+        assert rows == fresh and harness._classes is None
+
+        with contextlib.closing(run_corpus(["T4"], pairs)) as second:
+            with contextlib.closing(run_corpus(["T4"], pairs)) as first:
+                next(first), next(second)
+            assert harness._classes
+        assert harness._classes is None
+
     def test_no_table_outside_a_run(self):
         # a check called on its own solves its product, as a run does
         pair = (path(3), path(2))

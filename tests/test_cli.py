@@ -200,7 +200,8 @@ class TestInputErrors:
                             "--jobs 2")
 
     def test_tree_confirm_n_is_an_unrecognized_argument(self):
-        # T10's solver bound is the constant harness.TREE_SOLVER_CONFIRM_N, not a flag
+        # T10 proves every tree with two certificates and no search, so it has
+        # no solver bound to set
         expect_unrecognized(("verify", "--theorem", "T10", "--all-n", "4",
                              "--tree-confirm-n", "3"), "--tree-confirm-n 3")
 
@@ -597,8 +598,23 @@ class TestVerify:
     def test_random_trees_past_62_vertices_are_named(self):
         code, out = run_cli("verify", "--theorem", "T10", "--random-trees", "60", "70", "1", "0")
         rows = [json.loads(line) for line in out.splitlines()]
-        assert code == 0 and all(r["verdict"] == "holds" and r["lhs"] == r["rhs"] for r in rows)
+        assert code == 0 and all(r["verdict"] == "equality" and r["lhs"] == r["rhs"] for r in rows)
         assert [parse_graph6(r["instance"]).n for r in rows] == list(range(60, 71))
+
+    def test_random_trees_are_equalities_at_every_size(self):
+        code, out = run_cli("verify", "--theorem", "T10", "--random-trees", "2", "500", "1", "0")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and len(rows) == 499
+        assert all(r["verdict"] == "equality" for r in rows)
+
+    def test_largest_random_tree_is_an_equality(self):
+        code, out = run_cli("verify", "--theorem", "T10",
+                            "--random-trees", "4096", "4096", "1", "0")
+        row, = map(json.loads, out.splitlines())
+        tree = parse_graph6(row["instance"])
+        delta = max(map(int.bit_count, tree.adj))
+        assert code == 0 and tree.n == 4096
+        assert (row["verdict"], row["lhs"], row["rhs"]) == ("equality", delta, delta)
 
     def test_random_trees_past_vertex_cap_rejected_before_output(self):
         expect_input_error(

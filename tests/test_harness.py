@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import graphs
-from openpack import harness, solvers
+from openpack import _kernels_py, harness, solvers
 from openpack.constructions import ng_extremal, psi_graph
 from openpack.formats import to_graph6
 from openpack.graph import (
@@ -31,7 +31,6 @@ from openpack.harness import (
     HOLDS,
     REPORT_ONLY,
     SKIPPED,
-    TREE_SOLVER_CONFIRM_N,
     VIOLATED,
     GraphFacts,
     TheoremCheckResult,
@@ -83,6 +82,20 @@ class TestBoundChecks:
     def test_t3_strict_on_cycle(self):
         row, = check_T3(facts(cycle(5)))
         assert row.verdict == HOLDS and row.lhs == 2 and row.rhs == 3
+
+    @pytest.mark.parametrize("g", [star(6), cycle(5), complete(1), path(4)],
+                             ids=["star6", "c5", "k1", "p4"])
+    def test_t3_witness_is_the_hub_clique(self, monkeypatch, g):
+        # T3 is never violated, so its witness is built here by judging every
+        # row violated: p_o's labelling and the lowest hub's neighbourhood,
+        # both of which the reverifier checks like any other certificate
+        monkeypatch.setattr(harness, "_verdict", lambda relation, lhs, rhs: VIOLATED)
+        row, = check_T3(facts(g))
+        hub = [g.degree(v) for v in range(g.n)].index(facts(g).maxdeg)
+        opp, clique = row.witness["certificates"]
+        assert (opp["kind"], clique["kind"]) == ("opp_labeling", "common_neighbor_clique")
+        assert clique["vertices"] == [v for v in range(g.n) if g.adj[hub] >> v & 1]
+        reverify_violation(row)
 
 
 class TestDegreeDensity:
@@ -151,21 +164,35 @@ class TestTrees:
         row, = check_T10(facts(random_tree(9, 3)))
         assert row.verdict == EQUALITY
 
-    def test_large_tree_construction_only(self):
-        row, = check_T10(facts(random_tree(60, 3)))
-        assert row.verdict == HOLDS
-        assert row.lhs == row.rhs  # constructed classes match max degree
-
     def test_non_tree_skipped(self):
         row, = check_T10(facts(cycle(5)))
         assert row.verdict == SKIPPED
 
+    def test_large_tree_construction_only(self):
+        # the construction alone settles a 60-vertex tree: its classes match
+        # the hub's clique, so the row is an equality with no solver behind it
+        fg = facts(random_tree(60, 3))
+        row, = check_T10(fg)
+        assert (row.verdict, row.lhs, row.rhs) == (EQUALITY, fg.maxdeg, fg.maxdeg)
+
     def test_solver_confirms_up_to_twelve_vertices(self):
-        # the constant is the only source of the boundary: n = 12 is solved, 13 is not
-        assert TREE_SOLVER_CONFIRM_N == 12
-        assert check_T10(facts(random_tree(12, 3)))[0].verdict == EQUALITY
-        row, = check_T10(facts(random_tree(13, 3)))
-        assert (row.verdict, row.lhs) == (HOLDS, row.rhs)
+        # there is no size boundary any more: 12 vertices and 13 are both
+        # proved equalities by the construction and the hub's clique
+        for n in (12, 13):
+            fg = facts(random_tree(n, 3))
+            row, = check_T10(fg)
+            assert (row.verdict, row.lhs, row.rhs) == (EQUALITY, fg.maxdeg, fg.maxdeg)
+
+    @pytest.mark.parametrize("n", [12, 500])
+    def test_no_kernel_runs(self, monkeypatch, n):
+        def no_search(*args):
+            raise AssertionError("T10 ran a kernel search")
+
+        monkeypatch.setattr(_kernels_py, "chromatic_number", no_search)
+        monkeypatch.setattr(_kernels_py, "max_independent_set", no_search)
+        fg = facts(random_tree(n, 3))
+        row, = check_T10(fg)
+        assert (row.verdict, row.lhs, row.rhs) == (EQUALITY, fg.maxdeg, fg.maxdeg)
 
     @pytest.mark.parametrize("labels, k", [((1, 2, 1, 2), 2), ((1, 2, 3, 3), 3)],
                              ids=["not-an-opp", "max-degree-plus-one-classes"])
@@ -176,6 +203,16 @@ class TestTrees:
         bad = solvers.VertexLabeling(labels, k)
         assert solvers.is_opp(g, bad) == (k == 3)
         monkeypatch.setattr(harness, "tree_opp", lambda t: bad)
+        with pytest.raises(solvers.CertificateError):
+            check_T10(facts(g))
+
+    @pytest.mark.parametrize("mask", [0b0001, 0b1001], ids=["one-vertex-short", "not-a-clique"])
+    def test_broken_clique_fails_its_certificate(self, monkeypatch, mask):
+        # on the path 0-1-2-3 the hub 1's clique is {0, 2}; a wrong one is a
+        # fault of the lower-bound certificate, not a violated row
+        g = path(4)
+        assert harness._hub_clique(facts(g)) == 0b0101
+        monkeypatch.setattr(harness, "_hub_clique", lambda f: mask)
         with pytest.raises(solvers.CertificateError):
             check_T10(facts(g))
 
@@ -360,7 +397,6 @@ class TestWitnesses:
         ("dominating_set", {"vertices": [1]}, {"vertices": [0]}),
         ("total_dominating_set", {"vertices": [0, 1]}, {"vertices": [1]}),
         ("common_neighbor_clique", {"vertices": [0, 2]}, {"vertices": [0, 1]}),
-        ("degree_witness", {"vertex": 1, "degree": 2}, {"vertex": 1, "degree": 1}),
     ]
 
     @staticmethod
@@ -378,17 +414,14 @@ class TestWitnesses:
         ("packing_set", {"vertices": [0, 7, 9]}),
         ("packing_labeling", {"labels": [1, 2, 3, 1], "k": 3}),
         ("opp_labeling", {"labels": [1, 1], "k": 1}),
-        ("degree_witness", {"vertex": 5, "degree": 0}),
         # fields of the wrong kind, missing or of the wrong type
         ("opp_labeling", {"vertices": [0, 1]}),
         ("packing_set", {"labels": [1, 2, 3], "k": 3}),
-        ("degree_witness", {"vertex": 1}),
         ("dominating_set", {}),
         ("open_packing_set", {"vertices": [0, "x"]}),
         ("packing_set", {"vertices": [True]}),
-    ], ids=["set-beyond-n", "labeling-too-long", "labeling-too-short", "degree-vertex-beyond-n",
-            "labeling-as-set", "set-as-labeling", "degree-missing", "set-missing",
-            "set-non-int", "set-bool-vertex"])
+    ], ids=["set-beyond-n", "labeling-too-long", "labeling-too-short", "labeling-as-set",
+            "set-as-labeling", "set-missing", "set-non-int", "set-bool-vertex"])
     def test_reverify_rejects_certificates_outside_the_graph(self, kind, fields):
         with pytest.raises(ValueError, match="does not fit its 3-vertex graph"):
             reverify_violation(self._row_with(kind, fields))
@@ -452,7 +485,7 @@ class TestCertKinds:
 
     def test_invariant_kinds_cover_the_solver_invariants(self):
         invariants = {invariant for invariant, _, _ in harness.CERT_KINDS.values()}
-        assert invariants - {"Delta", None} == set(solvers.INVARIANTS) - {"chi"}
+        assert invariants - {None} == set(solvers.INVARIANTS) - {"chi"}
 
     @settings(max_examples=40, deadline=None)
     @given(graphs(1, 8))

@@ -1,7 +1,8 @@
 """Checks on the source tree: the library checks its certificates with
 explicit code, never with ``assert``, which ``python -O`` strips; the CLI
-exits the process only from its ``__main__`` block; and the package builds
-its own graphs through ``graph._trusted``, never the validating ``Graph``."""
+exits the process only from its ``__main__`` block; the package builds its
+own graphs through ``graph._trusted``, never the validating ``Graph``; and
+every row that asserts a relation is judged by ``harness._verdict``."""
 
 import ast
 from pathlib import Path
@@ -99,3 +100,22 @@ def test_no_cached_property():
              or "cached_property" in {node.attr for node in ast.walk(ast.parse(path.read_text()))
                                       if isinstance(node, ast.Attribute)}]
     assert users == []
+
+
+def test_asserted_rows_go_through_the_verdict_rule():
+    """A check builds a row that asserts a relation through ``harness._row``,
+    which judges it with ``_verdict``; a ``TheoremCheckResult`` built anywhere
+    else in the harness is one that asserts nothing, ``report_only`` or
+    ``skipped``."""
+    path = Path(openpack.__file__).parent / "harness.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    in_row = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_row" for node in ast.walk(fn)}
+    unjudged = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "TheoremCheckResult"
+                and id(node) not in in_row):
+            verdict = [kw.value for kw in node.keywords if kw.arg == "verdict"] or node.args[2:3]
+            if [getattr(v, "id", None) for v in verdict] not in (["REPORT_ONLY"], ["SKIPPED"]):
+                unjudged.append(node.lineno)
+    assert unjudged == [], f"harness.py builds asserted rows outside _row on lines {unjudged}"
