@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 
 from . import constructions, harness, solvers, transforms
 from .formats import (
@@ -189,8 +189,10 @@ def cmd_tree_opp(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    for g in enumerate_all_graphs(args.n):
-        print(to_graph6(g))
+    records = map(to_graph6, enumerate_all_graphs(args.n))
+    # one write per 4,096 records, not one print each
+    while block := list(islice(records, 4096)):
+        sys.stdout.write("\n".join(block) + "\n")
     return 0
 
 

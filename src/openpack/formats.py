@@ -14,6 +14,9 @@ from .graph import MAX_VERTICES, Graph, GraphError, _code, _from_code, from_edge
 _HEADER = ">>graph6<<"
 # each payload character, "?" to "~", as its six bits, most significant first
 _SIX_BITS = str.maketrans({chr(63 + v): f"{v:06b}" for v in range(64)})
+# the payload character of each 6-bit group of a code: the group's first bit
+# (its lowest) is the character's most significant
+_GROUP = [chr(63 + int(f"{v:06b}"[::-1], 2)) for v in range(64)]
 
 # The one JSON-line rule: keys sorted, no spaces.  One encoder serves every
 # line; ``JSON_LINE.encode(obj)`` is ``json.dumps`` with the same arguments.
@@ -65,9 +68,13 @@ def to_graph6(g: Graph) -> str:
     n = g.n
     size = chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + (n >> k & 63)) for k in (12, 6, 0))
     pairs = n * (n - 1) // 2
-    # bit t of the code at position t; five zeros pad the last character
-    bits = f"{_code(g):0{pairs}b}"[::-1] + "00000"
-    return size + "".join(chr(63 + int(bits[i:i + 6], 2)) for i in range(0, pairs, 6))
+    # every 3 bytes of the code, low byte first, are four 6-bit groups; zeros
+    # pad the last character and the characters past it go
+    data = iter(_code(g).to_bytes((pairs + 23) // 24 * 3, "little"))
+    payload = "".join([_GROUP[a & 63] + _GROUP[a >> 6 | (b & 15) << 2]
+                       + _GROUP[b >> 4 | (c & 3) << 4] + _GROUP[c >> 2]
+                       for a, b, c in zip(data, data, data)])
+    return size + payload[:(pairs + 5) // 6]
 
 
 def _graph6_record(line: str) -> tuple[int, int]:

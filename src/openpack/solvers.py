@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from . import _kernels_py as _kernel
 from ._kernels_py import memo_scope
@@ -237,9 +239,13 @@ def is_packing_partition(g: Graph, labeling: VertexLabeling) -> bool:
 
 
 def is_common_neighbor_clique(g: Graph, s) -> bool:
-    """Does every pair of members share a common neighbor (a clique of two_step(g))?"""
-    members = list(iter_bits(_mask_of(g, s)))
-    return all(g.adj[u] & g.adj[v] for i, u in enumerate(members) for v in members[i + 1:])
+    """Does every pair of members share a common neighbor (a clique of two_step(g))?
+    A vertex adjacent to every member is a common neighbor of each pair, so
+    the pairs are scanned only when the AND of the members' rows is empty."""
+    rows = [g.adj[v] for v in iter_bits(_mask_of(g, s))]
+    if reduce(and_, rows, -1):
+        return True
+    return all(a & b for i, a in enumerate(rows) for b in rows[i + 1:])
 
 
 def split_open_packing(g: Graph, s) -> tuple[VertexSet, VertexSet]:

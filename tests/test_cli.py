@@ -299,6 +299,12 @@ class TestEnumerate:
         assert code == 0
         assert len(out.strip().splitlines()) == 8
 
+    def test_records_are_the_encoder_lines(self):
+        # 1,024 records, written in blocks: the bytes of one line per graph
+        code, out = run_cli("enumerate", "--n", "5")
+        assert code == 0
+        assert out == "".join(to_graph6(g) + "\n" for g in enumerate_all_graphs(5))
+
 
 class TestInvariant:
     def test_all_values(self, tmp_path):

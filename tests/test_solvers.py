@@ -1,4 +1,5 @@
 import random
+import signal
 import textwrap
 
 import pytest
@@ -26,6 +27,7 @@ from openpack.solvers import (
     chromatic_number,
     domination_number,
     full_report,
+    is_common_neighbor_clique,
     is_open_packing,
     is_opp,
     is_packing,
@@ -329,6 +331,51 @@ class TestPredicateFit:
                     assert is_opp(g, lab) == expected, (g.adj, lab)
                     checked += 1
         assert checked == 1 * 1 + 2 * 3 + 8 * 13 + 64 * 75
+
+
+class TestCommonNeighborClique:
+    """A clique of N(G): every pair of members shares a neighbor."""
+
+    def test_hub_neighbourhood_of_a_large_star_is_one_and(self):
+        # the 8.4 million pairs of leaves take about 0.6 s to scan; the AND of
+        # their rows, which is the hub, a few ms
+        g = star(4096)
+
+        def expire(signum, frame):
+            raise TimeoutError("the star's leaves were scanned pair by pair")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        try:
+            assert is_common_neighbor_clique(g, g.adj[0])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_pairs_with_different_common_neighbours(self):
+        # 0, 1, 2 pairwise share 3, 4 and 5, and no vertex sees all three
+        g = from_edge_list(6, [(0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)])
+        assert is_common_neighbor_clique(g, VertexSet.of([0, 1, 2]))
+
+    def test_pair_without_a_common_neighbour_refused(self):
+        g = from_edge_list(6, [(0, 3), (1, 3), (1, 4), (2, 4), (0, 5)])
+        assert not is_common_neighbor_clique(g, VertexSet.of([0, 1, 2]))
+
+    def test_vertex_outside_the_graph_refused(self):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            is_common_neighbor_clique(path(3), 1 << 3)
+
+    def test_matches_the_pairwise_definition(self):
+        checked = 0
+        for n in range(1, 6):
+            for g in enumerate_all_graphs(n):
+                for mask in range(1 << n):
+                    members = [v for v in range(n) if mask >> v & 1]
+                    expected = all(g.adj[u] & g.adj[v]
+                                   for i, u in enumerate(members) for v in members[i + 1:])
+                    assert is_common_neighbor_clique(g, mask) == expected, (g.adj, mask)
+                    checked += 1
+        assert checked == 2 + 2 * 4 + 8 * 8 + 64 * 16 + 1024 * 32
 
 
 class TestSplitOpenPacking:

@@ -105,7 +105,7 @@ class TestTrustedBuildersPassTheValidator:
     def test_from_code(self, case):
         valid(graph._from_code(*case))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_enumerate_all_graphs(self, n):
         for g in enumerate_all_graphs(n):
             valid(g)
