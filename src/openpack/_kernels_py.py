@@ -26,64 +26,48 @@ Oper. Res. 2011):
 Tie-breaking is always "lowest vertex index", so repeated runs are
 reproducible bit for bit.
 
-While a ``memo_scope()`` is open, the two searches share one memo of results,
-keyed by the exact input ``(kind, n, *adj)``: a repeated input is answered
-from it, and being deterministic, the answer is the one a fresh search gives.
-The public calls and the chromatic driver's own two (each component's
-chromatic number, and the clique number as an independent set of the
-complement) go through it, so ``omega(N(G))`` reuses the clique search that
-the ``p_o`` driver ran on the same complement.  It holds flat tuples of ints
-only, at most ``MEMO_MAX`` entries, the least recently used dropped first,
-and it is emptied when the outermost scope ends.  Outside any scope the
-searches run and keep nothing.
+Both entry points take an optional memo of results, an ``OrderedDict`` that
+the caller owns (``solvers.Run.memo``), keyed by the exact input
+``(kind, n, *adj)``: a repeated input is answered from it, and being
+deterministic, the answer is the one a fresh search gives.  The chromatic
+driver's own two calls (each component's chromatic number, and the clique
+number as an independent set of the complement) go through the same memo, so
+``omega(N(G))`` reuses the clique search that the ``p_o`` driver ran on the
+same complement.  The memo holds flat tuples of ints only, at most
+``MEMO_MAX`` entries, the least recently used dropped first.  A call with no
+memo searches and keeps nothing.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Sequence
 
 from .graph import _components, iter_bits
 
 BACKEND = "python"
 
 MEMO_MAX = 1024
+# memo entries, by (kind, n, *adj): (value, certificate mask) or (k, *colors)
 _CHROMATIC, _MIS = 0, 1
-# (kind, n, *adj) -> (value, certificate mask) or (k, *colors), while a scope is open
-_memo: OrderedDict | None = None
-_scopes = 0
 
 
-@contextmanager
-def memo_scope() -> Iterator[None]:
-    """Share kernel results among the calls made inside; nested scopes share
-    the outermost one, and the memo goes when that one ends, however it ends."""
-    global _memo, _scopes
-    if not _scopes:
-        _memo = OrderedDict()
-    _scopes += 1
-    try:
-        yield
-    finally:
-        _scopes -= 1
-        if not _scopes:
-            _memo = None
-
-
-def _recall(kind: int, search, n: int, adj):
-    """``search(n, adj)``, answered from the open scope's memo when it holds the
-    same input, and kept there otherwise."""
-    memo = _memo
+def _recall(kind: int, n: int, adj, memo):
+    """The search ``kind`` on ``(n, adj)``, answered from ``memo`` when it
+    holds the same input and kept there otherwise; with no memo, the search
+    alone."""
     if memo is None:
-        return search(n, adj)
+        return _chromatic(n, adj, None) if kind == _CHROMATIC else _max_independent_set(n, adj)
     # flat tuples of ints: the collector untracks them at its first pass, where
     # a nested tuple would stay tracked into an older generation
     key = (kind, n, *adj)
     hit = memo.get(key)
     if hit is None:
-        value, cert = search(n, adj)
-        hit = memo[key] = (value, cert) if kind == _MIS else (value, *cert)
+        if kind == _MIS:
+            hit = _max_independent_set(n, adj)
+        else:
+            value, colors = _chromatic(n, adj, memo)
+            hit = (value, *colors)
+        memo[key] = hit
         if len(memo) > MEMO_MAX:
             memo.popitem(last=False)
     else:
@@ -229,7 +213,7 @@ def _induced(adj: list[int], mask: int) -> tuple[int, list[int]]:
     return len(verts), sub
 
 
-def chromatic_number(n: int, adj: Sequence[int]) -> tuple[int, list[int]]:
+def chromatic_number(n: int, adj: Sequence[int], memo=None) -> tuple[int, list[int]]:
     """Exact chromatic number with a witness coloring (labels 1..k, all used).
 
     Iterative deepening between a lower bound and a greedy upper bound, with
@@ -239,12 +223,12 @@ def chromatic_number(n: int, adj: Sequence[int]) -> tuple[int, list[int]]:
     chromatic number of a component (chi is their max), so no failing depth
     searches across components.  The deepening itself still runs on the whole
     graph, and the witness is the one it would give from the greedy clique
-    alone.
+    alone.  ``memo``, if given, answers and keeps repeated inputs.
     """
-    return _recall(_CHROMATIC, _chromatic, n, adj)
+    return _recall(_CHROMATIC, n, adj, memo)
 
 
-def _chromatic(n, adj):
+def _chromatic(n, adj, memo):
     levels = _degree_levels(n, adj)
     clique = _greedy_clique(adj, levels)
     ub, greedy_colors = _greedy_coloring(n, adj, levels)
@@ -255,15 +239,14 @@ def _chromatic(n, adj):
     if len(comps) > 1:
         for comp in comps:
             if comp.bit_count() > lb:
-                k, _ = _recall(_CHROMATIC, _chromatic, *_induced(adj, comp))
+                k, _ = _recall(_CHROMATIC, *_induced(adj, comp), memo)
                 if k > lb:
                     lb = k
     else:
         # the clique number, as an independent set of the complement; a
         # private call, so traced kernel counts see only the solvers' calls
         full = (1 << n) - 1
-        lb, _ = _recall(_MIS, _max_independent_set, n,
-                        [full & ~(adj[v] | 1 << v) for v in range(n)])
+        lb, _ = _recall(_MIS, n, [full & ~(adj[v] | 1 << v) for v in range(n)], memo)
     for k in range(lb, ub):
         found = _color_with_k(n, adj, levels, k, clique)
         if found is not None:
@@ -271,7 +254,7 @@ def _chromatic(n, adj):
     return ub, greedy_colors
 
 
-def max_independent_set(n: int, adj: Sequence[int]) -> tuple[int, int]:
+def max_independent_set(n: int, adj: Sequence[int], memo=None) -> tuple[int, int]:
     """Exact maximum independent set; returns (size, member bit mask).
 
     Branch and bound: branch vertex is the one of maximum residual degree;
@@ -279,9 +262,9 @@ def max_independent_set(n: int, adj: Sequence[int]) -> tuple[int, int]:
     candidates cannot beat the best set strictly: first on their count, then
     on the size of a greedy clique cover of them.  The best set changes only
     on a strictly larger one, so the first maximum found, and its mask, are
-    those the count bound alone gives.
+    those the count bound alone gives.  ``memo``, as for ``chromatic_number``.
     """
-    return _recall(_MIS, _max_independent_set, n, adj)
+    return _recall(_MIS, n, adj, memo)
 
 
 def _max_independent_set(n, adj):

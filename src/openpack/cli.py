@@ -290,15 +290,15 @@ def cmd_verify(args) -> int:
         instances = _t_values(args.t_values)
 
     out = _open_out(args.out) if args.out else sys.stdout
-    rows = harness.run_corpus(theorems, instances)
 
-    def written(rows):
-        for row in rows:
-            out.write(row.to_json() + "\n")
-            yield row
+    def written(per_instance):
+        # one write per instance, each as soon as its rows are checked
+        for rows in per_instance:
+            out.write("".join([row.to_json() + "\n" for row in rows]))
+            yield from rows
 
     try:
-        counts = harness.summarize(written(rows))
+        counts = harness.summarize(written(harness.instance_rows(theorems, instances)))
     finally:
         if args.out:
             out.close()

@@ -28,13 +28,11 @@ pair's value is certified on its own labelled product.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 
 from . import solvers
-from ._kernels_py import memo_scope
 from .constructions import tree_opp
 from .formats import json_row, parse_graph6
 from .graph import (
@@ -51,8 +49,8 @@ from .graph import (
     is_tree,
 )
 from .products import PRODUCTS, isolated_vertex_count
-from .solvers import GraphFacts, VertexLabeling, VertexSet
-from .transforms import every_edge_on_triangle, has_even_cycle
+from .solvers import GraphFacts, Run, VertexLabeling, VertexSet
+from .transforms import _edges_on_triangles, has_even_cycle
 
 HARNESS_MAX_PRODUCT_N = 24
 # Entries in one run's factor memo, the lru_cache of pair factors' GraphFacts
@@ -294,7 +292,7 @@ def check_T8(facts: GraphFacts) -> list[TheoremCheckResult]:
 def check_T9(facts: GraphFacts) -> list[TheoremCheckResult]:
     """p_o(G) + p_o(co-G) >= n, except the two 4-vertex graphs where the sum
     is n - 1 (reported, not asserted)."""
-    co = GraphFacts(complement(facts.g))
+    co = GraphFacts(complement(facts.g), facts.run)
     total = facts.p_o[0] + co.p_o[0]
     # C4 and 2K2 are the only 2- and 1-regular 4-vertex graphs: 2d edges, max degree d
     if facts.g.n == 4 and facts.maxdeg in (1, 2) and facts.g.m == 2 * facts.maxdeg:
@@ -347,7 +345,7 @@ def check_T13(facts: GraphFacts) -> list[TheoremCheckResult]:
     and the same condition is equivalent to p_o = n."""
     if facts.g.n < 3:
         return [_skipped("T13", facts.g6)]
-    condition = int(facts.diameter_le_2 and every_edge_on_triangle(facts.g))
+    condition = int(facts.diameter_le_2 and _edges_on_triangles(facts.g.adj, facts.two_step.adj))
     return [_row("T13", facts.g6, lhs, condition, ((facts, name),))
             for lhs, name in ((int(facts.rho_o[0] == 1), "rho_o"),
                               (int(facts.p_o[0] == facts.g.n), "p_o"))]
@@ -371,38 +369,15 @@ def check_T14(facts: GraphFacts) -> list[TheoremCheckResult]:
 # Pair checks
 
 
-# The class table, open while run_corpus runs: (product name, canonical key of
-# G, canonical key of H) -> (p_o of the product, a labelling that attains it on
-# the product of the two canonical forms).
-_classes: dict | None = None
-_class_scopes = 0
-
-
-@contextmanager
-def _class_table() -> Iterator[None]:
-    """One class table for the calls made inside, shared by scopes open at
-    once (keys are canonical, hits certified) and gone when the last ends."""
-    global _classes, _class_scopes
-    if not _class_scopes:
-        _classes = {}
-    _class_scopes += 1
-    try:
-        yield
-    finally:
-        _class_scopes -= 1
-        if not _class_scopes:
-            _classes = None
-
-
 def _product_facts(tid: str, fg: GraphFacts, fh: GraphFacts) -> GraphFacts:
-    """Fresh facts of the product theorem ``tid`` is about, refused past the
-    harness cap."""
+    """Fresh facts of the product theorem ``tid`` is about, in fg's run,
+    refused past the harness cap."""
     prod, _ = PRODUCTS[CHECKS[tid].product](fg.g, fh.g)
     if prod.n > HARNESS_MAX_PRODUCT_N:
         raise GraphError(
             f"harness product instances cap at {HARNESS_MAX_PRODUCT_N} vertices, got {prod.n}"
         )
-    return GraphFacts(prod)
+    return GraphFacts(prod, fg.run)
 
 
 def _class_map(op: str, fg: GraphFacts, fh: GraphFacts) -> list[int]:
@@ -421,16 +396,17 @@ def _class_map(op: str, fg: GraphFacts, fh: GraphFacts) -> list[int]:
 
 def _product_p_o(tid: str, fg: GraphFacts, fh: GraphFacts, fp: GraphFacts) -> int:
     """p_o of fp's graph, the product ``tid`` is about, solved once per pair of
-    factor classes while the class table is open: a miss solves fp and stores
-    its labelling carried to the canonical product; a hit carries the stored
-    labelling back and certifies it on fp's graph (``solvers._certified``
-    raises CertificateError)."""
-    if _classes is None:
-        return fp.p_o[0]
+    factor classes in fp's run.  Its class table maps (product name, canonical
+    key of G, canonical key of H) to (p_o of the product, a labelling that
+    attains it on the product of the two canonical forms): a miss solves fp
+    and stores its labelling carried to the canonical product; a hit carries
+    the stored labelling back and certifies it on fp's graph
+    (``solvers._certified`` raises CertificateError)."""
+    classes = fp.run.classes
     op = CHECKS[tid].product
     key = (op, fg.canonical[0], fh.canonical[0])
     where = _class_map(op, fg, fh)
-    hit = _classes.get(key)
+    hit = classes.get(key)
     if hit is not None:
         k, labels = hit
         solvers._certified(fp.g, solvers.is_opp, k, [labels[x] for x in where])
@@ -439,7 +415,7 @@ def _product_p_o(tid: str, fg: GraphFacts, fh: GraphFacts, fp: GraphFacts) -> in
     labels = [0] * fp.g.n
     for x, label in zip(where, labeling.labels):
         labels[x] = label
-    _classes[key] = (k, tuple(labels))
+    classes[key] = (k, tuple(labels))
     return k
 
 
@@ -562,13 +538,13 @@ Instance = Graph | tuple[Graph, Graph] | int
 INSTANCE_NAMES = {"single": "graph {number}", "pair": "pair {number}", "param": "t={instance}"}
 
 
-def evaluate_instance(theorems: tuple[str, ...], instance: Instance,
+def evaluate_instance(theorems: tuple[str, ...], instance: Instance, run: Run,
                       factors: Callable[[Graph], GraphFacts]) -> list[TheoremCheckResult]:
-    """Rows of the selected checks on one instance; pair factors come from
-    the run's ``factors`` memo and their products' p_o from its class table
-    (``_product_p_o``), everything else is solved afresh."""
+    """Rows of the selected checks on one instance, in ``run``: pair factors
+    come from the run's ``factors`` memo and their products' p_o from its class
+    table (``_product_p_o``), everything else is solved afresh."""
     if isinstance(instance, Graph):
-        args = (GraphFacts(instance),)
+        args = (GraphFacts(instance, run),)
     elif isinstance(instance, tuple):
         args = (factors(instance[0]), factors(instance[1]))
     else:
@@ -576,18 +552,18 @@ def evaluate_instance(theorems: tuple[str, ...], instance: Instance,
     return [row for tid in theorems for row in CHECKS[tid](*args)]
 
 
-def run_corpus(theorems: Iterable[str],
-               instances: Iterable[Instance]) -> Iterator[TheoremCheckResult]:
-    """Run the selected checks over a corpus, yielding rows in corpus order.
+def instance_rows(theorems: Iterable[str],
+                  instances: Iterable[Instance]) -> Iterator[list[TheoremCheckResult]]:
+    """Run the selected checks over a corpus, yielding each instance's rows
+    as one list, in corpus order.
 
-    Violated rows are re-verified before they are yielded.  Facts about pair
-    factors are shared within the call through one factor memo (at most
-    ``FACTOR_FACTS_MAX`` factors), products' p_o through one class table (one
-    solve per product and pair of factor classes, every other pair's
-    labelling certified on its own product), and kernel results through one
-    kernel memo (``_kernels_py.memo_scope``, at most ``MEMO_MAX`` entries).
-    Runs open at once share the table and the kernel memo, which go when the
-    last of them is exhausted, closed early, or raises.
+    Violated rows are re-verified before they are yielded.  The call makes
+    one ``solvers.Run`` and builds every facts object in it, so its instances
+    share one kernel memo (at most ``MEMO_MAX`` entries) and one class table
+    (one product solve per product and pair of factor classes, every other
+    pair's labelling certified on its own product).  Facts about pair factors
+    are shared through one factor memo (at most ``FACTOR_FACTS_MAX``
+    factors), local to the call.  Calls open at once share nothing.
 
     An instance past the solver cap is refused as ``graph N: ...`` or
     ``pair N: ...``, N its place among the instances from 1, as ``invariant``
@@ -595,18 +571,25 @@ def run_corpus(theorems: Iterable[str],
     """
     theorems = tuple(theorems)
     name = INSTANCE_NAMES[theorem_kind(theorems)]
-    with memo_scope(), _class_table():
-        factors = lru_cache(maxsize=FACTOR_FACTS_MAX)(GraphFacts)
-        for number, instance in enumerate(instances, start=1):
-            try:
-                rows = evaluate_instance(theorems, instance, factors)
-            except solvers.SolverCapError as exc:
-                where = name.format(number=number, instance=instance)
-                raise solvers.SolverCapError(f"{where}: {exc}") from None
-            for row in rows:
-                if row.verdict == VIOLATED:
-                    reverify_violation(row)
-                yield row
+    run = Run()
+    factors = lru_cache(maxsize=FACTOR_FACTS_MAX)(partial(GraphFacts, run=run))
+    for number, instance in enumerate(instances, start=1):
+        try:
+            rows = evaluate_instance(theorems, instance, run, factors)
+        except solvers.SolverCapError as exc:
+            where = name.format(number=number, instance=instance)
+            raise solvers.SolverCapError(f"{where}: {exc}") from None
+        for row in rows:
+            if row.verdict == VIOLATED:
+                reverify_violation(row)
+        yield rows
+
+
+def run_corpus(theorems: Iterable[str],
+               instances: Iterable[Instance]) -> Iterator[TheoremCheckResult]:
+    """The rows of ``instance_rows``, one at a time."""
+    for rows in instance_rows(theorems, instances):
+        yield from rows
 
 
 def summarize(rows: Iterable[TheoremCheckResult]) -> dict[str, dict[str, int]]:

@@ -23,12 +23,12 @@ graph and raises ``ValueError`` unless the certificate fits the graph.
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
 from . import _kernels_py as _kernel
-from ._kernels_py import memo_scope
 from .formats import to_graph6
 from .graph import (
     Graph,
@@ -424,17 +424,32 @@ class fact:
         return value
 
 
+class Run:
+    """What the searches of one run share: the kernel memo (``_kernels_py``,
+    at most ``MEMO_MAX`` results, by exact input) and the pair theorems' class
+    table (``harness._product_p_o``).  Every ``GraphFacts`` carries one; the
+    facts a run builds share its run, and facts built alone get a fresh one.
+    A run refers to no facts, so it keeps none alive."""
+
+    def __init__(self) -> None:
+        self.memo = OrderedDict()
+        self.classes = {}
+
+
 class GraphFacts:
     """The exact invariants of one graph, and what else the harness asks of it.
 
     The two transforms the kernels run on, ``two_step`` and ``square``, are
     built at most once each, and the solver cap is checked at most once.  Every
     name in ``INVARIANTS`` is a ``(value, certificate)`` pair whose certificate
-    has passed the invariant's predicate in ``PREDICATES`` on g.
+    has passed the invariant's predicate in ``PREDICATES`` on g.  The kernel
+    searches go through ``run``'s memo, so ``omega_N`` read after ``p_o``
+    reuses the clique search of the p_o driver.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, run: Run | None = None):
         self.g = g
+        self.run = Run() if run is None else run
 
     @fact
     def _within_cap(self) -> None:
@@ -443,10 +458,10 @@ class GraphFacts:
         if self.g.n > cap:
             raise SolverCapError(f"instance has {self.g.n} vertices, exact solvers cap at {cap}")
 
-    def _solved(self, name: str, search, rows) -> tuple:
-        """``search(n, rows)``, certified against ``name``'s predicate on g."""
+    def _solved(self, name: str, search, *args) -> tuple:
+        """``search(n, *args)``, certified against ``name``'s predicate on g."""
         self._within_cap
-        return _certified(self.g, PREDICATES[name], *search(self.g.n, rows))
+        return _certified(self.g, PREDICATES[name], *search(self.g.n, *args))
 
     @fact
     def g6(self) -> str:
@@ -482,23 +497,23 @@ class GraphFacts:
 
     @fact
     def chi(self) -> tuple[int, VertexLabeling]:
-        return self._solved("chi", _kernel.chromatic_number, self.g.adj)
+        return self._solved("chi", _kernel.chromatic_number, self.g.adj, self.run.memo)
 
     @fact
     def p_o(self) -> tuple[int, VertexLabeling]:
-        return self._solved("p_o", _kernel.chromatic_number, self.two_step.adj)
+        return self._solved("p_o", _kernel.chromatic_number, self.two_step.adj, self.run.memo)
 
     @fact
     def chi2(self) -> tuple[int, VertexLabeling]:
-        return self._solved("chi2", _kernel.chromatic_number, self.square.adj)
+        return self._solved("chi2", _kernel.chromatic_number, self.square.adj, self.run.memo)
 
     @fact
     def rho(self) -> tuple[int, VertexSet]:
-        return self._solved("rho", _kernel.max_independent_set, self.square.adj)
+        return self._solved("rho", _kernel.max_independent_set, self.square.adj, self.run.memo)
 
     @fact
     def rho_o(self) -> tuple[int, VertexSet]:
-        return self._solved("rho_o", _kernel.max_independent_set, self.two_step.adj)
+        return self._solved("rho_o", _kernel.max_independent_set, self.two_step.adj, self.run.memo)
 
     @fact
     def gamma(self) -> tuple[int, VertexSet]:
@@ -516,7 +531,8 @@ class GraphFacts:
 
     @fact
     def omega_N(self) -> tuple[int, VertexSet]:
-        return self._solved("omega_N", _kernel.max_independent_set, complement(self.two_step).adj)
+        return self._solved("omega_N", _kernel.max_independent_set,
+                            complement(self.two_step).adj, self.run.memo)
 
 
 def chromatic_number(g: Graph) -> tuple[int, VertexLabeling]:
@@ -571,17 +587,16 @@ def full_report(g: Graph, with_certificates: bool = True) -> InvariantReport:
     """Every invariant of ``INVARIANTS`` with its certificate, from one
     ``GraphFacts``; gamma_t is left out when g has an isolated vertex.
 
-    The solves share one kernel memo (``_kernels_py.memo_scope``) for the
-    call: when the p_o driver bounds its search by the clique number of the
+    The solves share the run of that ``GraphFacts``, and with it one kernel
+    memo: when the p_o driver bounds its search by the clique number of the
     two-step graph, omega_N reuses that search instead of running it again.
     """
     facts = GraphFacts(g)
     values = {"n": g.n, "m": g.m, "Delta": max_degree(g), "delta": min_degree(g)}
     certificates = {}
-    with memo_scope():
-        for name in INVARIANTS:
-            try:
-                values[name], certificates[name] = getattr(facts, name)
-            except UndefinedInvariantError:  # gamma_t with an isolated vertex
-                continue
+    for name in INVARIANTS:
+        try:
+            values[name], certificates[name] = getattr(facts, name)
+        except UndefinedInvariantError:  # gamma_t with an isolated vertex
+            continue
     return InvariantReport(values, certificates if with_certificates else {})

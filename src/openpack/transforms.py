@@ -46,8 +46,15 @@ def closed_neighborhood_graph(g: Graph) -> Graph:
 square = closed_neighborhood_graph
 
 
+def _edges_on_triangles(adj, two_step_rows) -> bool:
+    """Does every edge of the graph with rows ``adj`` lie on a triangle?  An
+    edge uv does iff u and v have a common neighbor, that is iff u is in v's
+    row of the two-step graph, ``two_step_rows``."""
+    return all(not row & ~step for row, step in zip(adj, two_step_rows))
+
+
 def every_edge_on_triangle(g: Graph) -> bool:
-    return all(g.adj[u] & g.adj[v] for u, v in g.edges())
+    return _edges_on_triangles(g.adj, _compose(g.adj, g.adj))
 
 
 def has_even_cycle(g: Graph) -> bool:

@@ -237,7 +237,7 @@ class TestInputErrors:
         # a wrong certificate is a bug, not an input error: it keeps its traceback
         class BadKernel:
             @staticmethod
-            def chromatic_number(n, adj):
+            def chromatic_number(n, adj, memo=None):
                 return 1, [1] * n
 
         monkeypatch.setattr(solvers, "_kernel", BadKernel)
@@ -512,6 +512,23 @@ class TestTreeOpp:
 
 
 class TestVerify:
+    def test_one_write_per_instance(self):
+        # the 8 labelled graphs on 3 vertices, 4 rows each: one write apiece
+        writes = []
+
+        class Recording(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        with contextlib.redirect_stdout(Recording()):
+            assert main(["verify", "--theorem", "T1,T2", "--all-n", "3"]) == 0
+        instances = [{json.loads(line)["instance"] for line in text.splitlines()}
+                     for text in writes]
+        assert [text.count("\n") for text in writes] == [4] * 8
+        assert all(len(names) == 1 for names in instances)
+        assert len(set.union(*instances)) == 8
+
     def test_t9_all_n4(self):
         code, out = run_cli("verify", "--theorem", "T9", "--all-n", "4")
         assert code == 0

@@ -652,9 +652,9 @@ class TestFactorFacts:
         built = []
         init = GraphFacts.__init__
 
-        def counting(self, g):
+        def counting(self, g, run=None):
             built.append(g)
-            init(self, g)
+            init(self, g, run)
 
         monkeypatch.setattr(GraphFacts, "__init__", counting)
         return built
@@ -678,8 +678,8 @@ class TestFactorFacts:
         infos = []
         evaluate = harness.evaluate_instance
 
-        def recording(theorems, instance, factors):
-            rows = evaluate(theorems, instance, factors)
+        def recording(theorems, instance, run, factors):
+            rows = evaluate(theorems, instance, run, factors)
             infos.append(factors.cache_info())
             return rows
 

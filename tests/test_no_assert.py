@@ -1,8 +1,9 @@
 """Checks on the source tree: the library checks its certificates with
 explicit code, never with ``assert``, which ``python -O`` strips; the CLI
 exits the process only from its ``__main__`` block; the package builds its
-own graphs through ``graph._trusted``, never the validating ``Graph``; and
-every row that asserts a relation is judged by ``harness._verdict``."""
+own graphs through ``graph._trusted``, never the validating ``Graph``; no
+module rebinds its globals; and every row that asserts a relation is judged
+by ``harness._verdict``."""
 
 import ast
 from pathlib import Path
@@ -19,6 +20,15 @@ def test_no_assert_statement(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_global_statement(path):
+    """No module keeps state between calls: what one run's searches share
+    lives in its ``solvers.Run``, so runs open at once share nothing."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert lines == [], f"{path.name} has global statements on lines {lines}"
 
 
 def _is_main_guard(node) -> bool:

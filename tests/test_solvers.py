@@ -503,11 +503,11 @@ class TestCertificateChecks:
             BACKEND = "bad"
 
             @staticmethod
-            def chromatic_number(n, adj):
+            def chromatic_number(n, adj, memo=None):
                 return 1, [1] * n
 
             @staticmethod
-            def max_independent_set(n, adj):
+            def max_independent_set(n, adj, memo=None):
                 return n, (1 << n) - 1
 
         solvers._kernel = BadKernel
@@ -566,7 +566,7 @@ class TestCertificateChecks:
 
         class GappedKernel:
             @staticmethod
-            def chromatic_number(n, adj):
+            def chromatic_number(n, adj, memo=None):
                 return 3, [1, 3, 1]
 
         monkeypatch.setattr(solvers, "_kernel", GappedKernel)
@@ -578,7 +578,7 @@ class TestCertificateChecks:
 
         class WideKernel:
             @staticmethod
-            def max_independent_set(n, adj):
+            def max_independent_set(n, adj, memo=None):
                 return 1, 1 << n
 
         monkeypatch.setattr(solvers, "_kernel", WideKernel)
@@ -597,8 +597,8 @@ class TestFactCache:
         for name in ("chromatic_number", "max_independent_set"):
             search = getattr(_kernels_py, name)
             monkeypatch.setattr(_kernels_py, name,
-                                lambda n, adj, search=search, name=name:
-                                calls.append(name) or search(n, adj))
+                                lambda n, adj, memo=None, search=search, name=name:
+                                calls.append(name) or search(n, adj, memo))
         facts = solvers.GraphFacts(cycle(6))
         first = [getattr(facts, name) for name in solvers.INVARIANTS]
         solved = len(calls)

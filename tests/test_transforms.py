@@ -15,7 +15,9 @@ from openpack.graph import (
     random_tree,
 )
 from openpack.solvers import is_open_packing, is_packing
+from openpack.harness import all_graphs_upto
 from openpack.transforms import (
+    _edges_on_triangles,
     closed_neighborhood_graph,
     every_edge_on_triangle,
     has_even_cycle,
@@ -143,6 +145,13 @@ class TestEveryEdgeOnTriangle:
 
     def test_vacuous_on_empty(self):
         assert every_edge_on_triangle(from_edge_list(3, []))
+
+    def test_two_step_rows_match_the_per_edge_definition_for_every_graph_n_le_6(self):
+        # an edge uv is on a triangle iff u and v have a common neighbor
+        for g in all_graphs_upto(6):
+            per_edge = all(g.adj[u] & g.adj[v] for u, v in g.edges())
+            assert _edges_on_triangles(g.adj, two_step(g).adj) == per_edge
+            assert every_edge_on_triangle(g) == per_edge
 
 
 class TestHasEvenCycle:
