@@ -227,12 +227,8 @@ def _single_corpus(args):
 def _check_grid(flag: str, max_g: int, max_h: int, theorems: list[str]) -> None:
     """Reject a grid whose largest product is past the harness's product cap."""
     for tid in theorems:
-        largest = order(harness.CHECKS[tid].product, max_g, max_h)
-        if largest > harness.HARNESS_MAX_PRODUCT_N:
-            raise GraphError(
-                f"{flag} {max_g} {max_h} gives {tid} products of {largest} vertices, "
-                f"but harness products cap at {harness.HARNESS_MAX_PRODUCT_N}"
-            )
+        harness.check_product_cap(tid, order(harness.CHECKS[tid].product, max_g, max_h),
+                                  f"{flag} {max_g} {max_h} gives ")
 
 
 def _t_values(text: str) -> list[int]:

@@ -20,9 +20,9 @@ and a row records one elementary relation, judged by ``_verdict``:
 Every ``violated`` row carries a witness of machine-checkable certificates
 and is re-verified before emission.
 
-The pair checks (T4-T7) read p_o of a product, which ``run_corpus`` solves
-once per pair of factor isomorphism classes (``_product_p_o``); every other
-pair's value is certified on its own labelled product.
+The pair checks (T4-T7) get their product and its p_o from one call,
+``_product_p_o``, which solves it once per pair of factor isomorphism classes
+in the run; every other pair's value is certified on its own labelled product.
 """
 
 from __future__ import annotations
@@ -369,62 +369,47 @@ def check_T14(facts: GraphFacts) -> list[TheoremCheckResult]:
 # Pair checks
 
 
-def _product_facts(tid: str, fg: GraphFacts, fh: GraphFacts) -> GraphFacts:
-    """Fresh facts of the product theorem ``tid`` is about, in fg's run,
-    refused past the harness cap."""
-    prod, _ = PRODUCTS[CHECKS[tid].product](fg.g, fh.g)
-    if prod.n > HARNESS_MAX_PRODUCT_N:
-        raise GraphError(
-            f"harness product instances cap at {HARNESS_MAX_PRODUCT_N} vertices, got {prod.n}"
-        )
-    return GraphFacts(prod, fg.run)
+def check_product_cap(tid: str, n: int, prefix: str = "") -> None:
+    """Refuse theorem ``tid``'s product of ``n`` vertices past the harness cap,
+    ``prefix`` leading the message: on each product built, and on a grid's largest."""
+    if n > HARNESS_MAX_PRODUCT_N:
+        raise GraphError(f"{prefix}{tid} products of {n} vertices, "
+                         f"but harness products cap at {HARNESS_MAX_PRODUCT_N}")
 
 
-def _class_map(op: str, fg: GraphFacts, fh: GraphFacts) -> list[int]:
-    """Where each vertex of the product ``op`` of fg's and fh's graphs lies in
-    the product of their canonical forms, through their relabellings sigma_G
-    and sigma_H: (a, b) at sigma_G(a)|H| + sigma_H(b); in the corona, base
-    vertex i at sigma_G(i) and copy vertex (i, b) at offset sigma_H(b) in the
-    copy of sigma_G(i)."""
-    sigma_g, sigma_h = fg.canonical[1], fh.canonical[1]
-    h_n = len(sigma_h)
-    grid = [a * h_n + b for a in sigma_g for b in sigma_h]
-    if op == "corona":
-        return [*sigma_g, *(len(sigma_g) + x for x in grid)]
-    return grid
-
-
-def _product_p_o(tid: str, fg: GraphFacts, fh: GraphFacts, fp: GraphFacts) -> int:
-    """p_o of fp's graph, the product ``tid`` is about, solved once per pair of
-    factor classes in fp's run.  Its class table maps (product name, canonical
-    key of G, canonical key of H) to (p_o of the product, a labelling that
-    attains it on the product of the two canonical forms): a miss solves fp
-    and stores its labelling carried to the canonical product; a hit carries
-    the stored labelling back and certifies it on fp's graph
-    (``solvers._certified`` raises CertificateError)."""
-    classes = fp.run.classes
+def _product_p_o(tid: str, fg: GraphFacts, fh: GraphFacts) -> tuple[GraphFacts, int]:
+    """The facts of the product theorem ``tid`` is about, built in fg's run
+    once ``check_product_cap`` passes it, and its p_o, solved once per pair of factor
+    classes.  The run's class table maps (product name, canonical keys of G
+    and H) to p_o and a labelling attaining it on the product of the canonical
+    forms, carried by the layout's ``vertex_map``: a miss stores its solve's
+    labelling; a hit's is certified on this product (CertificateError)."""
     op = CHECKS[tid].product
+    prod, layout = PRODUCTS[op](fg.g, fh.g)
+    check_product_cap(tid, prod.n)
+    fp = GraphFacts(prod, fg.run)
+    classes = fg.run.classes
     key = (op, fg.canonical[0], fh.canonical[0])
-    where = _class_map(op, fg, fh)
+    where = layout.vertex_map(fg.canonical[1], fh.canonical[1])
     hit = classes.get(key)
     if hit is not None:
         k, labels = hit
-        solvers._certified(fp.g, solvers.is_opp, k, [labels[x] for x in where])
-        return k
+        solvers._certified(prod, solvers.is_opp, k, [labels[x] for x in where])
+        return fp, k
     k, labeling = fp.p_o
-    labels = [0] * fp.g.n
+    labels = [0] * prod.n
     for x, label in zip(where, labeling.labels):
         labels[x] = label
     classes[key] = (k, tuple(labels))
-    return k
+    return fp, k
 
 
 @_theorem("T4", "pair", "le", product="cart")
 def check_T4(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     """Cartesian product: max factor p_o <= p_o(prod) <= min mixed products."""
-    fp = _product_facts("T4", fg, fh)
+    fp, po_p = _product_p_o("T4", fg, fh)
     instance = [fg.g6, fh.g6]
-    po_g, po_h, po_p = fg.p_o[0], fh.p_o[0], _product_p_o("T4", fg, fh, fp)
+    po_g, po_h = fg.p_o[0], fh.p_o[0]
     witness = ((fp, "p_o", po_p), (fg, "p_o"), (fh, "p_o"))
     upper = min(po_g * fh.chi2[0], fg.chi2[0] * po_h)
     return [
@@ -439,8 +424,8 @@ def check_T5(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     instance = [fg.g6, fh.g6]
     if fg.g.m == 0 or fh.g.m == 0:
         return [_skipped("T5", instance)]
-    fp = _product_facts("T5", fg, fh)
-    po_g, po_h, po_p = fg.p_o[0], fh.p_o[0], _product_p_o("T5", fg, fh, fp)
+    fp, po_p = _product_p_o("T5", fg, fh)
+    po_g, po_h = fg.p_o[0], fh.p_o[0]
     witness = ((fp, "p_o", po_p), (fg, "p_o"), (fh, "p_o"))
     return [
         _row("T5", instance, max(po_g, po_h), po_p, witness),
@@ -455,11 +440,10 @@ def check_T6(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     instance = [fg.g6, fh.g6]
     if fg.g.n < 2 or not fg.connected:
         return [_skipped("T6", instance)]
-    fp = _product_facts("T6", fg, fh)
+    fp, po_p = _product_p_o("T6", fg, fh)
     i_h = isolated_vertex_count(fh.g)
     chi2_g = fg.chi2[0]
     predicted = chi2_g * fh.g.n - i_h * (chi2_g - fg.p_o[0])
-    po_p = _product_p_o("T6", fg, fh, fp)
     witness = ((fp, "p_o", po_p), (fg, "chi2"), (fg, "p_o"),
                _value_cert("isolated_vertices_of_second_factor", i_h))
     return [_row("T6", instance, po_p, predicted, witness)]
@@ -468,10 +452,9 @@ def check_T6(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
 @_theorem("T7", "pair", "eq", product="corona")
 def check_T7(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     """Corona formula: p_o(G . H) = max(p_o(G), |V(H)| + max degree of G)."""
-    fp = _product_facts("T7", fg, fh)
+    fp, po_p = _product_p_o("T7", fg, fh)
     instance = [fg.g6, fh.g6]
     predicted = max(fg.p_o[0], fh.g.n + fg.maxdeg)
-    po_p = _product_p_o("T7", fg, fh, fp)
     witness = ((fp, "p_o", po_p), (fg, "p_o"),
                _value_cert("second_factor_order_plus_max_degree", fh.g.n + fg.maxdeg))
     return [_row("T7", instance, po_p, predicted, witness)]
@@ -565,9 +548,10 @@ def instance_rows(theorems: Iterable[str],
     are shared through one factor memo (at most ``FACTOR_FACTS_MAX``
     factors), local to the call.  Calls open at once share nothing.
 
-    An instance past the solver cap is refused as ``graph N: ...`` or
-    ``pair N: ...``, N its place among the instances from 1, as ``invariant``
-    names an input graph, or as ``t=T: ...`` for a T15 value.
+    An instance refused by the solver cap, the product cap or any other
+    GraphError is named as ``graph N: ...`` or ``pair N: ...``, N its place
+    among the instances from 1, as ``invariant`` names an input graph, or as
+    ``t=T: ...`` for a T15 value; the error keeps its class.
     """
     theorems = tuple(theorems)
     name = INSTANCE_NAMES[theorem_kind(theorems)]
@@ -576,9 +560,9 @@ def instance_rows(theorems: Iterable[str],
     for number, instance in enumerate(instances, start=1):
         try:
             rows = evaluate_instance(theorems, instance, run, factors)
-        except solvers.SolverCapError as exc:
+        except (solvers.SolverCapError, GraphError) as exc:
             where = name.format(number=number, instance=instance)
-            raise solvers.SolverCapError(f"{where}: {exc}") from None
+            raise type(exc)(f"{where}: {exc}") from None
         for row in rows:
             if row.verdict == VIOLATED:
                 reverify_violation(row)

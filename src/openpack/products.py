@@ -4,7 +4,8 @@ Product vertices are laid out row-major with the first factor major:
 ``(gi, hi)`` sits at index ``gi * |V(H)| + hi``, so certificates computed on a
 product can be mapped back to factor coordinates.  The corona places the base
 graph on indices ``0..|V(G)|-1`` followed by one contiguous copy of H per base
-vertex.
+vertex.  This module is the one place that arithmetic is written: each
+layout's ``vertex_map`` carries it through relabellings of the factors.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ class ProductVertexMap:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(divmod(i, self.h_size) for i in range(self.n))
 
+    def vertex_map(self, sigma_g, sigma_h) -> list[int]:
+        """Where each vertex of this product lies in the same product of the
+        factors relabelled by sigma_g and sigma_h (vertex v of a factor
+        renamed ``sigma[v]``): (a, b) at sigma_g(a)|H| + sigma_h(b)."""
+        h_n = self.h_size
+        return [a * h_n + b for a in sigma_g for b in sigma_h]
+
     def to_json_obj(self) -> dict:
         return {"kind": "product", "g_size": self.g_size, "h_size": self.h_size,
                 "pairs": [list(p) for p in self.pairs]}
@@ -52,6 +60,13 @@ class CoronaLayout:
     def copy_range(self, i: int) -> tuple[int, int]:
         start = self.g_size + i * self.h_size
         return start, start + self.h_size
+
+    def vertex_map(self, sigma_g, sigma_h) -> list[int]:
+        """Where each vertex of this corona lies in the corona of the factors
+        relabelled by sigma_g and sigma_h: base vertex i at sigma_g(i), and
+        vertex b of i's copy at offset sigma_h(b) in the copy of sigma_g(i)."""
+        g_n, h_n = self.g_size, self.h_size
+        return [*sigma_g, *(g_n + a * h_n + b for a in sigma_g for b in sigma_h)]
 
     def to_json_obj(self) -> dict:
         return {"kind": "corona", "g_size": self.g_size, "h_size": self.h_size,

@@ -39,7 +39,7 @@ from .graph import (
     max_degree,
     min_degree,
 )
-from .transforms import _compose, closed_neighborhood_graph, two_step
+from .transforms import closed_neighborhood_graph, two_step
 
 HARD_MAX_N = 64
 
@@ -274,7 +274,7 @@ def split_open_packing(g: Graph, s) -> tuple[VertexSet, VertexSet]:
 # Domination
 
 
-def _min_cover(n: int, cover: list[int]) -> tuple[int, int]:
+def _min_cover(n: int, cover: list[int], reach) -> tuple[int, int]:
     """Minimum number of vertices whose cover masks union to V.
 
     ``cover[u]`` doubles as "what selecting u covers" and "who can cover u"
@@ -288,8 +288,9 @@ def _min_cover(n: int, cover: list[int]) -> tuple[int, int]:
       by ascending cover size, each need their own pick.  For closed covers
       they form a 2-packing (rho <= gamma), for open covers an open packing
       (rho_o <= gamma_t), the T14 bounds.  ``levels`` masks the vertices of
-      each cover size, smallest first, and ``block[v]`` is v plus every vertex
-      whose cover meets v's (its square row, or two-step row for open covers).
+      each cover size, smallest first, and ``block[v]`` is v plus ``reach[v]``,
+      every vertex whose cover meets v's: the caller's square rows, or its
+      two-step rows for open covers.
       Each step takes the lowest vertex of the first level meeting ``free``
       and clears its block, so the scan ends within ``room`` steps; its first
       vertex is the branching one.
@@ -330,7 +331,7 @@ def _min_cover(n: int, cover: list[int]) -> tuple[int, int]:
     if -(-n // max_cover) >= count:  # the greedy cover meets the static bound
         return count, chosen
     levels = _kernel._degree_levels(n, cover)[::-1]
-    block = [row | 1 << v for v, row in enumerate(_compose(cover, cover))]
+    block = [row | 1 << v for v, row in enumerate(reach)]
 
     def extend(uncovered: int, size: int, mask: int) -> None:
         if not uncovered:
@@ -518,7 +519,7 @@ class GraphFacts:
     @fact
     def gamma(self) -> tuple[int, VertexSet]:
         closed = [row | 1 << v for v, row in enumerate(self.g.adj)]
-        return self._solved("gamma", _min_cover, closed)
+        return self._solved("gamma", _min_cover, closed, self.square.adj)
 
     @fact
     def gamma_t(self) -> tuple[int, VertexSet]:
@@ -527,7 +528,7 @@ class GraphFacts:
             raise UndefinedInvariantError(
                 "total domination is undefined on graphs with isolated vertices"
             )
-        return self._solved("gamma_t", _min_cover, self.g.adj)
+        return self._solved("gamma_t", _min_cover, self.g.adj, self.two_step.adj)
 
     @fact
     def omega_N(self) -> tuple[int, VertexSet]:

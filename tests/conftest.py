@@ -64,6 +64,14 @@ def run_python(code: str, *flags: str, timeout: float = 60) -> subprocess.Comple
                           capture_output=True, text=True, timeout=timeout)
 
 
+def relabelled(g, perm) -> tuple[int, ...]:
+    """g's rows with vertex v renamed perm[v]."""
+    rows = [0] * g.n
+    for v, row in enumerate(g.adj):
+        rows[perm[v]] = sum(1 << perm[u] for u in range(g.n) if row >> u & 1)
+    return tuple(rows)
+
+
 @st.composite
 def graphs(draw, min_n: int = 1, max_n: int = 8):
     n = draw(st.integers(min_n, max_n))

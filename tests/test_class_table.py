@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import graphs, relabelled
 from openpack import cli, harness
 from openpack.graph import (
     Graph,
@@ -25,6 +25,7 @@ from openpack.graph import (
     star,
 )
 from openpack.harness import GraphFacts, run_corpus
+from openpack.products import PRODUCTS
 from openpack.solvers import CertificateError, Run, VertexLabeling, is_opp
 
 # graphs on n = 1..6 vertices up to isomorphism (OEIS A000088)
@@ -37,22 +38,15 @@ PAIR_THEOREMS = {"T4": "cart", "T5": "direct", "T6": "lex", "T7": "corona"}
 def products(monkeypatch):
     """Every product's facts the pair checks build, in order."""
     built = []
-    product_facts = harness._product_facts
+    product_p_o = harness._product_p_o
 
     def recording(tid, fg, fh):
-        built.append(product_facts(tid, fg, fh))
-        return built[-1]
+        fp, k = product_p_o(tid, fg, fh)
+        built.append(fp)
+        return fp, k
 
-    monkeypatch.setattr(harness, "_product_facts", recording)
+    monkeypatch.setattr(harness, "_product_p_o", recording)
     return built
-
-
-def relabelled(g: Graph, perm) -> tuple[int, ...]:
-    """g's rows with vertex v renamed perm[v]."""
-    rows = [0] * g.n
-    for v, row in enumerate(g.adj):
-        rows[perm[v]] = sum(1 << perm[u] for u in range(g.n) if row >> u & 1)
-    return tuple(rows)
 
 
 class TestCanonicalForm:
@@ -97,16 +91,17 @@ class TestClassTable:
         run = Run()
         for g, h in harness.pair_grid(3, 3):
             fg, fh = GraphFacts(g, run), GraphFacts(h, run)
-            fp = harness._product_facts(tid, fg, fh)
-            assert fp.run is run
             key = (PAIR_THEOREMS[tid], fg.canonical[0], fh.canonical[0])
             stored = run.classes.get(key)
-            value = harness._product_p_o(tid, fg, fh, fp)
+            fp, value = harness._product_p_o(tid, fg, fh)
+            assert fp.run is run
             if stored is None:
                 continue
             hits += 1
             k, labels = stored
-            carried = [labels[x] for x in harness._class_map(key[0], fg, fh)]
+            prod, layout = PRODUCTS[key[0]](g, h)
+            assert prod == fp.g
+            carried = [labels[x] for x in layout.vertex_map(fg.canonical[1], fh.canonical[1])]
             assert value == k == GraphFacts(fp.g).p_o[0]
             assert is_opp(fp.g, VertexLabeling(tuple(carried), k))
         # 7 classes of graphs on 1-3 vertices, so 49 pairs of classes
@@ -186,14 +181,14 @@ class TestClassTable:
         # verify --theorem T4,T5 --pair-grid 3 3: a product's p_o is searched
         # on at most one labelled product per class key
         products = []
-        product_facts = harness._product_facts
+        product_p_o = harness._product_p_o
 
         def recording(tid, fg, fh):
-            fp = product_facts(tid, fg, fh)
+            fp, k = product_p_o(tid, fg, fh)
             products.append(((PAIR_THEOREMS[tid], fg.canonical[0], fh.canonical[0]), fp))
-            return fp
+            return fp, k
 
-        monkeypatch.setattr(harness, "_product_facts", recording)
+        monkeypatch.setattr(harness, "_product_p_o", recording)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main(["verify", "--theorem", "T4,T5", "--pair-grid", "3", "3"]) == 0

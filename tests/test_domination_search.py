@@ -26,6 +26,7 @@ from openpack.graph import Graph, cycle, path, random_graph, random_tree
 from openpack.harness import all_graphs_upto
 from openpack.products import cartesian, direct
 from openpack.solvers import domination_number, total_domination_number
+from openpack.transforms import square, two_step
 
 pytestmark = pytest.mark.usefixtures("search_deadline")
 
@@ -34,14 +35,16 @@ def closed_cover(g: Graph) -> list[int]:
     return [g.adj[v] | 1 << v for v in range(g.n)]
 
 
-def covers(g: Graph) -> list[list[int]]:
-    """The closed cover, and the open one when gamma_t is defined."""
-    return [closed_cover(g)] + ([list(g.adj)] if all(g.adj) else [])
+def covers(g: Graph) -> list[tuple[list[int], tuple[int, ...]]]:
+    """The closed cover with the square's rows, and the open one with the
+    two-step rows when gamma_t is defined: what ``_min_cover`` takes."""
+    closed = [(closed_cover(g), square(g).adj)]
+    return closed + ([(list(g.adj), two_step(g).adj)] if all(g.adj) else [])
 
 
 def assert_matches_reference(g: Graph) -> None:
-    for cover in covers(g):
-        assert solvers._min_cover(g.n, cover) == \
+    for cover, reach in covers(g):
+        assert solvers._min_cover(g.n, cover, reach) == \
             oracles.reference_min_cover(g.n, cover), (g.n, g.adj)
 
 
@@ -84,8 +87,8 @@ class TestMediumCoverBytes:
             for p in (0.1, 0.2, 0.3, 0.5):
                 for seed in range(3):
                     g = random_graph(n, p, seed)
-                    for cover in covers(g):
-                        sha.update(repr(solvers._min_cover(g.n, cover)).encode() + b"\n")
+                    for cover, reach in covers(g):
+                        sha.update(repr(solvers._min_cover(g.n, cover, reach)).encode() + b"\n")
         assert sha.hexdigest() == self.DIGEST
 
 
@@ -99,6 +102,6 @@ class TestHardCoverBytes:
         for g in (cartesian(cycle(8), cycle(8))[0], cartesian(path(8), path(8))[0],
                   direct(cycle(7), cycle(9))[0], random_graph(64, 0.16, 1),
                   random_graph(60, 0.12, 2)):
-            for cover in covers(g):
-                sha.update(repr(solvers._min_cover(g.n, cover)).encode() + b"\n")
+            for cover, reach in covers(g):
+                sha.update(repr(solvers._min_cover(g.n, cover, reach)).encode() + b"\n")
         assert sha.hexdigest() == self.DIGEST

@@ -544,6 +544,17 @@ class TestRunner:
                            match=r"^t=2: instance has 10 vertices, exact solvers cap at 8$"):
             next(rows)
 
+    def test_pair_past_product_cap_is_named(self):
+        # P2 cart P2 has 4 vertices; P5 cart P5 has 25, one past the harness
+        # cap, and its refusal names the pair and keeps its class
+        rows = run_corpus(["T4"], [(path(2), path(2)), (path(5), path(5))])
+        assert [row.theorem for row in (next(rows), next(rows))] == ["T4"] * 2
+        with pytest.raises(GraphError) as refused:
+            next(rows)
+        assert type(refused.value) is GraphError
+        assert str(refused.value) == (
+            "pair 2: T4 products of 25 vertices, but harness products cap at 24")
+
     def test_corpus_base_exception_reaches_caller(self):
         # the rows before a SystemExit from the corpus arrive, and the exit
         # reaches the caller

@@ -2,9 +2,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import graphs
+from conftest import graphs, relabelled
 from openpack.graph import (
     Graph,
     GraphError,
@@ -50,6 +51,18 @@ def all_graphs_upto(n):
 
 
 class TestVertexMap:
+    @pytest.mark.parametrize("op", sorted(PRODUCTS))
+    @given(graphs(max_n=4), graphs(max_n=4), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_vertex_map_carries_relabellings(self, op, g, h, rng):
+        # the product of the relabelled factors is the labelled product
+        # relabelled by its layout's vertex map
+        sigma_g, sigma_h = rng.sample(range(g.n), g.n), rng.sample(range(h.n), h.n)
+        prod, layout = PRODUCTS[op](g, h)
+        moved_g, moved_h = Graph(g.n, relabelled(g, sigma_g)), Graph(h.n, relabelled(h, sigma_h))
+        moved = PRODUCTS[op](moved_g, moved_h)[0]
+        assert moved.adj == relabelled(prod, layout.vertex_map(sigma_g, sigma_h))
+
     def test_row_major(self):
         vmap = ProductVertexMap(3, 2)
         assert vmap.pairs[:3] == ((0, 0), (0, 1), (1, 0))
