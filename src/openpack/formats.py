@@ -7,16 +7,18 @@ of the common shape, the same bytes from ``json_row``'s one f-string."""
 from __future__ import annotations
 
 import json
+from binascii import a2b_base64, b2a_base64
 from collections.abc import Iterator
 
 from .graph import MAX_VERTICES, Graph, GraphError, _code, _from_code, from_edge_list
 
 _HEADER = ">>graph6<<"
-# each payload character, "?" to "~", as its six bits, most significant first
-_SIX_BITS = str.maketrans({chr(63 + v): f"{v:06b}" for v in range(64)})
-# the payload character of each 6-bit group of a code: the group's first bit
-# (its lowest) is the character's most significant
-_GROUP = [chr(63 + int(f"{v:06b}"[::-1], 2)) for v in range(64)]
+# graph6 is base64 (RFC 4648) in another alphabet: digit d is chr(63 + d)
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_FROM_G6 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+# each byte with its bits reversed, so a code's bit 0 is the stream's first
+_REVERSE = bytes((b * 0x0202020202 & 0x010884422010) % 1023 for b in range(256))
 
 # The one JSON-line rule: keys sorted, no spaces.  One encoder serves every
 # line; ``JSON_LINE.encode(obj)`` is ``json.dumps`` with the same arguments.
@@ -64,23 +66,21 @@ class FormatError(GraphError):
 def to_graph6(g: Graph) -> str:
     """Encode g as a graph6 record: the size (one byte for n <= 62, else ``~``
     and three), then the bits of g's code (``graph._from_code``) in order, six
-    bits a character at offset 63, most significant bit first."""
+    bits a character at offset 63, most significant bit first: base64 of the
+    code's bytes, low first and each bit-reversed, up to the code's last bit."""
     n = g.n
     size = chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + (n >> k & 63)) for k in (12, 6, 0))
     pairs = n * (n - 1) // 2
-    # every 3 bytes of the code, low byte first, are four 6-bit groups; zeros
-    # pad the last character and the characters past it go
-    data = iter(_code(g).to_bytes((pairs + 23) // 24 * 3, "little"))
-    payload = "".join([_GROUP[a & 63] + _GROUP[a >> 6 | (b & 15) << 2]
-                       + _GROUP[b >> 4 | (c & 3) << 4] + _GROUP[c >> 2]
-                       for a, b, c in zip(data, data, data)])
-    return size + payload[:(pairs + 5) // 6]
+    data = _code(g).to_bytes((pairs + 23) // 24 * 3, "little").translate(_REVERSE)
+    return size + b2a_base64(data, newline=False)[:(pairs + 5) // 6].translate(_TO_G6).decode()
 
 
 def _graph6_record(line: str) -> tuple[int, int]:
     """The order and code of one graph6 record (optionally prefixed with the
     ``>>graph6<<`` header), its size, length and alphabet checked.  Each n
-    has one size form, so each graph has one record."""
+    has one size form, so each graph has one record.  Every check precedes
+    ``a2b_base64``, which skips characters outside its alphabet and so must
+    never be what refuses a record; padding bits past the code are ignored."""
     if type(line) is not str:
         raise FormatError(f"a graph6 record is a string, got {line!r}")
     s = line.strip()
@@ -94,7 +94,7 @@ def _graph6_record(line: str) -> tuple[int, int]:
         size, payload = s[1:4], s[4:]
         if len(size) < 3 or not "?" <= min(size) <= max(size) <= "~":
             raise FormatError(f"truncated or malformed graph6 size {s[:4]!r}")
-        n = int(size.translate(_SIX_BITS), 2)
+        n = (ord(size[0]) - 63) << 12 | (ord(size[1]) - 63) << 6 | ord(size[2]) - 63
         if not 63 <= n <= MAX_VERTICES:
             raise FormatError(f"graph6 long size form holds 63 <= n <= {MAX_VERTICES}, got n={n}")
     else:
@@ -113,8 +113,8 @@ def _graph6_record(line: str) -> tuple[int, int]:
     if payload and not "?" <= min(payload) <= max(payload) <= "~":
         stray = next(ch for ch in payload if not "?" <= ch <= "~")
         raise FormatError(f"stray character {stray!r} in graph6 payload")
-    # bit 0 of the code is written first; the padding goes; "0" is n = 1's code
-    return n, int("0" + payload.translate(_SIX_BITS)[:pairs][::-1], 2)
+    data = a2b_base64(payload.encode().translate(_FROM_G6) + b"A" * (-len(payload) % 4))
+    return n, int.from_bytes(data.translate(_REVERSE), "little") & ((1 << pairs) - 1)
 
 
 def parse_graph6(line: str) -> Graph:
@@ -127,7 +127,7 @@ def parse_graph6_lines(text: str) -> Iterator[Graph]:
     is checked now, once, and its code kept, so a bad one, named by its line
     number from 1, is refused before the first graph is used."""
     records = []
-    for number, line in enumerate(text.splitlines(), 1):
+    for number, line in enumerate(text.split("\n"), 1):
         if line.strip():
             try:
                 records.append(_graph6_record(line))
@@ -138,7 +138,7 @@ def parse_graph6_lines(text: str) -> Iterator[Graph]:
 
 def parse_edge_list_text(text: str) -> Graph:
     rows = [(lineno, line.split())
-            for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
+            for lineno, line in enumerate(text.split("\n"), start=1) if line.strip()]
     if not rows or len(rows[0][1]) != 2:
         raise FormatError("edge-list input must start with a 'n m' line")
     for lineno, row in rows[1:]:

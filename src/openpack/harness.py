@@ -115,11 +115,13 @@ def _value_cert(name: str, value: int) -> dict:
 
 def _witness(parts: tuple) -> dict:
     """The witness of a violated row: its certificates in the order given, each
-    part a finished certificate, a ``(facts, invariant name)`` pair, or such a
-    pair and the value the row read, which its certificate must carry, or
-    CertificateError is raised."""
+    part a finished certificate, a function of no arguments that builds one, a
+    ``(facts, invariant name)`` pair, or such a pair and the value the row
+    read, which its certificate must carry, or CertificateError is raised."""
     certificates = []
     for part in parts:
+        if callable(part):
+            part = part()
         if isinstance(part, dict):
             certificates.append(part)
             continue
@@ -244,8 +246,10 @@ def _hub_clique(facts: GraphFacts) -> int:
 
 @_theorem("T3", "single", "le")
 def check_T3(facts: GraphFacts) -> list[TheoremCheckResult]:
-    """max degree <= p_o; the hub's clique (``_hub_clique``) proves the left side."""
-    clique = _cert("omega_N", facts.g6, VertexSet(_hub_clique(facts)).to_json_obj())
+    """max degree <= p_o; the hub's clique (``_hub_clique``) proves the left
+    side, and is built only for a violated row."""
+    def clique():
+        return _cert("omega_N", facts.g6, VertexSet(_hub_clique(facts)).to_json_obj())
     return [_row("T3", facts.g6, facts.maxdeg, facts.p_o[0], ((facts, "p_o"), clique))]
 
 

@@ -127,6 +127,11 @@ class TestInputErrors:
         ("verify15", ("verify", "--theorem", "T14", "--g6-file", "-"), "\nzz\nA_\n",
          "error: line 2: graph6 payload for n=59 needs 286 characters, got 1"),
         ("invariant3", ("invariant",), "A_\n\nB\n", "error: line 3: graph6 payload for n=3"),
+        # only "\n" ends a line: a form feed inside one splits no record
+        ("invariant5", ("invariant", "--what", "p_o"), "A_\x0cBw\n",
+         "error: line 1: graph6 payload for n=2 needs 1 characters, got 4"),
+        ("invariant6", ("invariant", "--format", "edgelist"), "3 2\n0 1\x0c1 2\n",
+         "error: edge-list line 2 ('0 1 1 2') must hold two vertex indices"),
         # every record is checked before the first row, so a bad one writes no row
         ("verify16", ("verify", "--theorem", "T14", "--g6-file", "-", "--out", "{tmp}/rows.jsonl"),
          "A_\nzz\n", "error: line 2: graph6 payload for n=59 needs 286 characters, got 1"),

@@ -133,6 +133,12 @@ class TestAgainstNetworkx:
             g = random_graph(12, 0.4, seed)
             line = self._nx_encode(g)
             assert parse_graph6(line) == g
+        # the payload's length takes every residue mod 4, so the decoder pads
+        # its base64 input in every way it can be padded
+        for n in range(1, 80):
+            for p in (0.2, 0.5, 1.0):
+                g = random_graph(n, p, n)
+                assert parse_graph6(self._nx_encode(g)) == g
 
 
 class TestErrors:
@@ -160,6 +166,16 @@ class TestErrors:
     def test_stray_low_character(self):
         with pytest.raises(FormatError):
             parse_graph6("C" + chr(30))
+
+    # a character base64 would skip or read as its padding is refused by the
+    # alphabet check, never passed to the codec
+    @pytest.mark.parametrize("stray", ["=", " ", "!", "\x7f", "\n", "\u00e9"])
+    def test_stray_character_inside_payload(self, stray):
+        message = f"^stray character {re.escape(repr(stray))} in graph6 payload$"
+        line = to_graph6(path(70))
+        for record in ("D" + stray + "w", line[:9] + stray + line[10:]):
+            with pytest.raises(FormatError, match=message):
+                parse_graph6(record)
 
     # each n has one size form: a long size below 63 or past 4,096 vertices
     # and the 8-byte form are refused, as is a cut-off size
@@ -192,6 +208,14 @@ class TestLongForm:
             assert to_graph6(g) == line
             assert parse_graph6(line) == g
 
+    def test_padding_bits_ignored(self):
+        # n = 3 has 3 pairs, so the payload's last 3 bits pad; set or not,
+        # they read as the canonical record's graph.  n = 63 pads 3 bits too
+        assert parse_graph6("Bx") == parse_graph6("Bw") == complete(3)
+        line = to_graph6(complete(63))
+        assert line[:4] == "~??~" and line[-1] == "w"
+        assert parse_graph6(line[:-1] + "~") == parse_graph6(line) == complete(63)
+
     def test_largest_round_trip(self, search_deadline):
         g = random_tree(4096, 1)
         line = to_graph6(g)
@@ -216,7 +240,27 @@ class TestEdgeListFormat:
         with pytest.raises(FormatError):
             parse_edge_list_text("")
 
-    @pytest.mark.parametrize("text, lineno", [("3 1\n0 1 2\n", 2), ("3 1\n\n0\n", 3)])
+    @pytest.mark.parametrize("text, lineno", [("3 1\n0 1 2\n", 2), ("3 1\n\n0\n", 3),
+                                              ("3 2\n0 1\x0c1 2\n", 2), ("3 1\n\x1c\n0 1 2\n", 3)])
     def test_edge_line_without_two_indices(self, text, lineno):
         with pytest.raises(FormatError, match=f"line {lineno} .* two vertex indices"):
             parse_edge_list_text(text)
+
+
+class TestLines:
+    """A file's lines end at "\n" alone: form feeds, vertical tabs and the
+    ASCII separators are ASCII, so a file may hold them, but they split no
+    record, and the numbers in errors are the file's own line numbers."""
+
+    def test_graph6_line_holding_a_form_feed_is_one_record(self):
+        message = r"^line 1: graph6 payload for n=2 needs 1 characters, got 4$"
+        with pytest.raises(FormatError, match=message):
+            list(formats.parse_graph6_lines("A_\x0cBw\n"))
+
+    def test_graph6_error_names_the_file_line(self):
+        with pytest.raises(FormatError, match=r"^line 3: graph6 payload for n=3"):
+            list(formats.parse_graph6_lines("A_\n\x1c\nB\n"))
+
+    def test_crlf_lines(self):
+        assert list(formats.parse_graph6_lines("A_\r\nBw\r\n")) == [path(2), complete(3)]
+        assert parse_edge_list_text("3 2\r\n0 1\r\n1 2\r\n") == path(3)

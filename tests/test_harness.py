@@ -97,6 +97,17 @@ class TestBoundChecks:
         assert clique["vertices"] == [v for v in range(g.n) if g.adj[hub] >> v & 1]
         reverify_violation(row)
 
+    def test_t3_builds_no_clique_for_a_holding_row(self, monkeypatch):
+        # the hub clique is only a violated row's witness, so a row that holds
+        # or is an equality never looks for it
+        def refuse(facts):
+            raise AssertionError("hub clique built for a row that is not violated")
+        monkeypatch.setattr(harness, "_hub_clique", refuse)
+        for n in range(1, 5):
+            for g in enumerate_all_graphs(n):
+                row, = check_T3(facts(g))
+                assert row.verdict in (HOLDS, EQUALITY)
+
 
 class TestDegreeDensity:
     def test_c4_equality_with_structure(self):
