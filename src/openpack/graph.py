@@ -1,6 +1,6 @@
 """Immutable bit-mask graphs: construction, named families, invariants, a
 canonical form, and enumeration by upper-triangle code (``_from_code``),
-which graph6 shares."""
+which graph6 shares.  Also the base classes of the package's records."""
 
 from __future__ import annotations
 
@@ -15,6 +15,52 @@ ENUMERATION_MAX_N = 7
 
 class GraphError(ValueError):
     """Invalid construction or an operation used outside its supported range."""
+
+
+class _Record:
+    """Base of the record types (rows, reports, certificates, product
+    layouts): a subclass names its fields in ``_fields``, which are also its
+    ``__slots__``.  Records are equal when their classes and field values
+    are, and print as ``Name(field=value, ...)``.  The methods are written
+    once here, so importing the package generates none per record."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # mutable; a read-only record hashes by value
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle go through __init__, which a read-only record needs
+        return self.__class__, self._values()
+
+
+class _ReadOnly(_Record):
+    """A record whose ``__init__`` sets each field once through
+    ``object.__setattr__``: any later assignment or deletion raises, so one
+    object may be handed to every caller."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _check_order(n: int) -> None:

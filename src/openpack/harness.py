@@ -28,7 +28,6 @@ in the run; every other pair's value is certified on its own labelled product.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 
@@ -38,6 +37,7 @@ from .formats import json_row, parse_graph6
 from .graph import (
     Graph,
     GraphError,
+    _Record,
     check_enumerable,
     complement,
     cycle,
@@ -66,14 +66,19 @@ REPORT_ONLY = "report_only"
 SKIPPED = "skipped"
 
 
-@dataclass
-class TheoremCheckResult:
-    theorem: str
-    instance: str | list[str]
-    verdict: str
-    lhs: int | None
-    rhs: int | None
-    witness: dict | None = None
+class TheoremCheckResult(_Record):
+    """One row of ``verify``'s output."""
+
+    __slots__ = _fields = ("theorem", "instance", "verdict", "lhs", "rhs", "witness")
+
+    def __init__(self, theorem: str, instance: str | list[str], verdict: str,
+                 lhs: int | None, rhs: int | None, witness: dict | None = None):
+        self.theorem = theorem
+        self.instance = instance
+        self.verdict = verdict
+        self.lhs = lhs
+        self.rhs = rhs
+        self.witness = witness
 
     def to_json(self) -> str:
         return json_row(self.theorem, self.instance, self.verdict, self.lhs, self.rhs,

@@ -10,17 +10,24 @@ layout's ``vertex_map`` carries it through relabellings of the factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph import MAX_VERTICES, Graph, GraphError, _trusted, iter_bits
+from .graph import MAX_VERTICES, Graph, GraphError, _ReadOnly, _trusted, iter_bits
 
 
-@dataclass(frozen=True)
-class ProductVertexMap:
+class _Layout(_ReadOnly):
+    """The factor orders a product's vertex layout is computed from; the
+    layouts are read-only values, equal when their kind and orders are."""
+
+    __slots__ = _fields = ("g_size", "h_size")
+
+    def __init__(self, g_size: int, h_size: int):
+        object.__setattr__(self, "g_size", g_size)
+        object.__setattr__(self, "h_size", h_size)
+
+
+class ProductVertexMap(_Layout):
     """Bijection between product indices and (g-index, h-index) pairs."""
 
-    g_size: int
-    h_size: int
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -43,13 +50,11 @@ class ProductVertexMap:
                 "pairs": [list(p) for p in self.pairs]}
 
 
-@dataclass(frozen=True)
-class CoronaLayout:
+class CoronaLayout(_Layout):
     """Index layout of a corona: base vertex i at index i, its copy of H at
     ``copy_range(i)``."""
 
-    g_size: int
-    h_size: int
+    __slots__ = ()
 
     @property
     def n(self) -> int:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
@@ -33,6 +32,8 @@ from .formats import to_graph6
 from .graph import (
     Graph,
     _canonical_form,
+    _ReadOnly,
+    _Record,
     complement,
     is_connected,
     iter_bits,
@@ -83,11 +84,15 @@ def solver_cap() -> int:
 # Certificate types
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """A vertex subset of a host graph, as a bit mask."""
+class VertexSet(_ReadOnly):
+    """A vertex subset of a host graph, as a bit mask; a read-only value."""
 
-    bits: int
+    __slots__ = _fields = ("bits",)
+
+    def __init__(self, bits: int):
+        if bits < 0:  # a negative mask has no finite set of members
+            raise ValueError(f"a vertex set mask must be non-negative, got {bits}")
+        object.__setattr__(self, "bits", bits)
 
     @property
     def size(self) -> int:
@@ -109,20 +114,24 @@ class VertexSet:
 
     @staticmethod
     def of(vertices) -> "VertexSet":
-        return VertexSet(sum(1 << v for v in set(vertices)))
+        vertices = set(vertices)
+        if vertices and min(vertices) < 0:
+            raise ValueError(f"vertices must be non-negative, got {min(vertices)}")
+        return VertexSet(sum(1 << v for v in vertices))
 
 
-@dataclass(frozen=True)
-class VertexLabeling:
-    """A surjective labeling V -> {1..k}; the classes form a vertex partition."""
+class VertexLabeling(_ReadOnly):
+    """A surjective labeling V -> {1..k}; the classes form a vertex partition.
+    A read-only value."""
 
-    labels: tuple[int, ...]
-    k: int
+    __slots__ = _fields = ("labels", "k")
 
-    def __post_init__(self):
-        k = self.k  # checked against the labels first, so a huge k builds no range
-        if not 1 <= k <= len(self.labels) or set(self.labels) != set(range(1, k + 1)):
-            raise ValueError(f"{len(self.labels)} labels must use every value in 1..{k}")
+    def __init__(self, labels: tuple[int, ...], k: int):
+        # k is checked against the labels first, so a huge k builds no range
+        if not 1 <= k <= len(labels) or set(labels) != set(range(1, k + 1)):
+            raise ValueError(f"{len(labels)} labels must use every value in 1..{k}")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "k", k)
 
     def to_json_obj(self) -> dict:
         return {"labels": list(self.labels), "k": self.k}
@@ -576,12 +585,15 @@ def omega_of_two_step(g: Graph) -> tuple[int, VertexSet]:
 # Aggregate report
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(_Record):
     """All invariants of one graph; values are exact, certificates verified."""
 
-    values: dict[str, int]
-    certificates: dict[str, VertexSet | VertexLabeling]
+    __slots__ = _fields = ("values", "certificates")
+
+    def __init__(self, values: dict[str, int],
+                 certificates: dict[str, VertexSet | VertexLabeling]):
+        self.values = values
+        self.certificates = certificates
 
 
 def full_report(g: Graph, with_certificates: bool = True) -> InvariantReport:

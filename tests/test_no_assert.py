@@ -31,6 +31,15 @@ def test_no_global_statement(path):
     assert lines == [], f"{path.name} has global statements on lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_dataclass_import(path):
+    """The record types are ``__slots__`` classes on ``graph._Record``: a
+    dataclass generates and compiles its methods at every import, which
+    every CLI start pays."""
+    modules = [module for module, _ in _imports(path) if module.split(".")[0] == "dataclasses"]
+    assert modules == [], f"{path.name} imports dataclasses"
+
+
 def _is_main_guard(node) -> bool:
     return (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
             and isinstance(node.test.left, ast.Name) and node.test.left.id == "__name__"

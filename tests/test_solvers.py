@@ -585,6 +585,18 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError):
             max_independent_set(path(3))
 
+    def test_negative_set_rejected(self, monkeypatch):
+        from openpack import solvers
+
+        class NegativeKernel:
+            @staticmethod
+            def max_independent_set(n, adj, memo=None):
+                return 1, -1
+
+        monkeypatch.setattr(solvers, "_kernel", NegativeKernel)
+        with pytest.raises(CertificateError, match="mask must be non-negative, got -1"):
+            max_independent_set(path(3))
+
 
 class TestFactCache:
     """``solvers.fact``: each ``GraphFacts`` attribute is computed on its first
