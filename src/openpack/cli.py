@@ -225,10 +225,15 @@ def _single_corpus(args):
 
 
 def _check_grid(flag: str, max_g: int, max_h: int, theorems: list[str]) -> None:
-    """Reject a grid whose largest product is past the harness's product cap."""
+    """Reject a grid whose largest product is past the harness's product cap
+    or the solver cap, before its first row; the error names the cap."""
+    cap, gives = solvers.solver_cap(), f"{flag} {max_g} {max_h} gives "
     for tid in theorems:
-        harness.check_product_cap(tid, order(harness.CHECKS[tid].product, max_g, max_h),
-                                  f"{flag} {max_g} {max_h} gives ")
+        n = order(harness.CHECKS[tid].product, max_g, max_h)
+        harness.check_product_cap(tid, n, gives)
+        if n > cap:
+            raise solvers.SolverCapError(f"{gives}{tid} products of {n} vertices, "
+                                         f"but exact solvers cap at {cap}")
 
 
 def _t_values(text: str) -> list[int]:

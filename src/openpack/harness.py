@@ -107,11 +107,9 @@ CERT_KINDS = {
     "common_neighbor_clique": ("omega_N", ("graph6", "vertices"), VertexSet.from_json_obj),
     "value": (None, ("name", "value"), _recorded),
 }
+# the kind each cited fact is written as; the hub clique is a clique of N(G)
 _KIND_OF = {invariant: kind for kind, (invariant, _, _) in CERT_KINDS.items()}
-
-
-def _cert(name: str, g6: str, fields: dict) -> dict:
-    return {"kind": _KIND_OF[name], "graph6": g6, **fields}
+_KIND_OF["hub_clique"] = "common_neighbor_clique"
 
 
 def _value_cert(name: str, value: int) -> dict:
@@ -120,13 +118,11 @@ def _value_cert(name: str, value: int) -> dict:
 
 def _witness(parts: tuple) -> dict:
     """The witness of a violated row: its certificates in the order given, each
-    part a finished certificate, a function of no arguments that builds one, a
-    ``(facts, invariant name)`` pair, or such a pair and the value the row
-    read, which its certificate must carry, or CertificateError is raised."""
+    part a value certificate (``_value_cert``) or a ``(facts, name)`` pair that
+    cites a fact of ``GraphFacts``, with or without the value the row read,
+    which the fact's value must equal, or CertificateError is raised."""
     certificates = []
     for part in parts:
-        if callable(part):
-            part = part()
         if isinstance(part, dict):
             certificates.append(part)
             continue
@@ -135,7 +131,7 @@ def _witness(parts: tuple) -> dict:
         if read and read[0] != value:
             raise solvers.CertificateError(
                 f"{name} of {facts.g6} is {value}, but its row read {read[0]}")
-        certificates.append(_cert(name, facts.g6, cert.to_json_obj()))
+        certificates.append({"kind": _KIND_OF[name], "graph6": facts.g6, **cert.to_json_obj()})
     return {"certificates": certificates}
 
 
@@ -241,21 +237,12 @@ def check_T2(facts: GraphFacts) -> list[TheoremCheckResult]:
     ]
 
 
-def _hub_clique(facts: GraphFacts) -> int:
-    """The neighbourhood mask of the lowest vertex of maximum degree.  Any two
-    of its members share that vertex as a common neighbour, so it is a clique
-    of N(G) of size Delta, and Delta <= omega(N(G)) <= chi(N(G)) = p_o."""
-    adj = facts.g.adj
-    return adj[list(map(int.bit_count, adj)).index(facts.maxdeg)]
-
-
 @_theorem("T3", "single", "le")
 def check_T3(facts: GraphFacts) -> list[TheoremCheckResult]:
-    """max degree <= p_o; the hub's clique (``_hub_clique``) proves the left
-    side, and is built only for a violated row."""
-    def clique():
-        return _cert("omega_N", facts.g6, VertexSet(_hub_clique(facts)).to_json_obj())
-    return [_row("T3", facts.g6, facts.maxdeg, facts.p_o[0], ((facts, "p_o"), clique))]
+    """max degree <= p_o; the hub clique (``GraphFacts.hub_clique``) proves the
+    left side, and is built only for a violated row."""
+    witness = ((facts, "p_o"), (facts, "hub_clique"))
+    return [_row("T3", facts.g6, facts.maxdeg, facts.p_o[0], witness)]
 
 
 def has_matching_partition_structure(g: Graph, labeling: VertexLabeling, part_size: int) -> bool:
@@ -313,17 +300,17 @@ def check_T9(facts: GraphFacts) -> list[TheoremCheckResult]:
 
 @_theorem("T10", "single", "eq")
 def check_T10(facts: GraphFacts) -> list[TheoremCheckResult]:
-    """Trees: p_o = max degree, proved with no search.  The constructed
-    partition is an OPP on max-degree classes, so p_o <= Delta, and the
-    hub's neighbourhood is a clique of N(T) of size Delta, so Delta <= p_o."""
+    """Trees: p_o = max degree, proved with no search: the constructed
+    partition is an OPP on Delta classes (p_o <= Delta), and the hub clique
+    a clique of N(T) of size Delta (Delta <= p_o)."""
     if facts.g.n < 2 or not is_tree(facts.g):
         return [_skipped("T10", facts.g6)]
     # a certificate that fails is not a theorem violation: its builder is
     # broken, and CertificateError says so
     k, _ = solvers._certified(facts.g, solvers.is_opp, facts.maxdeg, tree_opp(facts.g).labels)
-    solvers._certified(facts.g, solvers.is_common_neighbor_clique, k, _hub_clique(facts))
+    delta, _ = facts.hub_clique
     # both sides are Delta, so the row is an equality and needs no witness
-    return [_row("T10", facts.g6, k, facts.maxdeg, ())]
+    return [_row("T10", facts.g6, k, delta, ())]
 
 
 @_theorem("T11", "single", "eq")
@@ -595,18 +582,12 @@ def summarize(rows: Iterable[TheoremCheckResult]) -> dict[str, dict[str, int]]:
 
 def render_summary(counts: dict[str, dict[str, int]]) -> str:
     verdicts = (HOLDS, EQUALITY, VIOLATED, REPORT_ONLY, SKIPPED)
-    header = ["theorem"] + list(verdicts) + ["total"]
-    lines = []
+    table = [["theorem", *verdicts, "total"]]
     for tid in sorted(counts, key=lambda t: int(t[1:])):
         per = counts[tid]
-        row = [tid] + [str(per.get(v, 0)) for v in verdicts]
-        row.append(str(sum(per.values())))
-        lines.append(row)
-    widths = [max(len(r[i]) for r in [header] + lines) for i in range(len(header))]
-    out = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in lines:
-        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(out)
+        table.append([tid, *(str(per.get(v, 0)) for v in verdicts), str(sum(per.values()))])
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in table)
 
 
 # ---------------------------------------------------------------------------

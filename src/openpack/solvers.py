@@ -451,9 +451,9 @@ class GraphFacts:
 
     The two transforms the kernels run on, ``two_step`` and ``square``, are
     built at most once each, and the solver cap is checked at most once.  Every
-    name in ``INVARIANTS`` is a ``(value, certificate)`` pair whose certificate
-    has passed the invariant's predicate in ``PREDICATES`` on g.  The kernel
-    searches go through ``run``'s memo, so ``omega_N`` read after ``p_o``
+    name in ``INVARIANTS``, and ``hub_clique``, is a ``(value, certificate)``
+    pair whose certificate has passed its predicate in ``PREDICATES`` on g.  The
+    kernel searches go through ``run``'s memo, so ``omega_N`` read after ``p_o``
     reuses the clique search of the p_o driver.
     """
 
@@ -543,6 +543,14 @@ class GraphFacts:
     def omega_N(self) -> tuple[int, VertexSet]:
         return self._solved("omega_N", _kernel.max_independent_set,
                             complement(self.two_step).adj, self.run.memo)
+
+    @fact
+    def hub_clique(self) -> tuple[int, VertexSet]:
+        """Delta and the neighbourhood of the lowest vertex of that degree, with
+        no search.  Any two members share that vertex as a common neighbour, so
+        it is a clique of N(g) of size Delta: Delta <= omega_N <= p_o."""
+        hub = self.g.adj[list(map(int.bit_count, self.g.adj)).index(self.maxdeg)]
+        return _certified(self.g, PREDICATES["omega_N"], self.maxdeg, hub)
 
 
 def chromatic_number(g: Graph) -> tuple[int, VertexLabeling]:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from openpack.graph import (
     path,
     random_graph,
 )
-from openpack.harness import CORPUS_FILTERS, all_graphs_upto
+from openpack.harness import CORPUS_FILTERS, all_graphs_upto, pair_grid, run_corpus
 from openpack.solvers import VertexLabeling, is_opp
 
 
@@ -148,10 +149,17 @@ class TestInputErrors:
         ("verify19", ("verify", "--theorem", "T15", "--t-values", "5"), None, "1 <= t <= 4, got '5'"),
         ("verify20", ("verify", "--theorem", "T15", "--t-values", "1"), None,
          "C(4t+2) needs at least 6 vertices, but exact solvers cap at 5"),
+        # so does a grid's largest product, by the cap that refuses it
+        ("verify21", ("verify", "--theorem", "T4", "--pair-grid", "2", "2"), None,
+         "--pair-grid 2 2 gives T4 products of 4 vertices, but exact solvers cap at 3"),
+        ("verify22", ("verify", "--theorem", "T15"), None,
+         "T15 needs --t-values, e.g. --t-values 1,2,3"),
+        ("invariant7", ("invariant",), "!\n", "line 1: malformed graph6 length header '!'"),
     ]
     # the environment a case runs in, by test id, when it is not the default one
     ENV = {"invariant4": {"OPENPACK_MAX_N": "3"}, "verify18": {"OPENPACK_MAX_N": "8"},
-           "verify19": {"OPENPACK_MAX_N": "20"}, "verify20": {"OPENPACK_MAX_N": "5"}}
+           "verify19": {"OPENPACK_MAX_N": "20"}, "verify20": {"OPENPACK_MAX_N": "5"},
+           "verify21": {"OPENPACK_MAX_N": "3"}}
 
     @pytest.mark.parametrize("case, argv, stdin, named", CASES, ids=[c[0] for c in CASES])
     def test_refused_with_one_line(self, monkeypatch, tmp_path, case, argv, stdin, named):
@@ -675,14 +683,15 @@ class TestVerify:
         # pair 37 of the 3x3 grid is (first 3-vertex G, first 3-vertex H): the
         # first with a 9-vertex product
         monkeypatch.setenv("OPENPACK_MAX_N", "8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["verify", "--theorem", "T4", "--pair-grid", "3", "3"])
-        assert code == 2
-        assert err.getvalue() == ("openpack verify: error: pair 37: instance has 9 vertices, "
-                                  "exact solvers cap at 8\n")
-        # the rows of pairs 1-36 are written before the refusal
-        assert len(out.getvalue().splitlines()) == 72
+        rows = run_corpus(["T4"], pair_grid(3, 3))
+        assert len(list(islice(rows, 72))) == 72  # the rows of pairs 1-36
+        with pytest.raises(solvers.SolverCapError,
+                           match=r"^pair 37: instance has 9 vertices, exact solvers cap at 8$"):
+            next(rows)
+        # verify refuses the grid by its largest product before pair 1's rows
+        expect_input_error(("verify", "--theorem", "T4", "--pair-grid", "3", "3"),
+                           "--pair-grid 3 3 gives T4 products of 9 vertices, "
+                           "but exact solvers cap at 8")
 
     @pytest.mark.parametrize("bad", [("0", "2", "1", "1"), ("5", "3", "1", "1"),
                                      ("3", "3", "-1", "1"), ("3", "3", "0", "1")])

@@ -99,10 +99,10 @@ class TestBoundChecks:
 
     def test_t3_builds_no_clique_for_a_holding_row(self, monkeypatch):
         # the hub clique is only a violated row's witness, so a row that holds
-        # or is an equality never looks for it
+        # or is an equality never reads the fact
         def refuse(facts):
             raise AssertionError("hub clique built for a row that is not violated")
-        monkeypatch.setattr(harness, "_hub_clique", refuse)
+        monkeypatch.setattr(GraphFacts, "hub_clique", property(refuse))
         for n in range(1, 5):
             for g in enumerate_all_graphs(n):
                 row, = check_T3(facts(g))
@@ -134,6 +134,26 @@ class TestDegreeDensity:
         assert not has_matching_partition_structure(
             complete(4), facts(complete(4)).p_o[1], 1
         )
+
+    # on the cycle 0-1-2-3, classes {0, 1} and {2, 3} give every vertex one
+    # neighbour in each; the others break one condition each
+    @pytest.mark.parametrize("labels, expected", [
+        ((1, 1, 2, 2), True), ((1, 1, 1, 2), False), ((1, 2, 1, 2), False), ((2, 1, 2, 1), False),
+    ], ids=["structure", "class-of-three", "no-neighbour-in-a-class", "two-neighbours-in-a-class"])
+    def test_structure_predicate_on_c4(self, labels, expected):
+        labeling = solvers.VertexLabeling(labels, 2)
+        assert has_matching_partition_structure(cycle(4), labeling, 2) is expected
+
+    def test_equality_without_structure_is_flagged(self, monkeypatch):
+        # equality is supposed to force the structure, so an equality without
+        # it gets a second, violated row: the required flag 1 against 0
+        monkeypatch.setattr(harness, "has_matching_partition_structure", lambda *args: False)
+        bound, flag = check_T8(facts(psi_graph(3, 2)))
+        assert bound.verdict == EQUALITY
+        assert (flag.verdict, flag.lhs, flag.rhs) == (VIOLATED, 1, 0)
+        assert flag.witness["certificates"][-1] == {
+            "kind": "value", "name": "matching_partition_structure", "value": 0}
+        reverify_violation(flag)
 
 
 class TestComplementSum:
@@ -219,11 +239,19 @@ class TestTrees:
 
     @pytest.mark.parametrize("mask", [0b0001, 0b1001], ids=["one-vertex-short", "not-a-clique"])
     def test_broken_clique_fails_its_certificate(self, monkeypatch, mask):
-        # on the path 0-1-2-3 the hub 1's clique is {0, 2}; a wrong one is a
-        # fault of the lower-bound certificate, not a violated row
+        # on the path 0-1-2-3 the hub 1's clique is {0, 2}; a wrong one handed
+        # to the certifier is a fault of the lower-bound certificate, not a
+        # violated row
         g = path(4)
-        assert harness._hub_clique(facts(g)) == 0b0101
-        monkeypatch.setattr(harness, "_hub_clique", lambda f: mask)
+        assert facts(g).hub_clique == (2, solvers.VertexSet(0b0101))
+        certified = solvers._certified
+
+        def wrong_clique(g, predicate, size, found):
+            if predicate is solvers.PREDICATES["omega_N"]:
+                found = mask
+            return certified(g, predicate, size, found)
+
+        monkeypatch.setattr(solvers, "_certified", wrong_clique)
         with pytest.raises(solvers.CertificateError):
             check_T10(facts(g))
 
@@ -605,9 +633,11 @@ class TestRunner:
         (harness.pair_grid, (3, 8), "max_h=8"),
         (harness.lex_grid, (1, 3), "2 <= max_g"),
         (harness.lex_grid, (3, -1), "max_h=-1"),
+        (check_T15, (0,), "T15 needs t >= 1, got t=0"),
     ])
     def test_corpus_builders_refuse_at_the_call(self, build, args, named):
-        # before the first instance is asked for, so no row is written first
+        # before the first instance is asked for, so no row is written first;
+        # T15's check refuses a t below its range the same way
         with pytest.raises(GraphError, match=named):
             build(*args)
 

@@ -8,7 +8,7 @@ import io
 import json
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
@@ -76,6 +76,10 @@ def row_obj(theorem, instance, verdict, lhs, rhs, witness=None) -> dict:
 @given(st.sampled_from(["T1", "T14", 'T"', "T\\"]) | names, g6_instances | names,
        st.sampled_from(["holds", "equality", "violated", "report_only", "skipped"]),
        row_sides, row_sides, witnesses)
+# an empty list, or one holding a non-string, is no list of names, so the
+# writer falls back to JSON_LINE
+@example("T1", [], "holds", 1, 1, None)
+@example("T1", ["A_", 3], "holds", 1, 1, None)
 def test_row_writer(theorem, instance, verdict, lhs, rhs, witness):
     assert json_row(theorem, instance, verdict, lhs, rhs, witness) == dumps(
         row_obj(theorem, instance, verdict, lhs, rhs, witness))
