@@ -219,8 +219,11 @@ def _single_corpus(args):
             )
         parts.append(random_tree(n, seed + 1000 * n + i)
                      for n in range(n_lo, n_hi + 1) for i in range(count))
+    if args.t_values is not None:
+        parts.append([cycle(4 * t + 2) for t in _t_values(args.t_values)])
     if not parts:
-        raise GraphError("no corpus selected (use --all-n/--all-upto/--g6-file/--random-trees)")
+        raise GraphError("no corpus selected (use --all-n/--all-upto/--g6-file/"
+                         "--random-trees/--t-values)")
     return chain.from_iterable(parts)
 
 
@@ -259,9 +262,8 @@ def _t_values(text: str) -> list[int]:
 
 # the corpus flags each instance kind reads
 CORPUS_FLAGS = {
-    "single": ("all_n", "all_upto", "g6_file", "random_trees", "filter"),
+    "single": ("all_n", "all_upto", "g6_file", "random_trees", "t_values", "filter"),
     "pair": ("pair_grid", "lex_grid"),
-    "param": ("t_values",),
 }
 
 
@@ -277,7 +279,7 @@ def cmd_verify(args) -> int:
         instances = _single_corpus(args)
         for name in args.filter or []:
             instances = filter(harness.CORPUS_FILTERS[name], instances)
-    elif kind == "pair":
+    else:
         grids = [(flag, size) for flag, size in (("--pair-grid", args.pair_grid),
                                                  ("--lex-grid", args.lex_grid)) if size]
         if len(grids) != 1:
@@ -285,10 +287,6 @@ def cmd_verify(args) -> int:
         flag, size = grids[0]
         _check_grid(flag, *size, theorems)
         instances = (harness.pair_grid if flag == "--pair-grid" else harness.lex_grid)(*size)
-    else:
-        if not args.t_values:
-            raise GraphError("T15 needs --t-values, e.g. --t-values 1,2,3")
-        instances = _t_values(args.t_values)
 
     out = _open_out(args.out) if args.out else sys.stdout
 
@@ -373,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar=("MAXG", "MAXH"))
     ver.add_argument("--lex-grid", nargs=2, type=int, default=None,
                      metavar=("MAXG", "MAXH"))
-    ver.add_argument("--t-values", default=None)
+    ver.add_argument("--t-values", default=None,
+                     help="the cycles C(4t+2) for comma-separated t, T15's corpus")
     ver.add_argument("--filter", action="append",
                      choices=sorted(harness.CORPUS_FILTERS))
     ver.add_argument("--out", default=None, help="write JSONL rows to a file")

@@ -5,9 +5,9 @@ f-string for a row without a witness whose names JSON writes unchanged,
 ``formats.JSON_LINE`` for any other, with the same bytes either way.
 
 Each check (T1..T15) is registered in ``CHECKS`` by ``@_theorem``, beside
-its definition, with the kind of instance it takes and the relation its rows
-assert.  It turns one instance into one or more ``TheoremCheckResult`` rows,
-and a row records one elementary relation, judged by ``_verdict``:
+its definition, with the relation its rows assert and a pair check's product.
+It turns one instance into one or more ``TheoremCheckResult`` rows, and a row
+records one elementary relation, judged by ``_verdict``:
 
 * bound checks (T1-T5, T8, T9, T14) claim ``lhs <= rhs``; verdict ``holds``
   when strict, ``equality`` when tight, ``violated`` otherwise;
@@ -172,19 +172,20 @@ def reverify_violation(row: TheoremCheckResult) -> None:
 CHECKS: dict[str, Callable[..., list[TheoremCheckResult]]] = {}
 
 
-def _theorem(tid: str, kind: str, relation: str, product: str | None = None):
+def _theorem(tid: str, relation: str, product: str | None = None):
     """Register the decorated function as the check of theorem ``tid``.
 
-    ``kind`` is the instance it takes (``single``: one graph's facts,
-    ``pair``: two factors' facts, ``param``: an integer), ``relation`` what
-    its rows assert between lhs and rhs (``le``, ``eq`` or ``iff``), and a
-    pair theorem's ``product`` its name in ``products.PRODUCTS``.  They are
-    kept as attributes of the function, so a wrapper made with
+    ``relation`` is what its rows assert between lhs and rhs (``le``, ``eq``
+    or ``iff``), and a pair theorem's ``product`` its name in
+    ``products.PRODUCTS``.  The ``kind`` of instance it takes follows: two
+    factors' facts (``pair``) with a product, one graph's (``single``) without.
+    They are kept as attributes of the function, so a wrapper made with
     ``functools.wraps`` carries them too.  Every check takes only its instance.
     """
 
     def register(check):
-        check.kind, check.relation, check.product = kind, relation, product
+        check.kind = "pair" if product else "single"
+        check.relation, check.product = relation, product
         CHECKS[tid] = check
         return check
 
@@ -215,7 +216,7 @@ def _skipped(theorem, instance) -> TheoremCheckResult:
 # Single-graph checks
 
 
-@_theorem("T1", "single", "le")
+@_theorem("T1", "le")
 def check_T1(facts: GraphFacts) -> list[TheoremCheckResult]:
     """n <= p_o * rho_o and p_o <= n - rho_o + 1."""
     po, rho_o = facts.p_o[0], facts.rho_o[0]
@@ -226,7 +227,7 @@ def check_T1(facts: GraphFacts) -> list[TheoremCheckResult]:
     ]
 
 
-@_theorem("T2", "single", "le")
+@_theorem("T2", "le")
 def check_T2(facts: GraphFacts) -> list[TheoremCheckResult]:
     """chi2 <= 2 * p_o and p_o <= chi2."""
     po, chi2 = facts.p_o[0], facts.chi2[0]
@@ -237,7 +238,7 @@ def check_T2(facts: GraphFacts) -> list[TheoremCheckResult]:
     ]
 
 
-@_theorem("T3", "single", "le")
+@_theorem("T3", "le")
 def check_T3(facts: GraphFacts) -> list[TheoremCheckResult]:
     """max degree <= p_o; the hub clique (``GraphFacts.hub_clique``) proves the
     left side, and is built only for a violated row."""
@@ -265,7 +266,7 @@ def has_matching_partition_structure(g: Graph, labeling: VertexLabeling, part_si
     return True
 
 
-@_theorem("T8", "single", "le")
+@_theorem("T8", "le")
 def check_T8(facts: GraphFacts) -> list[TheoremCheckResult]:
     """Degree-density lower bound, in integer-exact squared form:
     2m - n <= p_o (p_o - 1) rho_o, with equality exactly on the matching family."""
@@ -284,7 +285,7 @@ def check_T8(facts: GraphFacts) -> list[TheoremCheckResult]:
     return [row, _row("T8", facts.g6, 1, 0, flag)]
 
 
-@_theorem("T9", "single", "le")
+@_theorem("T9", "le")
 def check_T9(facts: GraphFacts) -> list[TheoremCheckResult]:
     """p_o(G) + p_o(co-G) >= n, except the two 4-vertex graphs where the sum
     is n - 1 (reported, not asserted)."""
@@ -298,7 +299,7 @@ def check_T9(facts: GraphFacts) -> list[TheoremCheckResult]:
     return [_row("T9", facts.g6, facts.g.n, total, witness)]
 
 
-@_theorem("T10", "single", "eq")
+@_theorem("T10", "eq")
 def check_T10(facts: GraphFacts) -> list[TheoremCheckResult]:
     """Trees: p_o = max degree, proved with no search: the constructed
     partition is an OPP on Delta classes (p_o <= Delta), and the hub clique
@@ -313,7 +314,7 @@ def check_T10(facts: GraphFacts) -> list[TheoremCheckResult]:
     return [_row("T10", facts.g6, k, delta, ())]
 
 
-@_theorem("T11", "single", "eq")
+@_theorem("T11", "eq")
 def check_T11(facts: GraphFacts) -> list[TheoremCheckResult]:
     """Even-cycle-free graphs: chi(N(g)) = omega(N(g)), asserted for trees and
     report-only otherwise, since the claim fails on C5 and C7."""
@@ -326,7 +327,7 @@ def check_T11(facts: GraphFacts) -> list[TheoremCheckResult]:
     return [TheoremCheckResult("T11", facts.g6, REPORT_ONLY, chi_n, omega_n)]
 
 
-@_theorem("T12", "single", "eq")
+@_theorem("T12", "eq")
 def check_T12(facts: GraphFacts) -> list[TheoremCheckResult]:
     """Bipartite complement forces chi(N(g)) = omega(N(g))."""
     if not is_bipartite(complement(facts.g)):
@@ -335,7 +336,7 @@ def check_T12(facts: GraphFacts) -> list[TheoremCheckResult]:
     return [_row("T12", facts.g6, facts.p_o[0], facts.omega_N[0], witness)]
 
 
-@_theorem("T13", "single", "iff")
+@_theorem("T13", "iff")
 def check_T13(facts: GraphFacts) -> list[TheoremCheckResult]:
     """For n >= 3: rho_o = 1 iff (diameter <= 2 and every edge on a triangle),
     and the same condition is equivalent to p_o = n."""
@@ -347,7 +348,7 @@ def check_T13(facts: GraphFacts) -> list[TheoremCheckResult]:
                               (int(facts.p_o[0] == facts.g.n), "p_o"))]
 
 
-@_theorem("T14", "single", "le")
+@_theorem("T14", "le")
 def check_T14(facts: GraphFacts) -> list[TheoremCheckResult]:
     """rho <= gamma always; rho_o <= gamma_t when there is no isolated vertex."""
     closed_witness = ((facts, "rho"), (facts, "gamma"))
@@ -359,6 +360,41 @@ def check_T14(facts: GraphFacts) -> list[TheoremCheckResult]:
     open_witness = ((facts, "rho_o"), (facts, "gamma_t"))
     rows.append(_row("T14", facts.g6, facts.rho_o[0], gamma_t, open_witness))
     return rows
+
+
+@_theorem("T15", "eq")
+def check_T15(facts: GraphFacts) -> list[TheoremCheckResult]:
+    """two_step(cycle(4t+2)) is two disjoint copies of cycle(2t+1).
+
+    Three rows on ``cycle(n)`` itself, n = 4t+2 >= 6, and a skip on any other
+    graph: the isomorphism flag against 1, then chi and omega of the two-step
+    graph against the same invariants of the two odd cycles (chi is always 3;
+    omega is 3 for t = 1, where the cycles are triangles, and 2 for t >= 2).
+    The flag records whether the map 2j -> j, 2j+1 -> 2t+1+j, which fits the
+    cycle's labelling only, is an isomorphism onto the two cycles: two-step
+    neighbours in C(4t+2) are two apart, so the even vertices form one cycle
+    of 2t+1 and the odd vertices the other.
+    """
+    n = facts.g.n
+    if n < 6 or n % 4 != 2 or facts.g != cycle(n):
+        return [_skipped("T15", facts.g6)]
+    t = (n - 2) // 4
+    target = disjoint_union(cycle(2 * t + 1), cycle(2 * t + 1))
+    image = [v // 2 + (v % 2) * (2 * t + 1) for v in range(n)]
+    relabeled = ((image[u], image[v]) for u, v in facts.two_step.edges())
+    iso = from_edge_list(n, relabeled) == target
+    # p_o is the chromatic number of the two-step graph, and its labeling
+    # properly colors the two-step graph
+    chi_n, omega_n = facts.p_o[0], facts.omega_N[0]
+    chi_target = solvers.chromatic_number(target)[0]
+    omega_target = solvers.max_independent_set(complement(target))[0]
+    witness = ((facts, "p_o"), (facts, "omega_N"),
+               _value_cert("isomorphic_to_two_odd_cycles", int(iso)))
+    return [
+        _row("T15", facts.g6, int(iso), 1, witness),
+        _row("T15", facts.g6, chi_n, chi_target, witness),
+        _row("T15", facts.g6, omega_n, omega_target, witness),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +436,7 @@ def _product_p_o(tid: str, fg: GraphFacts, fh: GraphFacts) -> tuple[GraphFacts, 
     return fp, k
 
 
-@_theorem("T4", "pair", "le", product="cart")
+@_theorem("T4", "le", product="cart")
 def check_T4(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     """Cartesian product: max factor p_o <= p_o(prod) <= min mixed products."""
     fp, po_p = _product_p_o("T4", fg, fh)
@@ -414,7 +450,7 @@ def check_T4(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     ]
 
 
-@_theorem("T5", "pair", "le", product="direct")
+@_theorem("T5", "le", product="direct")
 def check_T5(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     """Direct product of graphs with edges: max factor p_o <= p_o(prod) <= product."""
     instance = [fg.g6, fh.g6]
@@ -429,7 +465,7 @@ def check_T5(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     ]
 
 
-@_theorem("T6", "pair", "eq", product="lex")
+@_theorem("T6", "eq", product="lex")
 def check_T6(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     """Lexicographic product formula:
     p_o(G o H) = chi2(G)|V(H)| - i_H (chi2(G) - p_o(G)) for connected G, n >= 2."""
@@ -445,7 +481,7 @@ def check_T6(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     return [_row("T6", instance, po_p, predicted, witness)]
 
 
-@_theorem("T7", "pair", "eq", product="corona")
+@_theorem("T7", "eq", product="corona")
 def check_T7(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     """Corona formula: p_o(G . H) = max(p_o(G), |V(H)| + max degree of G)."""
     fp, po_p = _product_p_o("T7", fg, fh)
@@ -454,43 +490,6 @@ def check_T7(fg: GraphFacts, fh: GraphFacts) -> list[TheoremCheckResult]:
     witness = ((fp, "p_o", po_p), (fg, "p_o"),
                _value_cert("second_factor_order_plus_max_degree", fh.g.n + fg.maxdeg))
     return [_row("T7", instance, po_p, predicted, witness)]
-
-
-# ---------------------------------------------------------------------------
-# Parameterized check
-
-
-@_theorem("T15", "param", "eq")
-def check_T15(t: int) -> list[TheoremCheckResult]:
-    """two_step(cycle(4t+2)) is two disjoint copies of cycle(2t+1).
-
-    Three rows per t: the isomorphism flag against 1, then chi and omega of
-    the two-step graph against the same invariants of the two odd cycles
-    (chi is always 3; omega is 3 for t = 1, where the cycles are triangles,
-    and 2 for t >= 2).  The flag records whether the map 2j -> j,
-    2j+1 -> 2t+1+j is an isomorphism onto the two cycles: two-step
-    neighbours in C(4t+2) are two apart, so the even vertices form one
-    cycle of 2t+1 and the odd vertices the other.
-    """
-    if t < 1:
-        raise GraphError(f"T15 needs t >= 1, got t={t}")
-    facts = GraphFacts(cycle(4 * t + 2))
-    target = disjoint_union(cycle(2 * t + 1), cycle(2 * t + 1))
-    image = [v // 2 + (v % 2) * (2 * t + 1) for v in range(facts.g.n)]
-    relabeled = ((image[u], image[v]) for u, v in facts.two_step.edges())
-    iso = from_edge_list(facts.g.n, relabeled) == target
-    # p_o is the chromatic number of the two-step graph, and its labeling
-    # properly colors the two-step graph
-    chi_n, omega_n = facts.p_o[0], facts.omega_N[0]
-    chi_target = solvers.chromatic_number(target)[0]
-    omega_target = solvers.max_independent_set(complement(target))[0]
-    witness = ((facts, "p_o"), (facts, "omega_N"),
-               _value_cert("isomorphic_to_two_odd_cycles", int(iso)))
-    return [
-        _row("T15", facts.g6, int(iso), 1, witness),
-        _row("T15", facts.g6, chi_n, chi_target, witness),
-        _row("T15", facts.g6, omega_n, omega_target, witness),
-    ]
 
 
 def theorem_kind(theorems: Iterable[str]) -> str:
@@ -505,16 +504,16 @@ def theorem_kind(theorems: Iterable[str]) -> str:
     kinds = {CHECKS[tid].kind for tid in theorems}
     if len(kinds) != 1:
         none = "" if kinds else "no theorem selected: "
-        raise GraphError(f"{none}a run needs theorems of one kind: single-graph, pair or parameter")
+        raise GraphError(f"{none}a run needs theorems of one kind: single-graph or pair")
     return kinds.pop()
 
 
 # ---------------------------------------------------------------------------
 # Corpus runner
 
-Instance = Graph | tuple[Graph, Graph] | int
+Instance = Graph | tuple[Graph, Graph]
 # how run_corpus names a refused instance of each kind
-INSTANCE_NAMES = {"single": "graph {number}", "pair": "pair {number}", "param": "t={instance}"}
+INSTANCE_NAMES = {"single": "graph {number}", "pair": "pair {number}"}
 
 
 def evaluate_instance(theorems: tuple[str, ...], instance: Instance, run: Run,
@@ -524,10 +523,8 @@ def evaluate_instance(theorems: tuple[str, ...], instance: Instance, run: Run,
     table (``_product_p_o``), everything else is solved afresh."""
     if isinstance(instance, Graph):
         args = (GraphFacts(instance, run),)
-    elif isinstance(instance, tuple):
-        args = (factors(instance[0]), factors(instance[1]))
     else:
-        args = (int(instance),)
+        args = (factors(instance[0]), factors(instance[1]))
     return [row for tid in theorems for row in CHECKS[tid](*args)]
 
 
@@ -546,8 +543,8 @@ def instance_rows(theorems: Iterable[str],
 
     An instance refused by the solver cap, the product cap or any other
     GraphError is named as ``graph N: ...`` or ``pair N: ...``, N its place
-    among the instances from 1, as ``invariant`` names an input graph, or as
-    ``t=T: ...`` for a T15 value; the error keeps its class.
+    among the instances from 1, as ``invariant`` names an input graph; the
+    error keeps its class.
     """
     theorems = tuple(theorems)
     name = INSTANCE_NAMES[theorem_kind(theorems)]
@@ -557,8 +554,7 @@ def instance_rows(theorems: Iterable[str],
         try:
             rows = evaluate_instance(theorems, instance, run, factors)
         except (solvers.SolverCapError, GraphError) as exc:
-            where = name.format(number=number, instance=instance)
-            raise type(exc)(f"{where}: {exc}") from None
+            raise type(exc)(f"{name.format(number=number)}: {exc}") from None
         for row in rows:
             if row.verdict == VIOLATED:
                 reverify_violation(row)

@@ -244,7 +244,7 @@ def test_criterion_7_two_step_structure_suite():
     violated12 = [r for r in rows12 if r.verdict == VIOLATED]
     checked12 = [r for r in rows12 if r.verdict == EQUALITY]
 
-    rows15 = list(harness.run_corpus(["T15"], [1, 2, 3]))
+    rows15 = list(harness.run_corpus(["T15"], [cycle(4 * t + 2) for t in (1, 2, 3)]))
     t15_ok = all(r.verdict == EQUALITY for r in rows15)
     # chi of the two-step graph is 3 on every instance; the clique number is
     # 2 for t in {2,3} (and 3 at t=1, where the components are triangles)

@@ -121,8 +121,8 @@ class TestInputErrors:
          "--pair-grid does not apply to T1"),
         ("verify10", ("verify", "--theorem", "T6", "--lex-grid", "3", "2", "--pair-grid", "2", "2"),
          None, "--pair-grid and --lex-grid"),
-        ("verify11", ("verify", "--theorem", "T15", "--t-values", "1", "--all-n", "3",
-                      "--filter", "tree"), None, "--all-n does not apply to T15"),
+        ("verify11", ("verify", "--theorem", "T15", "--pair-grid", "2", "2"), None,
+         "--pair-grid does not apply to T15"),
         ("verify12", ("verify", "--theorem", "", "--all-n", "3"), None, "no theorem selected"),
         # a bad graph6 record is named by its line, counting blank lines, from 1
         ("verify15", ("verify", "--theorem", "T14", "--g6-file", "-"), "\nzz\nA_\n",
@@ -153,7 +153,7 @@ class TestInputErrors:
         ("verify21", ("verify", "--theorem", "T4", "--pair-grid", "2", "2"), None,
          "--pair-grid 2 2 gives T4 products of 4 vertices, but exact solvers cap at 3"),
         ("verify22", ("verify", "--theorem", "T15"), None,
-         "T15 needs --t-values, e.g. --t-values 1,2,3"),
+         "no corpus selected (use --all-n/--all-upto/--g6-file/--random-trees/--t-values)"),
         ("invariant7", ("invariant",), "!\n", "line 1: malformed graph6 length header '!'"),
     ]
     # the environment a case runs in, by test id, when it is not the default one
@@ -588,6 +588,22 @@ class TestVerify:
         code, out = run_cli("verify", "--theorem", "T15", "--t-values", "1,2")
         assert code == 0
         assert len(out.strip().splitlines()) == 6
+
+    def test_t15_beside_single_graph_theorems(self):
+        # T15 is a single-graph theorem: its cycles are a corpus like any other
+        code, out = run_cli("verify", "--theorem", "T1,T15", "--t-values", "1,2")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0
+        assert [r["theorem"] for r in rows] == ["T1", "T1", "T15", "T15", "T15"] * 2
+        assert [r["instance"] for r in rows] == ["EhEG"] * 5 + ["IhCGGC@_G"] * 5
+
+    def test_t15_skips_a_relabelled_cycle(self, monkeypatch):
+        # EYEG is C6 with edges 0-2, 2-1, 1-3, 3-4, 4-5, 5-0: the map fits
+        # cycle's labelling only, so the graph is skipped, not flagged
+        monkeypatch.setattr(sys, "stdin", io.StringIO("EYEG\n"))
+        code, out = run_cli("verify", "--theorem", "T15", "--g6-file", "-")
+        assert (code, [json.loads(line)["verdict"] for line in out.splitlines()]) == (
+            0, ["skipped"])
 
     def test_t15_up_to_the_solver_cap(self, monkeypatch, search_deadline):
         # C(62), the largest cycle C(4t+2) within the default cap of 64

@@ -63,6 +63,17 @@ class TestCoverParity:
     def test_random_trees(self, n, seed):
         assert_matches_reference(random_tree(n, seed))
 
+    @pytest.mark.parametrize("g, which, expected", [
+        (random_graph(23, 0.25, 985140), 0, (5, 66856)),
+        (random_graph(27, 0.18, 777820), 1, (6, 2103315)),
+    ], ids=["gamma", "gamma_t"])
+    def test_complete_cover_leaf(self, g, which, expected):
+        # inputs on which the search reaches a complete cover (the
+        # ``if not uncovered`` leaf) that beats the best so far by 2 or more
+        cover, reach = covers(g)[which]
+        assert solvers._min_cover(g.n, cover, reach) == expected
+        assert oracles.reference_min_cover(g.n, cover) == expected
+
 
 class TestFormerlySlowInstances:
     @pytest.mark.parametrize("solve, cover", [

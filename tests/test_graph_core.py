@@ -33,6 +33,9 @@ class TestConstruction:
         g = from_edge_list(2, [(0, 1)])
         assert g.n == 2 and g.m == 1 and g.has_edge(0, 1)
 
+    def test_repr_gives_order_and_size(self):
+        assert repr(path(3)) == "Graph(n=3, m=2)"
+
     def test_empty_graph(self):
         g = from_edge_list(3, [])
         assert g.adj == (0, 0, 0)

@@ -388,16 +388,25 @@ class TestTwoStepCycles:
     # every t within the solver cap: C(62) at t = 15
     @pytest.mark.parametrize("t,omega", [(t, 3 if t == 1 else 2) for t in range(1, 16)])
     def test_rows(self, search_deadline, t, omega):
-        rows = check_T15(t)
+        rows = check_T15(facts(cycle(4 * t + 2)))
         assert [r.verdict for r in rows] == [EQUALITY] * 3
         assert rows[1].lhs == 3 and rows[2].lhs == omega
+
+    @pytest.mark.parametrize("g", [
+        # C6 relabelled (edges 0-2, 2-1, 1-3, 3-4, 4-5, 5-0): the map fits
+        # cycle's labelling only, so this is skipped, never flagged
+        from_edge_list(6, [(0, 2), (2, 1), (1, 3), (3, 4), (4, 5), (5, 0)]),
+        cycle(5), cycle(8), path(6), complete(6), Graph(1, (0,)),
+    ], ids=["relabelled-C6", "C5", "C8", "P6", "K6", "K1"])
+    def test_every_other_graph_is_skipped(self, g):
+        assert [(r.verdict, r.lhs, r.rhs) for r in check_T15(facts(g))] == [(SKIPPED, None, None)]
 
     @pytest.mark.parametrize("t", [1, 2, 15])
     def test_map_onto_another_graph_is_violated(self, monkeypatch, t):
         # the flag compares the relabelled rows with the target, so a target
         # that is not their image (one cycle C(4t+2)) must read 0
         monkeypatch.setattr(harness, "disjoint_union", lambda g, h: cycle(g.n + h.n))
-        flag = check_T15(t)[0]
+        flag = check_T15(facts(cycle(4 * t + 2)))[0]
         assert flag.verdict == VIOLATED and (flag.lhs, flag.rhs) == (0, 1)
         reverify_violation(flag)
 
@@ -575,12 +584,15 @@ class TestRunner:
         assert [r.instance for r in rows] == [to_graph6(g) for g in instances]
 
     def test_t_value_past_solver_cap_is_named(self, monkeypatch):
-        # a T15 value is named by itself, not by its place: C(10) is past a cap of 8
+        # a T15 cycle is named by its place, as any graph is: C(10) is past a cap of 8
         monkeypatch.setenv("OPENPACK_MAX_N", "8")
-        rows = run_corpus(["T15"], [1, 2])
+        with pytest.raises(solvers.SolverCapError,
+                           match=r"^graph 1: instance has 10 vertices, exact solvers cap at 8$"):
+            list(run_corpus(["T15"], [cycle(10)]))
+        rows = run_corpus(["T15"], [cycle(6), cycle(10)])
         assert [row.theorem for row in (next(rows), next(rows), next(rows))] == ["T15"] * 3
         with pytest.raises(solvers.SolverCapError,
-                           match=r"^t=2: instance has 10 vertices, exact solvers cap at 8$"):
+                           match=r"^graph 2: instance has 10 vertices, exact solvers cap at 8$"):
             next(rows)
 
     def test_pair_past_product_cap_is_named(self):
@@ -633,11 +645,9 @@ class TestRunner:
         (harness.pair_grid, (3, 8), "max_h=8"),
         (harness.lex_grid, (1, 3), "2 <= max_g"),
         (harness.lex_grid, (3, -1), "max_h=-1"),
-        (check_T15, (0,), "T15 needs t >= 1, got t=0"),
     ])
     def test_corpus_builders_refuse_at_the_call(self, build, args, named):
-        # before the first instance is asked for, so no row is written first;
-        # T15's check refuses a t below its range the same way
+        # before the first instance is asked for, so no row is written first
         with pytest.raises(GraphError, match=named):
             build(*args)
 
@@ -650,8 +660,10 @@ class TestRunner:
             harness.theorem_kind(theorems)
 
     def test_theorem_kind(self):
-        assert [harness.theorem_kind(t) for t in (["T1", "T3"], ["T4", "T7"], ["T15"])] == [
-            "single", "pair", "param"]
+        # T15 is a single-graph theorem, so it runs beside the others
+        assert [harness.theorem_kind(t) for t in (["T1", "T3"], ["T4", "T7"], ["T1", "T15"])] == [
+            "single", "pair", "single"]
+        assert {check.kind for check in harness.CHECKS.values()} == {"single", "pair"}
 
     def test_lex_grid_respects_hypothesis(self):
         pairs = list(harness.lex_grid(3, 2))
@@ -676,7 +688,7 @@ class TestRegistry:
     def test_every_check_takes_only_its_instance(self, tid):
         # a check is a function of its instance: no run flag rides along
         check = harness.CHECKS[tid]
-        arity = {"single": 1, "param": 1, "pair": 2}[check.kind]
+        arity = {"single": 1, "pair": 2}[check.kind]
         assert len(inspect.signature(check).parameters) == arity
 
     def test_ids_are_t1_to_t15(self):
@@ -688,6 +700,18 @@ class TestRegistry:
         section = readme.split("## The claim registry", 1)[1].split("\n## ", 1)[0]
         listed = re.findall(r"^\| (T\d+) +\|", section, flags=re.MULTILINE)
         assert sorted(listed) == sorted(harness.CHECKS) and len(listed) == len(set(listed))
+
+    def test_readme_registry_example_matches_the_registry(self):
+        # the section's decorator example is a registered theorem as written,
+        # and the kinds it names are every kind the registry holds
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## The claim registry", 1)[1].split("\n## ", 1)[0]
+        tid, relation, product = re.search(
+            r'`@_theorem\("(T\d+)", "(\w+)", product="(\w+)"\)`', section).groups()
+        check = harness.CHECKS[tid]
+        assert (check.relation, check.product) == (relation, product)
+        named = set(re.findall(r"`(\w+)`\s+\([^)]*\)\s+for", section))
+        assert named == {c.kind for c in harness.CHECKS.values()}
 
     @pytest.mark.parametrize("relation, lhs, rhs, verdict", [
         ("le", 1, 2, HOLDS), ("le", 2, 2, EQUALITY), ("le", 3, 2, VIOLATED),

@@ -49,6 +49,14 @@ class TestSearchParity:
     def test_medium_random_graphs(self, kern, n, p, seed):
         assert_matches_reference(kern, random_graph(n, p, seed))
 
+    def test_empty_candidate_leaf(self, kern):
+        # the square of G(22, 0.2, 1688) is an input on which the
+        # independent-set search reaches its ``if not cand:`` leaf: the greedy
+        # seed has 3 vertices, and an inclusion child empties its candidates at 4
+        g = square(random_graph(22, 0.2, 1688))
+        assert kern.max_independent_set(g.n, list(g.adj)) == (4, 2210)
+        assert_matches_reference(kern, g)
+
 
 class TestFormerlySlowInstances:
     def test_two_step_of_g_40_01_4(self):
