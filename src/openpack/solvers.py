@@ -34,13 +34,14 @@ from .graph import (
     _canonical_form,
     _ReadOnly,
     _Record,
+    _trusted,
     complement,
     is_connected,
     iter_bits,
     max_degree,
     min_degree,
 )
-from .transforms import closed_neighborhood_graph, two_step
+from .transforms import _square_rows, two_step
 
 HARD_MAX_N = 64
 
@@ -288,7 +289,9 @@ def _min_cover(n: int, cover: list[int], reach) -> tuple[int, int]:
 
     ``cover[u]`` doubles as "what selecting u covers" and "who can cover u"
     (the two coincide for both closed and open neighborhoods).  Branches on a
-    most-constrained uncovered vertex.  A subtree is pruned once a lower bound
+    most-constrained uncovered vertex, and tries its options by how many
+    uncovered vertices each covers, most first, ties by the lowest index, so
+    a good cover is found early.  A subtree is pruned once a lower bound
     on the picks it still needs reaches ``room = best - size``; the bounds,
     cheapest first:
 
@@ -311,15 +314,16 @@ def _min_cover(n: int, cover: list[int], reach) -> tuple[int, int]:
 
     * last pick: at ``room == 2`` only a single pick that covers all of
       ``uncovered`` can improve ``best``.  Such a u covers every uncovered
-      vertex, so it lies in the intersection of their covers, and the search
-      would take the lowest one, in ascending order over ``cover[pick]``, then
+      vertex, so it lies in the intersection of their covers; it has the
+      largest gain, so the search would take the lowest one first, then
       prune its later siblings; one scan of that intersection does the same;
     * transposition table: ``expanded`` maps each residual ``uncovered`` to the
       smallest size at which it was expanded in this call.  Every pick covers
       the branching vertex, so a residual recurs only after its first subtree
       is done; that subtree found every cover of the residual that beat
       ``best``, and ``best`` only shrinks, so the residual reached again at no
-      smaller size holds no strictly smaller cover and is skipped.
+      smaller size holds no strictly smaller cover and is skipped.  This
+      holds for any fixed child order.
     """
     universe = (1 << n) - 1
 
@@ -375,8 +379,16 @@ def _min_cover(n: int, cover: list[int], reach) -> tuple[int, int]:
                     return
                 free &= ~block[v]
                 low = level & free
-        for u in iter_bits(options):
-            extend(uncovered & ~cover[u], size + 1, mask | 1 << u)
+        children = []
+        while options:
+            low = options & -options
+            options ^= low
+            u = low.bit_length() - 1
+            rest = uncovered & ~cover[u]
+            children.append((rest.bit_count(), u, rest))
+        children.sort()
+        for _, u, rest in children:
+            extend(rest, size + 1, mask | 1 << u)
 
     expanded: dict[int, int] = {}
     extend(universe, 0, 0)
@@ -503,7 +515,8 @@ class GraphFacts:
 
     @fact
     def square(self) -> Graph:
-        return closed_neighborhood_graph(self.g)
+        """The square, from the two-step rows: one composition builds both."""
+        return _trusted(self.g.n, _square_rows(self.g.adj, self.two_step.adj))
 
     @fact
     def chi(self) -> tuple[int, VertexLabeling]:

@@ -32,14 +32,19 @@ def two_step(g: Graph) -> Graph:
     return _trusted(g.n, _compose(g.adj, g.adj))
 
 
+def _square_rows(adj, two_step_rows) -> list[int]:
+    """Rows of the square of the graph with rows ``adj``: two vertices are
+    within distance 2 exactly when they are neighbours or share a neighbour,
+    so row v is v's row OR its row of the two-step graph, ``two_step_rows``."""
+    return [row | step for row, step in zip(adj, two_step_rows)]
+
+
 def closed_neighborhood_graph(g: Graph) -> Graph:
     """Join u and v iff their closed neighborhoods meet, i.e. dist_g(u, v) <= 2.
 
-    The row of v is the union of the closed neighborhoods of the vertices in
-    v's closed neighborhood, less v.
+    The row of v is v's neighborhood OR its row of the two-step graph.
     """
-    closed = [mask | 1 << v for v, mask in enumerate(g.adj)]
-    return _trusted(g.n, _compose(closed, closed))
+    return _trusted(g.n, _square_rows(g.adj, _compose(g.adj, g.adj)))
 
 
 # The closed neighborhood graph coincides with the square of g.

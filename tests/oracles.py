@@ -8,9 +8,12 @@ exceptions are ``reference_chromatic``,
 ``reference_tree_from_pruefer``, ``reference_random_tree`` and
 ``reference_tree_opp``: frozen copies of earlier kernel, search, decode,
 sampling and labeling code that pin the exact witness bytes of the chromatic
-driver, the independent-set search and the domination search, the exact
-rows of a decoded Pruefer sequence and of a seeded random tree, and the
-exact labels of a tree partition, rather than a value.
+driver and the independent-set search, the exact rows of a decoded Pruefer
+sequence and of a seeded random tree, and the exact labels of a tree
+partition, rather than a value; ``reference_min_cover`` fixes only the
+minimum size the domination search must reach.  ``milp_min_cover`` and
+``networkx_clique_number`` hand an instance to HiGHS and to networkx, and
+skip the calling test where those are absent.
 """
 
 from __future__ import annotations
@@ -345,8 +348,9 @@ def brute_domination(g: Graph) -> int:
 
 def reference_min_cover(n: int, cover: list[int]) -> tuple[int, int]:
     """The domination search with only its static coverage bound, copied
-    verbatim from before its packing and residual-gain bounds.  Stronger
-    pruning must return this (size, mask) exactly."""
+    verbatim from before its packing and residual-gain bounds, trying options
+    in ascending order.  It fixes the minimum size; the search, which tries
+    the options that cover the most first, may return another minimum mask."""
     universe = (1 << n) - 1
 
     chosen, count, uncovered = 0, 0, universe
@@ -383,6 +387,20 @@ def reference_min_cover(n: int, cover: list[int]) -> tuple[int, int]:
 
     extend(universe, 0, 0)
     return best[0], best[1]
+
+
+def milp_min_cover(n: int, cover: list[int]) -> int:
+    """Minimum number of vertices whose ``cover`` rows union to all n, as a
+    0-1 set-cover ILP solved by scipy's HiGHS: ``cover[v]`` is both what v
+    covers and who covers v, so each vertex's row must meet the chosen set."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rows = [[cover[v] >> u & 1 for u in range(n)] for v in range(n)]
+    result = optimize.milp(
+        c=[1] * n, integrality=[1] * n, bounds=optimize.Bounds(0, 1),
+        constraints=optimize.LinearConstraint(rows, lb=1, ub=n))
+    if result.status != 0:
+        raise AssertionError(f"HiGHS found no optimum: {result.message}")
+    return round(result.fun)
 
 
 def brute_total_domination(g: Graph) -> int | None:
@@ -559,6 +577,17 @@ def brute_is_chordal(g: Graph) -> bool:
             if len(seen) == size:
                 return False
     return True
+
+
+def networkx_clique_number(n: int, rows) -> int:
+    """networkx's ``max_weight_clique`` size on the graph with adjacency
+    masks ``rows``; the calling test is skipped where networkx is not
+    installed."""
+    networkx = pytest.importorskip("networkx")
+    nxg = networkx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_edges_from((u, v) for u in range(n) for v in range(u) if rows[u] >> v & 1)
+    return len(networkx.max_weight_clique(nxg, weight=None)[0])
 
 
 def permutation_isomorphic(g: Graph, h: Graph) -> bool:

@@ -384,7 +384,7 @@ class TestCertificateBytes:
     """The exact stdout of ``invariant --certify``, certificates included,
     pinned by SHA-256."""
 
-    UPTO5_ALL = "a41d267c0a74383f1905a5c877a31cdf606c5ec66dce4e59609ab37c2c3dd9d6"
+    UPTO5_ALL = "45eb7fab0920fa1bb098e6f5e80f0799dbc4c3af8f17a4c5c26aa47cbe3edde2"
     # random_graph(9, 0.4, seed) for seeds 0, 1, 2, one line each
     RANDOM9 = {
         "all": "8833aac3b2ccad06288dd3d2f78a89bd92db0e38a86acf59858b7a2c09c3585a",

@@ -14,7 +14,7 @@ from openpack.graph import (
     path,
     random_tree,
 )
-from openpack.solvers import is_open_packing, is_packing
+from openpack.solvers import GraphFacts, is_open_packing, is_packing
 from openpack.harness import all_graphs_upto
 from openpack.transforms import (
     _edges_on_triangles,
@@ -94,18 +94,25 @@ class TestSquare:
                 assert 1 <= dist[u] <= 2
 
 
+def assert_matches_pair_scan(g) -> None:
+    """Both transforms, and the square ``GraphFacts`` builds from the
+    two-step rows, equal the pair-scan oracles."""
+    assert list(two_step(g).adj) == oracles.brute_two_step(g)
+    brute = oracles.brute_square(g)
+    assert list(square(g).adj) == brute
+    assert list(GraphFacts(g).square.adj) == brute
+
+
 class TestAgainstPairScan:
     def test_exhaustive_n_le_6(self):
         for n in range(1, 7):
             for g in enumerate_all_graphs(n):
-                assert list(two_step(g).adj) == oracles.brute_two_step(g)
-                assert list(square(g).adj) == oracles.brute_square(g)
+                assert_matches_pair_scan(g)
 
     @given(graphs(min_n=7, max_n=40))
     @settings(max_examples=60)
     def test_random(self, g):
-        assert list(two_step(g).adj) == oracles.brute_two_step(g)
-        assert list(square(g).adj) == oracles.brute_square(g)
+        assert_matches_pair_scan(g)
 
 
 class TestIndependenceCorrespondence:

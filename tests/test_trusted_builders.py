@@ -36,6 +36,7 @@ from openpack.graph import (
     tree_from_pruefer,
 )
 from openpack.products import cartesian, corona, direct, lexicographic, strong
+from openpack.solvers import GraphFacts
 from openpack.transforms import square, two_step
 
 
@@ -98,6 +99,7 @@ class TestTrustedBuildersPassTheValidator:
     @given(graphs(max_n=10))
     def test_square(self, g):
         valid(square(g))
+        valid(GraphFacts(g).square)
 
     @settings(max_examples=200)
     @given(st.integers(1, 40).flatmap(
