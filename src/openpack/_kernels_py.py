@@ -259,10 +259,11 @@ def max_independent_set(n: int, adj: Sequence[int], memo=None) -> tuple[int, int
 
     Branch and bound: branch vertex is the one of maximum residual degree;
     the inclusion branch is explored first.  A subtree is pruned when its
-    candidates cannot beat the best set strictly: first on their count, then
-    on the size of a greedy clique cover of them.  The best set changes only
-    on a strictly larger one, so the first maximum found, and its mask, are
-    those the count bound alone gives.  ``memo``, as for ``chromatic_number``.
+    candidates cannot beat the best set strictly, on one bound: the greedy
+    cliques taken from them so far plus one per candidate left (their count,
+    before any clique is taken).  The best set changes only on a strictly
+    larger one, so the first maximum found, and its mask, are those the count
+    bound alone gives.  ``memo``, as for ``chromatic_number``.
     """
     return _recall(_MIS, n, adj, memo)
 
@@ -289,20 +290,14 @@ def _max_independent_set(n, adj):
     best = [best_size, best_mask]
 
     def explore(cand, size, mask):
-        if size + cand.bit_count() <= best[0]:
-            return
-        if not cand:
-            best[0] = size
-            best[1] = mask
-            return
-        # Clique cover of cand, lowest vertex first; stop once it has more
-        # cliques than the room left above the best set.
+        # The cliques taken so far plus one per vertex left cover cand, and an
+        # independent set meets each at most once: prune when that bound fits
+        # in the room above the best set.  Greedy cliques, lowest vertex first,
+        # are taken while it does not fit yet but still could.
         room = best[0] - size
-        rest = cand
-        while rest:
-            if not room:
-                break
-            room -= 1
+        cliques, rest = 0, cand
+        while cliques < room < cliques + rest.bit_count():
+            cliques += 1
             low = rest & -rest
             rest ^= low
             grow = rest & adj[low.bit_length() - 1]
@@ -310,7 +305,11 @@ def _max_independent_set(n, adj):
                 b = grow & -grow
                 rest ^= b
                 grow &= adj[b.bit_length() - 1]
-        else:
+        if cliques + rest.bit_count() <= room:
+            return
+        if not cand:
+            best[0] = size
+            best[1] = mask
             return
         pick, pick_deg = -1, -1
         m = cand

@@ -33,9 +33,6 @@ from .graph import (
 )
 from .products import PRODUCTS, order
 
-# openpack's errors for input it cannot take; anything else raised is a bug
-INPUT_ERRORS = (GraphError, solvers.SolverCapError, solvers.UndefinedInvariantError)
-
 
 def _read_text(path_arg: str) -> str:
     try:
@@ -384,14 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  Input it cannot take ends in one stderr line and
-    status 2, as argparse's own errors do; a violated row in status 1."""
+    """Run one command.  Input it cannot take, a ``GraphError``, ends in one
+    stderr line and status 2, as argparse's own errors do; a violated row in
+    status 1.  Anything else raised is a bug."""
     args = build_parser().parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()
         return status
-    except INPUT_ERRORS as exc:
+    except GraphError as exc:
         print(f"openpack {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -553,7 +553,7 @@ def instance_rows(theorems: Iterable[str],
     for number, instance in enumerate(instances, start=1):
         try:
             rows = evaluate_instance(theorems, instance, run, factors)
-        except (solvers.SolverCapError, GraphError) as exc:
+        except GraphError as exc:
             raise type(exc)(f"{name.format(number=number)}: {exc}") from None
         for row in rows:
             if row.verdict == VIOLATED:

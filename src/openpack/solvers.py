@@ -31,6 +31,7 @@ from . import _kernels_py as _kernel
 from .formats import to_graph6
 from .graph import (
     Graph,
+    GraphError,
     _canonical_form,
     _ReadOnly,
     _Record,
@@ -46,7 +47,7 @@ from .transforms import _square_rows, two_step
 HARD_MAX_N = 64
 
 
-class SolverCapError(ValueError):
+class SolverCapError(GraphError):
     """Instance exceeds the exact-solver size cap."""
 
 
@@ -55,7 +56,7 @@ class CertificateError(RuntimeError):
     checks, so ``python -O`` cannot strip them."""
 
 
-class UndefinedInvariantError(ValueError):
+class UndefinedInvariantError(GraphError):
     """The invariant does not exist for this graph (e.g. total domination
     with isolated vertices)."""
 

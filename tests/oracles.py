@@ -11,9 +11,9 @@ sampling and labeling code that pin the exact witness bytes of the chromatic
 driver and the independent-set search, the exact rows of a decoded Pruefer
 sequence and of a seeded random tree, and the exact labels of a tree
 partition, rather than a value; ``reference_min_cover`` fixes only the
-minimum size the domination search must reach.  ``milp_min_cover`` and
-``networkx_clique_number`` hand an instance to HiGHS and to networkx, and
-skip the calling test where those are absent.
+minimum size the domination search must reach.  ``milp_min_cover``,
+``milp_max_packing`` and ``networkx_clique_number`` hand an instance to HiGHS
+and to networkx, and skip the calling test where those are absent.
 """
 
 from __future__ import annotations
@@ -401,6 +401,21 @@ def milp_min_cover(n: int, cover: list[int]) -> int:
     if result.status != 0:
         raise AssertionError(f"HiGHS found no optimum: {result.message}")
     return round(result.fun)
+
+
+def milp_max_packing(n: int, rows: list[int]) -> int:
+    """Largest set of the n vertices that meets each of ``rows`` at most
+    once, as a 0-1 packing ILP solved by scipy's HiGHS: the closed
+    neighbourhoods as rows give the packing number, the open ones the open
+    packing number."""
+    optimize = pytest.importorskip("scipy.optimize")
+    matrix = [[row >> u & 1 for u in range(n)] for row in rows]
+    result = optimize.milp(
+        c=[-1] * n, integrality=[1] * n, bounds=optimize.Bounds(0, 1),
+        constraints=optimize.LinearConstraint(matrix, lb=0, ub=1))
+    if result.status != 0:
+        raise AssertionError(f"HiGHS found no optimum: {result.message}")
+    return round(-result.fun)
 
 
 def brute_total_domination(g: Graph) -> int | None:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import graphs
-from openpack.graph import Graph, complement, random_graph
+from openpack.graph import Graph, complement, from_edge_list, random_graph
 from openpack.harness import all_graphs_upto
 from openpack.solvers import is_opp, open_packing_partition_number
 from openpack.transforms import square, two_step
@@ -55,6 +55,19 @@ class TestSearchParity:
         # seed has 3 vertices, and an inclusion child empties its candidates at 4
         g = square(random_graph(22, 0.2, 1688))
         assert kern.max_independent_set(g.n, list(g.adj)) == (4, 2210)
+        assert_matches_reference(kern, g)
+
+    def test_node_past_the_best_set(self, kern):
+        # the greedy seed is {1, 7}; including 0, 2 and 3 reaches size 3 with
+        # candidate 5 left, one past the best set: that node must not be
+        # pruned, or the search records {0, 2, 4, 5} (mask 53) instead
+        edges = [(0, 1), *((0, v) for v in range(7, 28)),
+                 *((u, v) for u in range(7, 28) for v in range(u + 1, 28)),
+                 *((1, v) for v in range(2, 7)), (2, 6), (3, 4)]
+        for u, first, last in ((2, 7, 10), (3, 11, 14), (4, 15, 18), (5, 19, 23), (6, 24, 27)):
+            edges += [(u, v) for v in range(first, last + 1)]
+        g = from_edge_list(28, edges)
+        assert kern.max_independent_set(g.n, list(g.adj)) == (4, 0b101101)  # {0, 2, 3, 5}
         assert_matches_reference(kern, g)
 
 

@@ -2,15 +2,19 @@
 explicit code, never with ``assert``, which ``python -O`` strips; the CLI
 exits the process only from its ``__main__`` block; the package builds its
 own graphs through ``graph._trusted``, never the validating ``Graph``; no
-module rebinds its globals; and every row that asserts a relation is judged
-by ``harness._verdict``."""
+module rebinds its globals; every row that asserts a relation is judged by
+``harness._verdict``; and every error the package defines is input it cannot
+take or a failed certificate."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import openpack
+from openpack.graph import GraphError
+from openpack.solvers import CertificateError
 
 SOURCES = sorted(Path(openpack.__file__).parent.glob("*.py"))
 
@@ -138,3 +142,19 @@ def test_asserted_rows_go_through_the_verdict_rule():
             if [getattr(v, "id", None) for v in verdict] not in (["REPORT_ONLY"], ["SKIPPED"]):
                 unjudged.append(node.lineno)
     assert unjudged == [], f"harness.py builds asserted rows outside _row on lines {unjudged}"
+
+
+def test_errors_are_input_errors_or_certificate_errors():
+    """Input the package cannot take raises a ``GraphError``, which the CLI
+    and ``harness.instance_rows`` catch as one family; the one other error is
+    ``CertificateError``, a search whose witness fails its check, which is a
+    bug and is never caught."""
+    modules = [importlib.import_module("openpack" if path.stem == "__init__"
+                                       else f"openpack.{path.stem}") for path in SOURCES]
+    errors = {cls for module in modules for cls in vars(module).values()
+              if isinstance(cls, type) and issubclass(cls, BaseException)
+              and cls.__module__ == module.__name__}
+    stray = sorted(cls.__name__ for cls in errors
+                   if cls is not CertificateError and not issubclass(cls, GraphError))
+    assert GraphError in errors and CertificateError in errors
+    assert stray == [], f"errors outside the GraphError family: {stray}"

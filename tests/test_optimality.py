@@ -3,21 +3,42 @@
 The certificate checks prove that each returned witness is valid; these tests
 check that its value is optimal past brute-force range.  gamma and gamma_t of
 the 37 medium graphs (the perfbench ``medium-reports`` corpus) are solved
-again as set-cover ILPs by scipy's HiGHS, and rho, rho_o and omega_N of fixed
-G(n, p) graphs of up to 30 vertices are clique numbers that networkx's
-``max_weight_clique`` finds on transforms built by the pair-scan oracles.
-Each test is skipped where scipy or networkx is not installed.
+again as set-cover ILPs by scipy's HiGHS, and rho and rho_o as packing ILPs;
+rho, rho_o and omega_N of fixed G(n, p) graphs of up to 30 vertices are
+clique numbers that networkx's ``max_weight_clique`` finds on transforms built
+by the pair-scan oracles.  Each of these is skipped where scipy or networkx
+is not installed.
+
+The values also obey relations that no search knows of: all of them are
+unchanged by relabelling, each adds or takes the maximum or minimum over a
+disjoint union, and on a tree p_o is the maximum degree (T10), which ``verify``
+proves with no search, so the solver checks it here from 13 to 64 vertices.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from openpack.graph import Graph, complement, random_graph, star
+from conftest import graphs, relabelled
+from openpack.graph import (
+    Graph,
+    complement,
+    disjoint_union,
+    max_degree,
+    random_graph,
+    random_tree,
+    star,
+)
+from openpack.harness import EQUALITY, check_T10
 from openpack.products import corona
 from openpack.solvers import (
+    GraphFacts,
     domination_number,
+    full_report,
     omega_of_two_step,
     open_packing_number,
+    open_packing_partition_number,
     packing_number,
     total_domination_number,
 )
@@ -43,6 +64,14 @@ def test_domination_against_highs(label):
         assert total_domination_number(g)[0] == oracles.milp_min_cover(g.n, list(g.adj))
 
 
+@pytest.mark.parametrize("label", [*MEDIUM, "corona(K1_3,3K1)"])
+def test_packing_against_highs(label):
+    g = medium_graph(label)
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
+    assert packing_number(g)[0] == oracles.milp_max_packing(g.n, closed)
+    assert open_packing_number(g)[0] == oracles.milp_max_packing(g.n, list(g.adj))
+
+
 @pytest.mark.parametrize("n, p, seed", [
     (16, 0.3, 0), (20, 0.15, 1), (24, 0.2, 2), (30, 0.1, 3), (30, 0.2, 4), (30, 0.4, 5),
 ])
@@ -56,3 +85,38 @@ def test_independent_set_search_against_networkx(n, p, seed):
     assert open_packing_number(g)[0] == oracles.networkx_clique_number(
         n, [full & ~row & ~(1 << v) for v, row in enumerate(two_step)])
     assert omega_of_two_step(g)[0] == oracles.networkx_clique_number(n, two_step)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_values_survive_relabelling(data):
+    g = data.draw(graphs(1, 9))
+    perm = data.draw(st.permutations(range(g.n)))
+    assert full_report(Graph(g.n, relabelled(g, perm))).values == full_report(g).values
+
+
+SUM = ("n", "m", "rho", "rho_o", "gamma")
+MAX = ("Delta", "chi", "p_o", "chi2", "omega_N")
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(1, 6), graphs(1, 6))
+def test_disjoint_union_relations(g, h):
+    first, second = full_report(g).values, full_report(h).values
+    union = full_report(disjoint_union(g, h)).values
+    expected = {name: first[name] + second[name] for name in SUM}
+    expected.update((name, max(first[name], second[name])) for name in MAX)
+    expected["delta"] = min(first["delta"], second["delta"])
+    if "gamma_t" in first and "gamma_t" in second:
+        expected["gamma_t"] = first["gamma_t"] + second["gamma_t"]
+    assert union == expected
+
+
+@pytest.mark.parametrize("s", range(3))
+def test_t10_against_the_solver(s):
+    for n in range(13, 65):
+        t = random_tree(n, 1000 * n + s)
+        delta = max_degree(t)
+        assert open_packing_partition_number(t)[0] == delta, n
+        [row] = check_T10(GraphFacts(t))
+        assert (row.verdict, row.lhs, row.rhs) == (EQUALITY, delta, delta), n
