@@ -285,7 +285,7 @@ def split_open_packing(g: Graph, s) -> tuple[VertexSet, VertexSet]:
 # Domination
 
 
-def _min_cover(n: int, cover: list[int], reach) -> tuple[int, int]:
+def _min_cover(n: int, cover: list[int], reach, floor: int = 0) -> tuple[int, int]:
     """Minimum number of vertices whose cover masks union to V.
 
     ``cover[u]`` doubles as "what selecting u covers" and "who can cover u"
@@ -305,13 +305,17 @@ def _min_cover(n: int, cover: list[int], reach) -> tuple[int, int]:
       every vertex whose cover meets v's: the caller's square rows, or its
       two-step rows for open covers.
       Each step takes the lowest vertex of the first level meeting ``free``
-      and clears its block, so the scan ends within ``room`` steps; its first
-      vertex is the branching one.
+      and clears its block, so the scan ends within ``room`` steps, or once
+      ``free`` is empty; its first vertex is the branching one.
 
     ``best`` changes only on a strictly smaller cover, and a pruned subtree
-    holds none, so the bounds change the running time, never the result.  Two
-    more shortcuts skip work whose outcome is already known, with the same
-    argument:
+    holds none, so the bounds change the running time, never the result.
+    ``floor`` is a size that the caller has proven no cover goes below (gamma
+    for gamma_t): a greedy seed at or below it is returned as is, and the
+    search stops once ``best`` reaches it, since no strictly smaller cover is
+    left to find, so stopping at a proven floor leaves the result unchanged.
+    Two more shortcuts skip work whose outcome is already known, with the
+    same argument:
 
     * last pick: at ``room == 2`` only a single pick that covers all of
       ``uncovered`` can improve ``best``.  Such a u covers every uncovered
@@ -325,6 +329,13 @@ def _min_cover(n: int, cover: list[int], reach) -> tuple[int, int]:
       ``best``, and ``best`` only shrinks, so the residual reached again at no
       smaller size holds no strictly smaller cover and is skipped.  This
       holds for any fixed child order.
+
+    A node checks each child in its own loop, before any call: a complete
+    cover, the floor, the static bound and the last pick, so a pruned child
+    costs no call.  The children are sorted by how many vertices they leave
+    uncovered, and ``best`` only shrinks, so once the static bound prunes a
+    child it prunes every later one; a complete cover sorts first, and once
+    it is recorded, or fails to beat ``best``, no later child has room left.
     """
     universe = (1 << n) - 1
 
@@ -342,32 +353,19 @@ def _min_cover(n: int, cover: list[int], reach) -> tuple[int, int]:
 
     sizes = [c.bit_count() for c in cover]
     max_cover = max(sizes)
-    if -(-n // max_cover) >= count:  # the greedy cover meets the static bound
+    # the greedy cover meets the static bound or the floor; otherwise the root
+    # passes the checks a node makes of its children (a greedy cover of two
+    # means no single cover is all of V, so it meets the static bound)
+    if max(-(-n // max_cover), floor) >= count:
         return count, chosen
     levels = _kernel._degree_levels(n, cover)[::-1]
     block = [row | 1 << v for v, row in enumerate(reach)]
 
     def extend(uncovered: int, size: int, mask: int) -> None:
-        if not uncovered:
-            if size < best[0]:
-                best[0], best[1] = size, mask
-            return
-        room = best[0] - size
-        left = uncovered.bit_count()
-        if -(-left // max_cover) >= room:
-            return
-        if room == 2:
-            common, m = universe, uncovered
-            while m and common:
-                low = m & -m
-                m ^= low
-                common &= cover[low.bit_length() - 1]
-            if common:
-                best[0], best[1] = size + 1, mask | (common & -common)
-            return
         if expanded.get(uncovered, n) <= size:
             return
         expanded[uncovered] = size
+        room = best[0] - size
         free, packed = uncovered, 0
         for level in levels:
             low = level & free
@@ -380,6 +378,8 @@ def _min_cover(n: int, cover: list[int], reach) -> tuple[int, int]:
                     return
                 free &= ~block[v]
                 low = level & free
+            if not free:
+                break
         children = []
         while options:
             low = options & -options
@@ -388,8 +388,26 @@ def _min_cover(n: int, cover: list[int], reach) -> tuple[int, int]:
             rest = uncovered & ~cover[u]
             children.append((rest.bit_count(), u, rest))
         children.sort()
-        for _, u, rest in children:
-            extend(rest, size + 1, mask | 1 << u)
+        size += 1
+        for left, u, rest in children:
+            top = best[0]
+            if not rest:  # a complete cover
+                if size < top:
+                    best[0], best[1] = size, mask | 1 << u
+                return
+            room = top - size
+            if top <= floor or -(-left // max_cover) >= room:
+                return
+            if room == 2:
+                common, m = universe, rest
+                while m and common:
+                    low = m & -m
+                    m ^= low
+                    common &= cover[low.bit_length() - 1]
+                if common:
+                    best[0], best[1] = size + 1, mask | 1 << u | (common & -common)
+                continue
+            extend(rest, size, mask | 1 << u)
 
     expanded: dict[int, int] = {}
     extend(universe, 0, 0)
@@ -551,7 +569,11 @@ class GraphFacts:
             raise UndefinedInvariantError(
                 "total domination is undefined on graphs with isolated vertices"
             )
-        return self._solved("gamma_t", _min_cover, self.g.adj, self.two_step.adj)
+        # a total dominating set dominates, so gamma <= gamma_t: gamma is the
+        # search's floor when it is already solved here, and is never solved
+        # for the bound alone
+        floor = vars(self).get("gamma", (0,))[0]
+        return self._solved("gamma_t", _min_cover, self.g.adj, self.two_step.adj, floor)
 
     @fact
     def omega_N(self) -> tuple[int, VertexSet]:

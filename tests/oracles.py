@@ -12,8 +12,9 @@ driver and the independent-set search, the exact rows of a decoded Pruefer
 sequence and of a seeded random tree, and the exact labels of a tree
 partition, rather than a value; ``reference_min_cover`` fixes only the
 minimum size the domination search must reach.  ``milp_min_cover``,
-``milp_max_packing`` and ``networkx_clique_number`` hand an instance to HiGHS
-and to networkx, and skip the calling test where those are absent.
+``milp_max_packing``, ``milp_chromatic`` and ``networkx_clique_number`` hand an
+instance to HiGHS and to networkx, and skip the calling test where those are
+absent.
 """
 
 from __future__ import annotations
@@ -416,6 +417,40 @@ def milp_max_packing(n: int, rows: list[int]) -> int:
     if result.status != 0:
         raise AssertionError(f"HiGHS found no optimum: {result.message}")
     return round(-result.fun)
+
+
+def milp_chromatic(n: int, adj) -> int:
+    """Chromatic number of the graph with adjacency masks ``adj``, as an
+    assignment ILP solved by scipy's HiGHS.  A greedy colouring never needs
+    more than Delta + 1 colours, so there are k = Delta + 1 of them: x[v][c]
+    puts vertex v in colour c, y[c] says colour c is used, each vertex takes
+    one colour, the two ends of an edge never share one, and y[c] >= y[c + 1]
+    breaks the symmetry between colours.  Meant for small n."""
+    optimize = pytest.importorskip("scipy.optimize")
+    k = max(row.bit_count() for row in adj) + 1
+    width = n * k + k  # x[v][c] at v * k + c, then y[c] at n * k + c
+
+    def row(plus, minus):
+        out = [0] * width
+        for i in plus:
+            out[i] += 1
+        for i in minus:
+            out[i] -= 1
+        return out
+
+    assign = [row([v * k + c for c in range(k)], []) for v in range(n)]
+    edges = [(u, v) for u in range(n) for v in range(u) if adj[u] >> v & 1]
+    used = [row([u * k + c, v * k + c], [n * k + c]) for u, v in edges for c in range(k)]
+    used += [row([v * k + c], [n * k + c]) for v in range(n) for c in range(k)]
+    used += [row([n * k + c + 1], [n * k + c]) for c in range(k - 1)]
+    result = optimize.milp(
+        c=[0] * (n * k) + [1] * k, integrality=[1] * width,
+        bounds=optimize.Bounds(0, 1),
+        constraints=[optimize.LinearConstraint(assign, lb=1, ub=1),
+                     optimize.LinearConstraint(used, lb=-2, ub=0)])
+    if result.status != 0:
+        raise AssertionError(f"HiGHS found no optimum: {result.message}")
+    return round(result.fun)
 
 
 def brute_total_domination(g: Graph) -> int | None:

@@ -26,7 +26,7 @@ from openpack import solvers
 from openpack.graph import Graph, cycle, path, random_graph, random_tree
 from openpack.harness import all_graphs_upto
 from openpack.products import cartesian, direct
-from openpack.solvers import domination_number, total_domination_number
+from openpack.solvers import domination_number, full_report, total_domination_number
 from openpack.transforms import square, two_step
 
 pytestmark = pytest.mark.usefixtures("search_deadline")
@@ -115,6 +115,27 @@ def cover_digests(corpus) -> tuple[str, str]:
     return sizes.hexdigest(), pairs.hexdigest()
 
 
+def assert_every_floor(g: Graph) -> None:
+    """Each cover of ``covers(g)`` searched with every floor from 1 up to its
+    minimum gives the (size, mask) of the search with no floor, which the
+    digests pin."""
+    for cover, reach in covers(g):
+        found = solvers._min_cover(g.n, cover, reach)
+        for floor in range(1, found[0] + 1):
+            assert solvers._min_cover(g.n, cover, reach, floor) == found, (g.n, g.adj, floor)
+
+
+def medium_graphs():
+    return (random_graph(n, p, seed) for n in (40, 48, 56)
+            for p in (0.1, 0.2, 0.3, 0.5) for seed in range(3))
+
+
+def hard_graphs():
+    return (cartesian(cycle(8), cycle(8))[0], cartesian(path(8), path(8))[0],
+            direct(cycle(7), cycle(9))[0], random_graph(64, 0.16, 1),
+            random_graph(60, 0.12, 2))
+
+
 class TestMediumCoverBytes:
     # SHA-256 of the 71 sizes, and of the 71 (size, mask) pairs, on the 36
     # medium G(n, p, seed) graphs
@@ -122,9 +143,11 @@ class TestMediumCoverBytes:
     DIGEST = "69fed8a878b30609fc6ae407a491cf921a593be38c4ecb5853e37c058066653a"
 
     def test_medium_random_graphs(self):
-        corpus = (random_graph(n, p, seed) for n in (40, 48, 56)
-                  for p in (0.1, 0.2, 0.3, 0.5) for seed in range(3))
-        assert cover_digests(corpus) == (self.SIZES, self.DIGEST)
+        assert cover_digests(medium_graphs()) == (self.SIZES, self.DIGEST)
+
+    def test_every_floor_up_to_the_minimum(self):
+        for g in medium_graphs():
+            assert_every_floor(g)
 
 
 class TestHardCoverBytes:
@@ -134,7 +157,45 @@ class TestHardCoverBytes:
     DIGEST = "8e2b5c317cefdbf02ed6fe8fca28a7db8490e8e980eac948207c6c5f069c07b3"
 
     def test_products_and_dense_random_graphs(self):
-        corpus = (cartesian(cycle(8), cycle(8))[0], cartesian(path(8), path(8))[0],
-                  direct(cycle(7), cycle(9))[0], random_graph(64, 0.16, 1),
-                  random_graph(60, 0.12, 2))
-        assert cover_digests(corpus) == (self.SIZES, self.DIGEST)
+        assert cover_digests(hard_graphs()) == (self.SIZES, self.DIGEST)
+
+    # one test per graph: every floor below a minimum repeats the whole search
+    @pytest.mark.parametrize("index", range(5), ids=["C8xC8", "P8xP8", "C7xC9", "G64", "G60"])
+    def test_every_floor_up_to_the_minimum(self, index):
+        assert_every_floor(list(hard_graphs())[index])
+
+
+class TestGammaFloor:
+    """``GraphFacts.gamma_t`` searches with gamma as its floor when gamma is
+    already solved, as it is in ``full_report``; the result must be the one a
+    fresh search, with no floor, returns."""
+
+    @staticmethod
+    def assert_floored_equals_fresh(g: Graph) -> None:
+        report = full_report(g)
+        if "gamma_t" in report.values:
+            floored = (report.values["gamma_t"], report.certificates["gamma_t"])
+            assert floored == total_domination_number(g), (g.n, g.adj)
+
+    def test_every_graph_upto_6(self):
+        for g in all_graphs_upto(6):
+            self.assert_floored_equals_fresh(g)
+
+    def test_medium_random_graphs(self):
+        for g in medium_graphs():
+            self.assert_floored_equals_fresh(g)
+
+    def test_floor_is_gamma_once_solved(self, monkeypatch):
+        search, floors = solvers._min_cover, []
+
+        def spy(n, cover, reach, floor=0):
+            floors.append(floor)
+            return search(n, cover, reach, floor)
+
+        monkeypatch.setattr(solvers, "_min_cover", spy)
+        g = random_graph(20, 0.2, 3)
+        solvers.GraphFacts(g).gamma_t  # gamma unsolved: no floor
+        facts = solvers.GraphFacts(g)
+        facts.gamma
+        facts.gamma_t
+        assert floors == [0, 0, facts.gamma[0]] and facts.gamma[0] > 0

@@ -538,7 +538,7 @@ class TestCertificateChecks:
         from openpack import solvers
         from openpack.graph import path
 
-        solvers._min_cover = lambda n, cover, reach: (1, 1)
+        solvers._min_cover = lambda n, cover, reach, floor=0: (1, 1)
         for solve in (solvers.domination_number, solvers.total_domination_number):
             try:
                 solve(path(3))
@@ -557,7 +557,7 @@ class TestCertificateChecks:
         from openpack import solvers
 
         # {1} dominates the path, but the search claims two picks
-        monkeypatch.setattr(solvers, "_min_cover", lambda n, cover, reach: (2, 0b010))
+        monkeypatch.setattr(solvers, "_min_cover", lambda n, cover, reach, floor=0: (2, 0b010))
         with pytest.raises(CertificateError):
             domination_number(path(3))
 
