@@ -272,7 +272,7 @@ def _max_independent_set(n, adj):
     full = (1 << n) - 1
 
     # Greedy seed: repeatedly take a minimum-residual-degree vertex.
-    best_size, best_mask = 0, 0
+    best_mask = 0
     cand = full
     while cand:
         pick, pick_deg = -1, n + 1
@@ -284,10 +284,9 @@ def _max_independent_set(n, adj):
             if d < pick_deg:
                 pick, pick_deg = v, d
         best_mask |= 1 << pick
-        best_size += 1
         cand &= ~(adj[pick] | 1 << pick)
 
-    best = [best_size, best_mask]
+    best = [best_mask.bit_count(), best_mask]
 
     def explore(cand, size, mask):
         # The cliques taken so far plus one per vertex left cover cand, and an
@@ -307,10 +306,6 @@ def _max_independent_set(n, adj):
                 grow &= adj[b.bit_length() - 1]
         if cliques + rest.bit_count() <= room:
             return
-        if not cand:
-            best[0] = size
-            best[1] = mask
-            return
         pick, pick_deg = -1, -1
         m = cand
         while m:
@@ -319,7 +314,7 @@ def _max_independent_set(n, adj):
             d = (adj[v] & cand).bit_count()
             if d > pick_deg:
                 pick, pick_deg = v, d
-        if pick_deg == 0:
+        if pick_deg <= 0:  # no edge among the candidates, or no candidate (-1)
             size += cand.bit_count()
             if size > best[0]:
                 best[0] = size

@@ -197,31 +197,16 @@ def cmd_enumerate(args) -> int:
 # verify
 
 
-def _single_corpus(args):
-    """The chained corpora of the single-graph flags, each one's sizes checked
-    now, before the first graph is asked for."""
-    parts = []
-    if args.all_n is not None:
-        parts.append(enumerate_all_graphs(args.all_n))
-    if args.all_upto is not None:
-        parts.append(harness.all_graphs_upto(args.all_upto))
-    if args.g6_file:
-        parts.append(parse_graph6_lines(_read_text(args.g6_file)))
-    if args.random_trees:
-        n_lo, n_hi, count, seed = args.random_trees
-        if not 1 <= n_lo <= n_hi <= MAX_VERTICES or count < 1:
-            raise GraphError(
-                f"--random-trees needs 1 <= NMIN <= NMAX <= {MAX_VERTICES} and COUNT >= 1, "
-                f"got NMIN={n_lo} NMAX={n_hi} COUNT={count}"
-            )
-        parts.append(random_tree(n, seed + 1000 * n + i)
-                     for n in range(n_lo, n_hi + 1) for i in range(count))
-    if args.t_values is not None:
-        parts.append([cycle(4 * t + 2) for t in _t_values(args.t_values)])
-    if not parts:
-        raise GraphError("no corpus selected (use --all-n/--all-upto/--g6-file/"
-                         "--random-trees/--t-values)")
-    return chain.from_iterable(parts)
+def _random_trees(spec: list[int]):
+    """COUNT random trees on each order NMIN..NMAX, the range checked now."""
+    n_lo, n_hi, count, seed = spec
+    if not 1 <= n_lo <= n_hi <= MAX_VERTICES or count < 1:
+        raise GraphError(
+            f"--random-trees needs 1 <= NMIN <= NMAX <= {MAX_VERTICES} and COUNT >= 1, "
+            f"got NMIN={n_lo} NMAX={n_hi} COUNT={count}"
+        )
+    return (random_tree(n, seed + 1000 * n + i)
+            for n in range(n_lo, n_hi + 1) for i in range(count))
 
 
 def _check_grid(flag: str, max_g: int, max_h: int, theorems: list[str]) -> None:
@@ -257,33 +242,46 @@ def _t_values(text: str) -> list[int]:
     return values
 
 
-# the corpus flags each instance kind reads
-CORPUS_FLAGS = {
-    "single": ("all_n", "all_upto", "g6_file", "random_trees", "t_values", "filter"),
-    "pair": ("pair_grid", "lex_grid"),
+# Every verify corpus, by its flag's argparse name, in the order a run chains
+# them: the instance kind it yields and its builder, which checks the flag's
+# value when it is called.
+CORPORA = {
+    "all_n": ("single", enumerate_all_graphs),
+    "all_upto": ("single", harness.all_graphs_upto),
+    "g6_file": ("single", lambda path_arg: parse_graph6_lines(_read_text(path_arg))),
+    "random_trees": ("single", _random_trees),
+    "t_values": ("single", lambda text: [cycle(4 * t + 2) for t in _t_values(text)]),
+    "pair_grid": ("pair", lambda size: harness.pair_grid(*size)),
+    "lex_grid": ("pair", lambda size: harness.lex_grid(*size)),
 }
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def cmd_verify(args) -> int:
     theorems = [t.strip() for t in args.theorem.split(",") if t.strip()]
     kind = harness.theorem_kind(theorems)
 
-    # every corpus is checked here, before the first row is written
-    for flag in chain.from_iterable(CORPUS_FLAGS.values()):
-        if getattr(args, flag) is not None and flag not in CORPUS_FLAGS[kind]:
-            raise GraphError(f"--{flag.replace('_', '-')} does not apply to {','.join(theorems)}")
-    if kind == "single":
-        instances = _single_corpus(args)
-        for name in args.filter or []:
-            instances = filter(harness.CORPUS_FILTERS[name], instances)
-    else:
-        grids = [(flag, size) for flag, size in (("--pair-grid", args.pair_grid),
-                                                 ("--lex-grid", args.lex_grid)) if size]
-        if len(grids) != 1:
-            raise GraphError("pair theorems need exactly one of --pair-grid and --lex-grid")
-        flag, size = grids[0]
-        _check_grid(flag, *size, theorems)
-        instances = (harness.pair_grid if flag == "--pair-grid" else harness.lex_grid)(*size)
+    # every corpus is checked here, before the first row is written; --filter
+    # is no corpus, but it reads single graphs
+    kinds = {name: k for name, (k, _) in CORPORA.items()} | {"filter": "single"}
+    given = [name for name in kinds if getattr(args, name) is not None]
+    for name in given:
+        if kinds[name] != kind:
+            raise GraphError(f"{_flag(name)} does not apply to {','.join(theorems)}")
+    chosen = [name for name in given if name in CORPORA]
+    flags = [_flag(name) for name in CORPORA if kinds[name] == kind]
+    if kind == "pair":
+        if len(chosen) != 1:
+            raise GraphError(f"pair theorems need exactly one of {' and '.join(flags)}")
+        _check_grid(_flag(chosen[0]), *getattr(args, chosen[0]), theorems)
+    elif not chosen:
+        raise GraphError(f"no corpus selected (use {'/'.join(flags)})")
+    instances = chain.from_iterable([CORPORA[name][1](getattr(args, name)) for name in chosen])
+    for name in args.filter or []:
+        instances = filter(harness.CORPUS_FILTERS[name], instances)
 
     out = _open_out(args.out) if args.out else sys.stdout
 

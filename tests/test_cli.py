@@ -15,7 +15,7 @@ import pytest
 import openpack
 import oracles
 from openpack import solvers
-from openpack.cli import _check_grid, build_parser, main
+from openpack.cli import CORPORA, _check_grid, build_parser, main
 from openpack.formats import parse_graph6, to_graph6
 from openpack.graph import (
     complete,
@@ -154,6 +154,9 @@ class TestInputErrors:
          "--pair-grid 2 2 gives T4 products of 4 vertices, but exact solvers cap at 3"),
         ("verify22", ("verify", "--theorem", "T15"), None,
          "no corpus selected (use --all-n/--all-upto/--g6-file/--random-trees/--t-values)"),
+        # a corpus flag that is given is read, even an empty path
+        ("verify23", ("verify", "--theorem", "T1", "--g6-file", ""), None,
+         "cannot read : No such file or directory"),
         ("invariant7", ("invariant",), "!\n", "line 1: malformed graph6 length header '!'"),
     ]
     # the environment a case runs in, by test id, when it is not the default one
@@ -201,6 +204,14 @@ class TestInputErrors:
         covered = {" ".join(argv[:2]) if argv[0] == "gen" else argv[0]
                    for _, argv, _, _ in self.CASES}
         assert covered == expected
+
+    def test_corpus_table_matches_the_parser(self):
+        # every verify option that selects instances is one row of CORPORA
+        verify = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices["verify"]
+        options = {a.dest for a in verify._actions if a.option_strings} - {"help"}
+        assert options - set(CORPORA) == {"theorem", "filter", "out", "summary"}
+        assert set(CORPORA) <= options
 
     def test_solver_cap_is_an_input_error(self, monkeypatch):
         monkeypatch.setenv("OPENPACK_MAX_N", "3")
